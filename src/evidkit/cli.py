@@ -9,13 +9,14 @@ failure during training.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .base_rates import CIWTable, adjust_base_rates
+from .base_rates import CIWTable
 from .datasets import (
     GenConfig,
     generate_dataset,
@@ -42,6 +43,7 @@ from .evaluation import (
 )
 from .network import (
     TrainConfig,
+    _base_rate_arrays,
     batch_evidence,
     finetune_head,
     init_head,
@@ -90,13 +92,6 @@ def _align_ciw(table: CIWTable, class_names) -> CIWTable:
     return CIWTable.from_pairs((c, by_name[c]) for c in class_names)
 
 
-def _base_rate_arrays(ciw: CIWTable):
-    bases = adjust_base_rates(ciw)
-    a_pos = np.array([p.a_pos for p in bases])
-    a_neg = np.array([p.a_neg for p in bases])
-    return a_pos, a_neg
-
-
 def _check_model_matches(mlp, head, split):
     if mlp.dim_in != split.dim:
         raise ConfigError(
@@ -116,8 +111,8 @@ def _write_yaml(path: Path, doc: dict) -> None:
 
 
 def _check_prediction_flags(args) -> None:
-    if not args.prior_weight > 0:
-        raise ConfigError(f"--prior-weight must be > 0, got {args.prior_weight}")
+    if not (args.prior_weight > 0 and math.isfinite(args.prior_weight)):
+        raise ConfigError(f"--prior-weight must be finite and > 0, got {args.prior_weight}")
     threshold = getattr(args, "threshold", None)
     if threshold is not None and not 0.0 <= threshold <= 1.0:
         raise ConfigError(f"--threshold must be in [0, 1], got {threshold}")

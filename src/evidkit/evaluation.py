@@ -4,8 +4,11 @@ Known-class scoring uses F1 of the binary "no label at all" decision
 (f1_normal) and an importance-weighted macro F-beta with beta=2 (f2_ciw).
 Unknown detection treats unknown samples as the positive class and ranks
 by aggregated per-class uncertainty; auroc / aupr / fpr_at_95_tpr plus
-two baseline scorers cover that task. All metric functions are pure and
-permutation-invariant over samples.
+two baseline scorers cover that task. The three ranking metrics share one
+O(n log n) sort and a cumulative-count sweep over the distinct scores
+(Fawcett 2006, Alg. 1-2): tied samples are scored as a group, and FPR95
+is read at the operating points "flag every score >= d". All metric
+functions are pure and permutation-invariant over samples.
 """
 
 from __future__ import annotations
@@ -248,74 +251,63 @@ def _check_scores(scores, labels, need_pos=True, need_neg=True):
     return s, y, n_pos, n_neg
 
 
-def _average_ranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="mergesort")
-    sx = x[order]
-    boundaries = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1], True])
-    ranks = np.empty(x.size, dtype=np.float64)
-    for start, stop in zip(boundaries[:-1], boundaries[1:]):
-        ranks[order[start:stop]] = 0.5 * (start + stop + 1)
-    return ranks
+def _tie_groups(s: np.ndarray, y: np.ndarray):
+    """One stable descending sort; per tie group, the cumulative counts.
+
+    Returns (flagged, tp): for each distinct score d_i, highest first, the
+    number of samples with score >= d_i and how many of them are positive.
+    """
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    ends = np.flatnonzero(np.r_[s_sorted[1:] != s_sorted[:-1], True])
+    return ends + 1, np.cumsum(y[order])[ends]
 
 
 def auroc(scores, labels) -> float:
     """Probability a random positive outranks a random negative, ties at 1/2.
 
     Mann-Whitney rank statistic; scores are oriented so higher means more
-    likely unknown and labels mark the unknown (positive) samples.
+    likely unknown and labels mark the unknown (positive) samples. Each
+    tie group takes the average of the ascending ranks it spans; the rank
+    sum is a sum of half-integers, so it is exact in any order.
     """
     s, y, n_pos, n_neg = _check_scores(scores, labels)
-    ranks = _average_ranks(s)
-    rank_sum = float(ranks[y].sum())
+    flagged, tp = _tie_groups(s, y)
+    # a group spanning descending positions [a, b) holds ascending ranks
+    # n - b + 1 .. n - a, whose average is (2n - a - b + 1) / 2
+    avg_rank = 0.5 * (2 * s.size - np.r_[0, flagged[:-1]] - flagged + 1)
+    rank_sum = float(np.sum(np.diff(tp, prepend=0) * avg_rank))
     return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
 def aupr(scores, labels) -> float:
-    """Area under precision-recall with precision right-constant in recall."""
+    """Area under precision-recall with precision right-constant in recall.
+
+    One step per tie group, highest score first: the step adds
+    (recall_i - recall_{i-1}) * precision_i, summed left to right.
+    """
     s, y, n_pos, _ = _check_scores(scores, labels, need_neg=False)
-    order = np.argsort(-s, kind="mergesort")
-    s_sorted = s[order]
-    y_sorted = y[order]
-    tp = fp = 0
-    prev_recall = 0.0
-    area = 0.0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j < n and s_sorted[j] == s_sorted[i]:
-            j += 1
-        tp += int(y_sorted[i:j].sum())
-        fp += (j - i) - int(y_sorted[i:j].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j
-    return area
+    flagged, tp = _tie_groups(s, y)
+    recall = tp / n_pos
+    terms = np.diff(recall, prepend=0.0) * (tp / flagged)
+    # cumsum adds strictly left to right; np.sum's pairwise order would
+    # change the last bits
+    return float(np.cumsum(terms)[-1])
 
 
 def fpr_at_95_tpr(scores, labels, tpr_target: float = 0.95) -> float:
-    """Smallest false-positive rate among thresholds reaching the TPR target.
+    """Smallest false-positive rate among operating points reaching the TPR target.
 
-    Thresholds sweep the midpoints of consecutive distinct scores plus
-    -inf and +inf sentinels; a sample is flagged unknown when its score
-    exceeds the threshold.
+    The operating points are "flag nothing" and, for each distinct score
+    d, "flag every sample with score >= d"; ties are flagged as a group.
+    Returns 1.0 when no operating point reaches the target.
     """
     s, y, n_pos, n_neg = _check_scores(scores, labels)
-    distinct = np.unique(s)
-    midpoints = 0.5 * (distinct[:-1] + distinct[1:])
-    thresholds = np.concatenate(([-np.inf], midpoints, [np.inf]))
-    best = 1.0
-    found = False
-    for t in thresholds:
-        flagged = s > t
-        tpr = float(np.sum(flagged & y)) / n_pos
-        if tpr >= tpr_target:
-            fpr = float(np.sum(flagged & ~y)) / n_neg
-            if not found or fpr < best:
-                best, found = fpr, True
-    return best
+    flagged, tp = _tie_groups(s, y)
+    tpr = np.r_[0, tp] / n_pos
+    fpr = np.r_[0, flagged - tp] / n_neg
+    reached = tpr >= tpr_target
+    return float(fpr[reached].min()) if reached.any() else 1.0
 
 
 def baseline_ood_scores(logits, method: str) -> np.ndarray:

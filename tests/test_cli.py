@@ -120,7 +120,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "flags",
         [["--hidden", "8,x"], ["--epochs", "-1"], ["--lr", "-0.5"],
-         ["--batch-size", "0"], ["--prior-weight", "0"]],
+         ["--batch-size", "0"], ["--prior-weight", "0"], ["--prior-weight", "inf"]],
     )
     def test_invalid_flags_exit_2(self, tmp_path, flags):
         d = _generate(tmp_path / "data")
@@ -251,6 +251,14 @@ class TestEval:
                      "--threshold", "1.5"])
         assert code == 2
 
+    def test_non_finite_prior_weight_exits_2(self, tmp_path, capsys):
+        data, ckpt = _oracle_fixture(tmp_path)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
+                     "--ciw", str(data / CIW_FILENAME), "--out", str(tmp_path / "e"),
+                     "--prior-weight", "inf"])
+        assert code == 2
+        assert "--prior-weight" in capsys.readouterr().err
+
     def test_no_known_validation_samples_exits_3(self, tmp_path):
         split = DatasetSplit(
             train=(Sample("t0", (0.0, 0.0), (0,)),),
@@ -316,6 +324,14 @@ class TestOod:
         code = main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
                      "--out", str(tmp_path / "o"), "--agg", "median"])
         assert code == 2
+
+    def test_non_finite_prior_weight_exits_2(self, tmp_path, capsys):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        code = main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
+                     "--out", str(tmp_path / "o"), "--prior-weight", "inf"])
+        assert code == 2
+        assert "--prior-weight" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
         d = _generate(tmp_path / "data")

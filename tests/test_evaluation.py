@@ -371,6 +371,121 @@ class TestFpr95:
         assert far <= close
 
 
+# Test-only copies of the per-group loop implementations that the shared
+# sort-and-cumulative-count sweep replaced, and an exhaustive FPR95 sweep.
+# The sweep does the same arithmetic, so results must be equal, not close.
+def _loop_auroc(scores, labels):
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels).astype(bool)
+    order = np.argsort(s, kind="mergesort")
+    sx = s[order]
+    boundaries = np.flatnonzero(np.r_[True, sx[1:] != sx[:-1], True])
+    ranks = np.empty(s.size, dtype=np.float64)
+    for start, stop in zip(boundaries[:-1], boundaries[1:]):
+        ranks[order[start:stop]] = 0.5 * (start + stop + 1)
+    n_pos, n_neg = int(y.sum()), int((~y).sum())
+    rank_sum = float(ranks[y].sum())
+    return (rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+def _loop_aupr(scores, labels):
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels).astype(bool)
+    order = np.argsort(-s, kind="mergesort")
+    s_sorted, y_sorted = s[order], y[order]
+    n_pos = int(y.sum())
+    tp = fp = 0
+    prev_recall = area = 0.0
+    i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and s_sorted[j] == s_sorted[i]:
+            j += 1
+        tp += int(y_sorted[i:j].sum())
+        fp += (j - i) - int(y_sorted[i:j].sum())
+        recall = tp / n_pos
+        area += (recall - prev_recall) * (tp / (tp + fp))
+        prev_recall = recall
+        i = j
+    return area
+
+
+def _exhaustive_fpr95(scores, labels, target=0.95):
+    """Flag score > t for t = -inf and every distinct score."""
+    s = np.asarray(scores, dtype=np.float64)
+    y = np.asarray(labels).astype(bool)
+    n_pos, n_neg = int(y.sum()), int((~y).sum())
+    best = 1.0
+    for t in np.concatenate(([-np.inf], np.unique(s))):
+        flagged = s > t
+        if float((flagged & y).sum()) / n_pos >= target:
+            best = min(best, float((flagged & ~y).sum()) / n_neg)
+    return best
+
+
+_TIED_SCORE = st.one_of(
+    st.integers(-6, 6).map(lambda k: k / 7.0),
+    st.sampled_from([np.inf, -np.inf]),
+)
+
+
+@st.composite
+def _tied_samples(draw):
+    """Tie-heavy scores with both classes present; one draw in five is a
+    single tie group."""
+    n = draw(st.integers(2, 60))
+    single = draw(st.integers(0, 4)) == 0
+    pool = st.just(draw(_TIED_SCORE)) if single else _TIED_SCORE
+    scores = draw(st.lists(pool, min_size=n, max_size=n))
+    labels = draw(
+        st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda v: any(v) and not all(v))
+    )
+    return np.array(scores, dtype=np.float64), np.array(labels)
+
+
+class TestTieGroupSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_samples())
+    def test_auroc_equals_rank_loop(self, sample):
+        assert auroc(*sample) == _loop_auroc(*sample)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_samples())
+    def test_aupr_equals_group_loop(self, sample):
+        assert aupr(*sample) == _loop_aupr(*sample)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_tied_samples(), st.sampled_from([0.5, 0.9, 0.95, 1.0]))
+    def test_fpr95_equals_exhaustive_sweep(self, sample, target):
+        assert fpr_at_95_tpr(*sample, tpr_target=target) == _exhaustive_fpr95(*sample, target)
+
+    @pytest.mark.parametrize(
+        "high, low",
+        [
+            # the midpoint of adjacent doubles rounds onto the upper one
+            (np.nextafter(1.0000000000000002, np.inf), 1.0000000000000002),
+            # the midpoint of scores near the top of the range overflows to inf
+            (1.5e308, 1.0e308),
+        ],
+    )
+    def test_fpr95_keeps_operating_points_between_close_or_huge_scores(self, high, low):
+        scores = np.r_[np.full(20, high), low, 0.0]
+        labels = np.r_[np.ones(20), 0, 0]
+        assert fpr_at_95_tpr(scores, labels) == 0.0
+        assert _exhaustive_fpr95(scores, labels) == 0.0
+
+    def test_golden_values(self):
+        # a fixed, tied 5k-score draw; the values are the loop
+        # implementations' results, and no BLAS call is involved, so the
+        # reprs hold on any platform
+        rng = np.random.default_rng(5000)
+        labels = rng.uniform(size=5000) < 0.3
+        scores = (rng.integers(0, 200, size=5000) + 60 * labels) / 7.0
+        assert repr(auroc(scores, labels)) == "0.7637489948470992"
+        assert repr(aupr(scores, labels)) == "0.6541769294906443"
+        assert repr(fpr_at_95_tpr(scores, labels)) == "0.6405622489959839"
+
+
 class TestBaselines:
     def test_maxlogit_hand_values(self):
         out = baseline_ood_scores(np.array([[3.0, -1.0], [0.5, 2.0]]), "maxlogit")

@@ -63,6 +63,7 @@ from .datasets import (
     GenConfig,
     DatasetSplit,
     Sample,
+    SampleTable,
     generate_dataset,
     load_annotation_csv,
     load_ciw_config,

@@ -138,7 +138,7 @@ def cmd_generate(args) -> int:
     save_dataset(split, out)
     ciw = random_ciw_table(split.known_classes, seed=cfg.seed)
     save_ciw_config(ciw, out / CIW_FILENAME)
-    n_unknown = sum(s.is_unknown for s in split.validation)
+    n_unknown = int(split.validation.unknown.sum())
     print(f"wrote {len(split.train)} train / {len(split.validation)} val samples to {args.out}")
     print(f"known classes: {', '.join(split.known_classes)}")
     print(f"unknown classes (validation only, {n_unknown} samples): "
@@ -226,7 +226,7 @@ def cmd_eval(args) -> int:
     _check_model_matches(mlp, head, split)
     ciw = _align_ciw(load_ciw_config(args.ciw), split.known_classes)
 
-    known = [s for s in split.validation if not s.is_unknown]
+    known = split.validation[~split.validation.unknown]
     n_unknown = len(split.validation) - len(known)
     if not known:
         raise DataFormatError("validation split has no known samples to score")
@@ -276,12 +276,11 @@ def cmd_ood(args) -> int:
     _check_model_matches(mlp, head, split)
     agg = parse_aggregation(args.agg)
 
-    flags = np.array([s.is_unknown for s in split.validation], dtype=bool)
-    if not flags.any():
+    if not split.validation.unknown.any():
         raise DataFormatError(
             "validation split contains no unknown samples; nothing to detect"
         )
-    ids, x, _, _ = samples_to_arrays(split.validation, split.k_known, split.dim)
+    ids, x, _, flags = samples_to_arrays(split.validation, split.k_known, split.dim)
 
     # base rates do not enter the vacuity u = W / S, so uniform ones suffice
     k = split.k_known

@@ -24,6 +24,16 @@ where K is the number of known classes and the class list is known
 classes first, unknowns after. Records are tab-separated: id,
 comma-separated features (repr precision, so round trips are bit-exact),
 comma-separated label indices (empty allowed), unknown flag 0/1.
+
+In memory a split is a SampleTable: one frozen row table of arrays, not a
+tuple of per-row objects. It holds `ids` (a tuple of N str), `x` (an
+(N, D) float64 feature matrix), `labels` (an (N, C) bool matrix over all
+C classes, known first, then unknown) and `unknown` (an (N,) bool flag
+array); the arrays are read-only. The table still reads as a sequence of
+Samples: `len()`, iteration and int indexing give validated Samples built
+on demand, while slices, bool masks and index arrays give tables. The
+generator, the file I/O and samples_to_arrays work on the arrays
+directly, so no per-row Sample is built on their paths.
 """
 
 from __future__ import annotations
@@ -31,8 +41,9 @@ from __future__ import annotations
 import csv
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -49,6 +60,9 @@ VAL_FILENAME = "val.edlset"
 NOISE_RADIUS = 2.0
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
+
+# records parsed per block when loading; bounds the temporary strings
+_PARSE_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -69,12 +83,164 @@ class Sample:
             raise ValueError(f"sample {self.id!r}: negative label index")
 
 
+def _resize_labels(labels: np.ndarray, width: int) -> np.ndarray:
+    """The label matrix cut or zero-padded to `width` columns."""
+    if labels.shape[1] == width:
+        return labels
+    out = np.zeros((labels.shape[0], width), dtype=bool)
+    keep = min(width, labels.shape[1])
+    out[:, :keep] = labels[:, :keep]
+    return out
+
+
+def _frozen(values, dtype, ndim: int, name: str) -> np.ndarray:
+    array = np.asarray(values, dtype=dtype)
+    if array.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {array.shape}")
+    array.flags.writeable = False
+    return array
+
+
+@dataclass(frozen=True, eq=False)
+class SampleTable(Sequence):
+    """The rows of one split as arrays: ids, features, label matrix, unknown flags.
+
+    ids is a tuple of N non-empty str; x an (N, D) float64 matrix of finite
+    features; labels an (N, C) bool matrix over all classes, known first;
+    unknown an (N,) bool array. The table takes the arrays over without
+    copying and makes them read-only.
+
+    It reads as a sequence of Samples: an int index or iteration builds
+    validated Samples on demand, while a slice, a bool mask or an index
+    array returns a table. A table equals another table with the same
+    arrays, and any sequence of Samples equal to its rows.
+    """
+
+    ids: tuple[str, ...]
+    x: np.ndarray
+    labels: np.ndarray
+    unknown: np.ndarray
+
+    def __post_init__(self):
+        ids = tuple(self.ids)
+        x = _frozen(self.x, np.float64, 2, "x")
+        labels = _frozen(self.labels, bool, 2, "labels")
+        unknown = _frozen(self.unknown, bool, 1, "unknown")
+        if not len(ids) == len(x) == len(labels) == len(unknown):
+            raise ValueError(
+                f"ids, x, labels and unknown disagree on the row count: "
+                f"{len(ids)}, {len(x)}, {len(labels)}, {len(unknown)}"
+            )
+        if not all(ids):
+            raise ValueError("sample id must be non-empty")
+        finite = np.isfinite(x).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"sample {ids[int(finite.argmin())]!r}: non-finite feature")
+        object.__setattr__(self, "ids", ids)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "labels", labels)
+        object.__setattr__(self, "unknown", unknown)
+
+    @classmethod
+    def from_samples(cls, samples, dim: int) -> SampleTable:
+        """Stack Samples of `dim` features each into a table."""
+        ids, x, labels, unknown, width_ok = _stack_samples(samples, dim, 0)
+        if not width_ok.all():
+            raise ValueError(f"sample {ids[int(width_ok.argmin())]!r}: expected {dim} features")
+        return cls(ids, x, labels, unknown)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        if isinstance(key, (int, np.integer)):
+            i = range(len(self.ids))[key]
+            return Sample(
+                id=self.ids[i],
+                features=tuple(self.x[i].tolist()),
+                labels=tuple(np.flatnonzero(self.labels[i]).tolist()),
+                is_unknown=bool(self.unknown[i]),
+            )
+        if not isinstance(key, slice):
+            key = np.asarray(key)
+        x = self.x[key]  # numpy checks the mask length and the index range
+        if isinstance(key, slice):
+            ids = self.ids[key]
+        elif key.dtype == bool:
+            ids = tuple(compress(self.ids, key.tolist()))
+        else:
+            ids = tuple(map(self.ids.__getitem__, key.tolist()))
+        return SampleTable(ids, x, self.labels[key], self.unknown[key])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self.ids)))
+
+    def __eq__(self, other):
+        if isinstance(other, SampleTable):
+            width = max(self.labels.shape[1], other.labels.shape[1])
+            return (
+                self.ids == other.ids
+                and np.array_equal(self.x, other.x)
+                and np.array_equal(self.unknown, other.unknown)
+                and np.array_equal(_resize_labels(self.labels, width),
+                                   _resize_labels(other.labels, width))
+            )
+        if isinstance(other, Sequence):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+
+def _stack_samples(samples, dim: int, n_classes: int):
+    """(ids, x, labels, unknown, width_ok) of a sequence of Samples.
+
+    width_ok flags the rows with `dim` features; x is None unless all have
+    them. The label matrix has n_classes columns, or more if a label index
+    needs them.
+    """
+    samples = tuple(samples)
+    n = len(samples)
+    ids = tuple(s.id for s in samples)
+    width_ok = np.fromiter((len(s.features) == dim for s in samples), dtype=bool, count=n)
+    x = None
+    if width_ok.all():
+        x = np.array([s.features for s in samples], dtype=np.float64).reshape(n, dim)
+    rows = [i for i, s in enumerate(samples) for _ in s.labels]
+    cols = [l for s in samples for l in s.labels]
+    labels = np.zeros((n, max(n_classes, max(cols, default=-1) + 1)), dtype=bool)
+    labels[rows, cols] = True
+    unknown = np.fromiter((s.is_unknown for s in samples), dtype=bool, count=n)
+    return ids, x, labels, unknown, width_ok
+
+
+def _check_rows(where, ids, width_ok, labels, unknown, dim, k_known, k_total) -> None:
+    """Raise ValueError naming the first row of a split that breaks a rule."""
+    out_of_range = labels[:, k_total:].any(axis=1)
+    mismatch = unknown != labels[:, k_known:].any(axis=1)
+    bad = ~width_ok | out_of_range | mismatch
+    if bad.any():
+        i = int(bad.argmax())
+        if not width_ok[i]:
+            problem = f"expected {dim} features"
+        elif out_of_range[i]:
+            problem = "label index out of range"
+        else:
+            problem = "unknown flag does not match labels"
+        raise ValueError(f"{where} sample {ids[i]!r}: {problem}")
+
+
 @dataclass(frozen=True)
 class DatasetSplit:
-    """A full dataset: train and validation samples plus the class lists."""
+    """A full dataset: train and validation rows plus the class lists.
 
-    train: tuple[Sample, ...]
-    validation: tuple[Sample, ...]
+    train and validation may be given as SampleTables or as sequences of
+    Samples; either way they are held as SampleTables whose label matrix
+    spans all classes.
+    """
+
+    train: SampleTable
+    validation: SampleTable
     known_classes: tuple[str, ...]
     unknown_classes: tuple[str, ...]
     dim: int
@@ -88,18 +254,20 @@ class DatasetSplit:
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("known and unknown class lists must be disjoint")
         k_known, k_total = self.k_known, len(self.classes)
-        for where, samples in (("train", self.train), ("validation", self.validation)):
-            for s in samples:
-                if len(s.features) != self.dim:
-                    raise ValueError(f"{where} sample {s.id!r}: expected {self.dim} features")
-                if any(l >= k_total for l in s.labels):
-                    raise ValueError(f"{where} sample {s.id!r}: label index out of range")
-                has_unknown = any(l >= k_known for l in s.labels)
-                if s.is_unknown != has_unknown:
-                    raise ValueError(
-                        f"{where} sample {s.id!r}: unknown flag does not match labels"
-                    )
-        if any(s.is_unknown for s in self.train):
+        for where in ("train", "validation"):
+            rows = getattr(self, where)
+            if isinstance(rows, SampleTable):
+                ids, x, labels, unknown = rows.ids, rows.x, rows.labels, rows.unknown
+                width_ok = np.full(len(ids), x.shape[1] == self.dim)
+            else:
+                ids, x, labels, unknown, width_ok = _stack_samples(rows, self.dim, k_total)
+            _check_rows(where, ids, width_ok, labels, unknown, self.dim, k_known, k_total)
+            if not (isinstance(rows, SampleTable) and labels.shape[1] == k_total
+                    and x.shape[1] == self.dim):
+                rows = SampleTable(ids, x.reshape(len(ids), self.dim),
+                                   _resize_labels(labels, k_total), unknown)
+                object.__setattr__(self, where, rows)
+        if self.train.unknown.any():
             raise ValueError("train split must not contain unknown samples")
 
     @property
@@ -161,15 +329,19 @@ class GenConfig:
                 raise ConfigError(f"{field_name} must be in [0, 1], got {v}")
 
 
-def _ball_noise(rng: np.random.Generator, dim: int, scale: float) -> np.ndarray:
-    """Isotropic noise, uniform in the ball of radius NOISE_RADIUS * scale."""
+def _ball_noise(rng: np.random.Generator, dim: int, scale: float) -> tuple[np.ndarray, float]:
+    """Isotropic noise, uniform in the ball of radius NOISE_RADIUS * scale.
+
+    Returns (direction, factor); the noise is factor * direction.
+    math.sqrt(d.dot(d)) is the Euclidean norm as np.linalg.norm computes it.
+    """
     direction = rng.standard_normal(dim)
-    norm = float(np.linalg.norm(direction))
+    norm = math.sqrt(direction.dot(direction))
     while norm == 0.0:
         direction = rng.standard_normal(dim)
-        norm = float(np.linalg.norm(direction))
+        norm = math.sqrt(direction.dot(direction))
     radius = NOISE_RADIUS * scale * rng.random() ** (1.0 / dim)
-    return (radius / norm) * direction
+    return direction, radius / norm
 
 
 def _known_prototypes(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
@@ -198,71 +370,86 @@ def _draw_known_labels(rng, cfg) -> tuple[int, ...]:
     return (k,)
 
 
-def _make_sample(sample_id, labels, is_unknown, center, rng, cfg) -> Sample:
-    features = center + _ball_noise(rng, cfg.dim, cfg.noise)
-    return Sample(
-        id=sample_id,
-        features=tuple(float(v) for v in features),
-        labels=labels,
-        is_unknown=is_unknown,
-    )
-
-
 def generate_dataset(cfg: GenConfig) -> DatasetSplit:
-    """Deterministic synthetic dataset; same config -> identical samples."""
+    """Deterministic synthetic dataset; same config -> identical samples.
+
+    Draws are made row by row in a fixed order (label draws, then the noise
+    direction, then its radius), and the features are assembled afterwards
+    as centre + factor * direction in one array operation.
+    """
     rng = np.random.default_rng(cfg.seed)
     known_protos = _known_prototypes(rng, cfg)
     unknown_protos = _unknown_prototypes(rng, cfg, known_protos)
-    origin = np.zeros(cfg.dim)
 
-    train = []
-    for i in range(cfg.n_train):
+    codes = {}  # label tuple -> row of the centre and label tables, by first use
+    row_codes, directions, factors = [], [], []
+
+    def draw_row(labels):
+        row_codes.append(codes.setdefault(labels, len(codes)))
+        direction, factor = _ball_noise(rng, cfg.dim, cfg.noise)
+        directions.append(direction)
+        factors.append(factor)
+
+    for _ in range(cfg.n_train):
         if rng.random() < cfg.normal_rate:
-            train.append(_make_sample(f"tr-{i:05d}", (), False, origin, rng, cfg))
+            draw_row(())
         else:
-            labels = _draw_known_labels(rng, cfg)
-            center = known_protos[list(labels)].mean(axis=0)
-            train.append(_make_sample(f"tr-{i:05d}", labels, False, center, rng, cfg))
-
-    validation = []
-    for i in range(cfg.n_val):
-        sample_id = f"va-{i:05d}"
+            draw_row(_draw_known_labels(rng, cfg))
+    for _ in range(cfg.n_val):
         if cfg.k_unknown > 0 and rng.random() < cfg.unknown_rate:
-            m = int(rng.integers(cfg.k_unknown))
-            validation.append(
-                _make_sample(sample_id, (cfg.k_known + m,), True, unknown_protos[m], rng, cfg)
-            )
+            draw_row((cfg.k_known + int(rng.integers(cfg.k_unknown)),))
         elif rng.random() < cfg.normal_rate:
-            validation.append(_make_sample(sample_id, (), False, origin, rng, cfg))
+            draw_row(())
         else:
-            labels = _draw_known_labels(rng, cfg)
-            center = known_protos[list(labels)].mean(axis=0)
-            validation.append(_make_sample(sample_id, labels, False, center, rng, cfg))
+            draw_row(_draw_known_labels(rng, cfg))
+
+    k_total = cfg.k_known + cfg.k_unknown
+    centres = np.zeros((len(codes), cfg.dim))
+    code_labels = np.zeros((len(codes), k_total), dtype=bool)
+    for labels, code in codes.items():
+        code_labels[code, list(labels)] = True
+        if labels and labels[0] >= cfg.k_known:
+            centres[code] = unknown_protos[labels[0] - cfg.k_known]
+        elif labels:
+            centres[code] = known_protos[list(labels)].mean(axis=0)
+    row_codes = np.array(row_codes, dtype=np.intp)
+    x = centres[row_codes] + np.array(factors)[:, None] * np.array(directions)
+    labels = code_labels[row_codes]
+    unknown = labels[:, cfg.k_known:].any(axis=1)
+
+    n = cfg.n_train
+    train = SampleTable(tuple(f"tr-{i:05d}" for i in range(n)), x[:n], labels[:n], unknown[:n])
+    validation = SampleTable(tuple(f"va-{i:05d}" for i in range(cfg.n_val)),
+                             x[n:], labels[n:], unknown[n:])
 
     known_names = tuple(f"known_{i + 1:02d}" for i in range(cfg.k_known))
     unknown_names = tuple(f"unknown_{i + 1:02d}" for i in range(cfg.k_unknown))
     return DatasetSplit(
-        train=tuple(train),
-        validation=tuple(validation),
+        train=train,
+        validation=validation,
         known_classes=known_names,
         unknown_classes=unknown_names,
         dim=cfg.dim,
     )
 
 
-def _format_record(sample: Sample) -> str:
-    features = ",".join(repr(v) for v in sample.features)
-    labels = ",".join(str(l) for l in sample.labels)
-    flag = "1" if sample.is_unknown else "0"
-    return f"{sample.id}\t{features}\t{labels}\t{flag}"
-
-
-def _write_split_file(path: Path, samples, split: DatasetSplit) -> None:
+def _write_split_file(path: Path, rows: SampleTable, split: DatasetSplit) -> None:
     header = (
         f"{DATASET_MAGIC} {DATASET_VERSION} D={split.dim} K={split.k_known} "
         f"classes={','.join(split.classes)}"
     )
-    lines = [header] + [_format_record(s) for s in samples]
+    # the label and flag fields, formatted once per distinct (labels, flag) row
+    flagged = np.column_stack((rows.labels, rows.unknown))
+    keys = flagged.view(np.dtype((np.void, flagged.shape[1]))).ravel().tolist()
+    tails = {}
+    for i, key in enumerate(keys):
+        if key not in tails:
+            indices = ",".join(map(str, np.flatnonzero(rows.labels[i]).tolist()))
+            tails[key] = f"{indices}\t{'1' if rows.unknown[i] else '0'}"
+    lines = [header] + [
+        f"{sample_id}\t{','.join(map(repr, features))}\t{tails[key]}"
+        for sample_id, features, key in zip(rows.ids, rows.x.tolist(), keys)
+    ]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
 
@@ -303,23 +490,9 @@ def _parse_header(line: str, path):
     return dim, k_known, classes
 
 
-def _parse_record(line: str, lineno: int, dim: int, k_known: int, k_total: int, path) -> Sample:
-    fields = line.split("\t")
-    if len(fields) != 4:
-        raise DataFormatError(
-            f"expected 4 tab-separated fields, got {len(fields)}", path=path, line=lineno
-        )
-    sample_id, feat_field, label_field, flag_field = fields
-    if not sample_id:
-        raise DataFormatError("empty sample id", path=path, line=lineno)
-    try:
-        features = tuple(float(v) for v in feat_field.split(","))
-    except ValueError as exc:
-        raise DataFormatError(f"bad feature value: {exc}", path=path, line=lineno) from exc
-    if len(features) != dim:
-        raise DataFormatError(
-            f"expected {dim} features, got {len(features)}", path=path, line=lineno
-        )
+def _parse_labels(label_field: str, flag_field: str, k_known: int, k_total: int,
+                  forbid_unknown: bool, path, lineno) -> tuple[tuple[int, ...], bool]:
+    """The sorted label indices and the unknown flag of one record."""
     if label_field:
         try:
             labels = tuple(int(v) for v in label_field.split(","))
@@ -339,7 +512,87 @@ def _parse_record(line: str, lineno: int, dim: int, k_known: int, k_total: int, 
     is_unknown = flag_field == "1"
     if is_unknown != any(l >= k_known for l in labels):
         raise DataFormatError("unknown flag does not match labels", path=path, line=lineno)
-    return Sample(id=sample_id, features=features, labels=labels, is_unknown=is_unknown)
+    if forbid_unknown and is_unknown:
+        raise DataFormatError(
+            "train split must not contain unknown samples", path=path, line=lineno
+        )
+    return labels, is_unknown
+
+
+def _check_record(line: str, lineno: int, dim: int, k_known: int, k_total: int,
+                  forbid_unknown: bool, path) -> None:
+    """Raise DataFormatError naming `lineno` if the record breaks a rule.
+
+    This is the one statement of the record rules; the bulk parser in
+    _parse_records accepts exactly the files in which every record passes.
+    """
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise DataFormatError(
+            f"expected 4 tab-separated fields, got {len(fields)}", path=path, line=lineno
+        )
+    sample_id, feat_field, label_field, flag_field = fields
+    if not sample_id:
+        raise DataFormatError("empty sample id", path=path, line=lineno)
+    try:
+        features = [float(v) for v in feat_field.split(",")]
+    except ValueError as exc:
+        raise DataFormatError(f"bad feature value: {exc}", path=path, line=lineno) from exc
+    if len(features) != dim:
+        raise DataFormatError(
+            f"expected {dim} features, got {len(features)}", path=path, line=lineno
+        )
+    if not all(map(math.isfinite, features)):
+        raise DataFormatError("non-finite feature", path=path, line=lineno)
+    _parse_labels(label_field, flag_field, k_known, k_total, forbid_unknown, path, lineno)
+
+
+def _parse_records(records, dim: int, k_known: int, k_total: int,
+                   forbid_unknown: bool) -> SampleTable | None:
+    """All records as one table, or None if any record breaks a rule.
+
+    Each rule of _check_record is applied to many rows at once: per block
+    of rows, one split of the joined lines on tabs and one float() pass
+    over the joined feature fields; the label rules run once per distinct
+    (labels, flag) pair. Blocks bound the temporary strings held at once.
+    """
+    # a line with 3 tabs splits into the 4 fields of a record
+    if set(map(str.count, records, repeat("\t"))) - {3}:
+        return None
+    n = len(records)
+    blocks, ids, label_fields, flag_fields = [], [], [], []
+    for start in range(0, n, _PARSE_BLOCK_ROWS):
+        fields = "\t".join(records[start:start + _PARSE_BLOCK_ROWS]).split("\t")
+        feat_fields = fields[1::4]
+        # a field with dim - 1 commas holds dim features
+        if set(map(str.count, feat_fields, repeat(","))) - {dim - 1}:
+            return None
+        try:
+            values = np.fromiter(map(float, ",".join(feat_fields).split(",")),
+                                 dtype=np.float64, count=len(feat_fields) * dim)
+        except ValueError:
+            return None
+        blocks.append(values.reshape(len(feat_fields), dim))
+        ids += fields[0::4]
+        label_fields += fields[2::4]
+        flag_fields += fields[3::4]
+    x = np.concatenate(blocks) if blocks else np.zeros((0, dim))
+    if not (all(ids) and np.isfinite(x).all()):
+        return None
+    pairs = list(zip(label_fields, flag_fields))
+    distinct = {pair: code for code, pair in enumerate(dict.fromkeys(pairs))}
+    code_labels = np.zeros((len(distinct), k_total), dtype=bool)
+    code_unknown = np.zeros(len(distinct), dtype=bool)
+    for (label_field, flag_field), code in distinct.items():
+        try:
+            labels, is_unknown = _parse_labels(
+                label_field, flag_field, k_known, k_total, forbid_unknown, None, None)
+        except DataFormatError:
+            return None
+        code_labels[code, list(labels)] = True
+        code_unknown[code] = is_unknown
+    codes = np.fromiter(map(distinct.__getitem__, pairs), dtype=np.intp, count=n)
+    return SampleTable(tuple(ids), x, code_labels[codes], code_unknown[codes])
 
 
 def _load_split_file(path: Path, forbid_unknown: bool):
@@ -350,15 +603,14 @@ def _load_split_file(path: Path, forbid_unknown: bool):
     if not lines:
         raise DataFormatError("empty dataset file", path=path, line=1)
     dim, k_known, classes = _parse_header(lines[0], path)
-    samples = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        sample = _parse_record(line, lineno, dim, k_known, len(classes), path)
-        if forbid_unknown and sample.is_unknown:
-            raise DataFormatError(
-                "train split must not contain unknown samples", path=path, line=lineno
-            )
-        samples.append(sample)
-    return dim, k_known, classes, tuple(samples)
+    records = lines[1:]
+    rows = _parse_records(records, dim, k_known, len(classes), forbid_unknown)
+    if rows is None:
+        # some record breaks a rule: name the first such line
+        for lineno, line in enumerate(records, start=2):
+            _check_record(line, lineno, dim, k_known, len(classes), forbid_unknown, path)
+        raise AssertionError(f"{path}: the bulk parser rejected records the checker accepts")
+    return dim, k_known, classes, rows
 
 
 def load_dataset(path) -> DatasetSplit:
@@ -419,21 +671,17 @@ def random_ciw_table(class_names, seed: int, low: float = 0.1, high: float = 1.0
 
 
 def samples_to_arrays(samples, k_known: int, dim: int):
-    """Stack samples into (ids, features (N,D), known multi-hot (N,K), unknown flags)."""
-    n = len(samples)
-    ids = [s.id for s in samples]
-    x = np.zeros((n, dim), dtype=np.float64)
-    y = np.zeros((n, k_known), dtype=np.float64)
-    flags = np.zeros(n, dtype=bool)
-    for i, s in enumerate(samples):
-        if len(s.features) != dim:
-            raise ValueError(f"sample {s.id!r}: expected {dim} features")
-        x[i] = s.features
-        for l in s.labels:
-            if l < k_known:
-                y[i, l] = 1.0
-        flags[i] = s.is_unknown
-    return ids, x, y, flags
+    """Split rows into (ids, features (N,D), known multi-hot (N,K), unknown flags).
+
+    `samples` is a SampleTable or any sequence of Samples; the arrays
+    returned are fresh copies.
+    """
+    table = samples if isinstance(samples, SampleTable) else SampleTable.from_samples(samples, dim)
+    if table.x.shape[1] != dim and len(table):
+        raise ValueError(f"sample {table.ids[0]!r}: expected {dim} features")
+    x = table.x.reshape(len(table), dim).copy()
+    y = _resize_labels(table.labels, k_known).astype(np.float64)
+    return list(table.ids), x, y, table.unknown.copy()
 
 
 def load_annotation_csv(path, features_by_id) -> tuple[tuple[Sample, ...], tuple[str, ...]]:

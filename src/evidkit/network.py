@@ -437,6 +437,8 @@ def load_checkpoint(path) -> tuple[MlpParams, EvidenceHeadParams]:
         num_classes = int(header_value(4, "classes"))
     except ValueError as exc:
         raise DataFormatError(f"bad header value: {exc}", path=path) from exc
+    if min(dim_in, feature_dim, num_classes, *hidden) < 1:
+        raise DataFormatError("layer sizes in the header must be >= 1", path=path)
 
     dims = [dim_in, *hidden, feature_dim]
     expected = []
@@ -454,7 +456,11 @@ def load_checkpoint(path) -> tuple[MlpParams, EvidenceHeadParams]:
         parts = lines[lineno].split()
         if len(parts) != 4 or parts[0] != "param" or parts[1] != name:
             raise DataFormatError(f"expected parameter {name!r}", path=path, line=lineno + 1)
-        if (int(parts[2]), int(parts[3])) != shape:
+        try:
+            found = (int(parts[2]), int(parts[3]))
+        except ValueError as exc:
+            raise DataFormatError(f"bad shape: {exc}", path=path, line=lineno + 1) from exc
+        if found != shape:
             raise DataFormatError(
                 f"parameter {name!r} has shape {(parts[2], parts[3])}, expected {shape}",
                 path=path, line=lineno + 1,
@@ -475,9 +481,18 @@ def load_checkpoint(path) -> tuple[MlpParams, EvidenceHeadParams]:
                     f"parameter {name!r} row has {len(row)} values, expected {shape[1]}",
                     path=path, line=lineno + 1,
                 )
+            if not all(map(math.isfinite, row)):
+                raise DataFormatError(
+                    f"parameter {name!r} has a non-finite value", path=path, line=lineno + 1
+                )
             rows.append(row)
             lineno += 1
         tensors[name] = np.array(rows, dtype=np.float64)
+    for extra in range(lineno, len(lines)):
+        if lines[extra].strip():
+            raise DataFormatError(
+                "unexpected content after the last parameter", path=path, line=extra + 1
+            )
 
     layers = []
     for i in range(len(dims) - 1):

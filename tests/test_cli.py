@@ -350,3 +350,55 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+def _replace_feature(path, lineno, value):
+    lines = path.read_text().splitlines()
+    fields = lines[lineno - 1].split("\t")
+    fields[1] = ",".join([value, *fields[1].split(",")[1:]])
+    lines[lineno - 1] = "\t".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+
+
+class TestCorruptInputsExit3:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("command", ["train", "eval", "ood"])
+    def test_non_finite_feature(self, tmp_path, capsys, command, value):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        _replace_feature(d / VAL_FILENAME, 5, value)
+        args = {
+            "train": ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME), *TINY_TRAIN],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(d),
+                     "--ciw", str(d / CIW_FILENAME)],
+            "ood": ["ood", "--checkpoint", str(ckpt), "--data", str(d)],
+        }[command]
+        capsys.readouterr()
+        assert main([*args, "--out", str(tmp_path / "out")]) == 3
+        assert "line 5: non-finite feature" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "ood"])
+    def test_non_finite_checkpoint_value(self, tmp_path, capsys, command):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        lines = ckpt.read_text().splitlines()
+        lines[6] = " ".join(["nan", *lines[6].split()[1:]])
+        ckpt.write_text("\n".join(lines) + "\n")
+        extra = ["--ciw", str(d / CIW_FILENAME)] if command == "eval" else []
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(ckpt), "--data", str(d), *extra,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert "line 7: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "ood"])
+    def test_trailing_checkpoint_content(self, tmp_path, capsys, command):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        n_lines = len(ckpt.read_text().splitlines())
+        with open(ckpt, "a") as fh:
+            fh.write("garbage\n")
+        extra = ["--ciw", str(d / CIW_FILENAME)] if command == "eval" else []
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(ckpt), "--data", str(d), *extra,
+                     "--out", str(tmp_path / "out")]) == 3
+        assert f"line {n_lines + 1}: unexpected content" in capsys.readouterr().err

@@ -416,3 +416,65 @@ class TestCheckpoints:
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(OSError):
             load_checkpoint(tmp_path / "absent.ckpt")
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_line(self, tmp_path, value):
+        mlp, head = init_model(4, 2, hidden=(3,), feature_dim=3, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, head)
+        lines = path.read_text().splitlines()
+        lines[7] = " ".join([value, *lines[7].split()[1:]])
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="line 8: .*non-finite"):
+            load_checkpoint(path)
+
+    def test_content_after_the_last_parameter_names_the_line(self, tmp_path):
+        mlp, head = init_model(4, 2, hidden=(), feature_dim=3, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, head)
+        n_lines = len(path.read_text().splitlines())
+        with open(path, "a") as fh:
+            fh.write("\n  \ntrailing garbage\n")
+        with pytest.raises(DataFormatError, match=f"line {n_lines + 3}: unexpected content"):
+            load_checkpoint(path)
+
+    def test_trailing_blank_lines_are_accepted(self, tmp_path):
+        mlp, head = init_model(4, 2, hidden=(), feature_dim=3, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, head)
+        with open(path, "a") as fh:
+            fh.write("\n \t\n")
+        _, head2 = load_checkpoint(path)
+        np.testing.assert_array_equal(head2.weight, head.weight)
+
+    def test_non_integer_shape_names_the_line(self, tmp_path):
+        mlp, head = init_model(4, 2, hidden=(), feature_dim=3, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, head)
+        lines = path.read_text().splitlines()
+        assert lines[5].startswith("param backbone.0.weight")
+        lines[5] = "param backbone.0.weight three 4"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="line 6: bad shape"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("header", ["input", "hidden", "features", "classes"])
+    def test_zero_layer_size_rejected(self, tmp_path, header):
+        mlp, head = init_model(4, 2, hidden=(3,), feature_dim=3, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, head)
+        lines = [f"{header} 0" if line.split()[0] == header else line
+                 for line in path.read_text().splitlines()]
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DataFormatError, match="layer sizes"):
+            load_checkpoint(path)
+
+    def test_consistent_zero_width_layer_rejected(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        path.write_text(
+            "#evidkit-model v1\ninput 2\nhidden -\nfeatures 0\nclasses 1\n"
+            "param backbone.0.weight 0 2\nparam backbone.0.bias 1 0\n\n"
+            "param head.weight 0 2\nparam head.bias 1 2\n0.0 0.0\n"
+        )
+        with pytest.raises(DataFormatError, match="layer sizes"):
+            load_checkpoint(path)

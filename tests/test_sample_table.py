@@ -1,0 +1,392 @@
+"""Tests of the array-backed SampleTable and of the bulk dataset paths.
+
+The reference functions below are the per-row generator, writer, parser
+and stacker that the array paths replaced. They stay here as oracles:
+the array paths must draw, write, read and stack exactly what they did.
+"""
+
+import math
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from evidkit.datasets import (
+    DATASET_MAGIC,
+    DATASET_VERSION,
+    TRAIN_FILENAME,
+    VAL_FILENAME,
+    DatasetSplit,
+    GenConfig,
+    Sample,
+    SampleTable,
+    _draw_known_labels,
+    _known_prototypes,
+    _parse_header,
+    _unknown_prototypes,
+    generate_dataset,
+    load_dataset,
+    samples_to_arrays,
+    save_dataset,
+)
+from evidkit.errors import DataFormatError
+
+SMALL = GenConfig(k_known=3, k_unknown=1, dim=4, n_train=60, n_val=30, seed=5)
+
+
+# -- reference: the per-row implementations ------------------------------
+
+def _ref_ball_noise(rng, dim, scale):
+    direction = rng.standard_normal(dim)
+    norm = float(np.linalg.norm(direction))
+    while norm == 0.0:
+        direction = rng.standard_normal(dim)
+        norm = float(np.linalg.norm(direction))
+    radius = 2.0 * scale * rng.random() ** (1.0 / dim)
+    return (radius / norm) * direction
+
+
+def _ref_make_sample(sample_id, labels, is_unknown, center, rng, cfg):
+    features = center + _ref_ball_noise(rng, cfg.dim, cfg.noise)
+    return Sample(id=sample_id, features=tuple(float(v) for v in features),
+                  labels=labels, is_unknown=is_unknown)
+
+
+def _ref_generate(cfg):
+    """(train Samples, validation Samples, class names) as drawn row by row."""
+    rng = np.random.default_rng(cfg.seed)
+    known_protos = _known_prototypes(rng, cfg)
+    unknown_protos = _unknown_prototypes(rng, cfg, known_protos)
+    origin = np.zeros(cfg.dim)
+    train = []
+    for i in range(cfg.n_train):
+        if rng.random() < cfg.normal_rate:
+            train.append(_ref_make_sample(f"tr-{i:05d}", (), False, origin, rng, cfg))
+        else:
+            labels = _draw_known_labels(rng, cfg)
+            center = known_protos[list(labels)].mean(axis=0)
+            train.append(_ref_make_sample(f"tr-{i:05d}", labels, False, center, rng, cfg))
+    validation = []
+    for i in range(cfg.n_val):
+        sample_id = f"va-{i:05d}"
+        if cfg.k_unknown > 0 and rng.random() < cfg.unknown_rate:
+            m = int(rng.integers(cfg.k_unknown))
+            validation.append(_ref_make_sample(
+                sample_id, (cfg.k_known + m,), True, unknown_protos[m], rng, cfg))
+        elif rng.random() < cfg.normal_rate:
+            validation.append(_ref_make_sample(sample_id, (), False, origin, rng, cfg))
+        else:
+            labels = _draw_known_labels(rng, cfg)
+            center = known_protos[list(labels)].mean(axis=0)
+            validation.append(_ref_make_sample(sample_id, labels, False, center, rng, cfg))
+    classes = tuple(f"known_{i + 1:02d}" for i in range(cfg.k_known)) + tuple(
+        f"unknown_{i + 1:02d}" for i in range(cfg.k_unknown))
+    return tuple(train), tuple(validation), classes
+
+
+def _ref_file_text(samples, dim, k_known, classes):
+    def record(s):
+        features = ",".join(repr(v) for v in s.features)
+        labels = ",".join(str(l) for l in s.labels)
+        return f"{s.id}\t{features}\t{labels}\t{'1' if s.is_unknown else '0'}"
+
+    header = f"{DATASET_MAGIC} {DATASET_VERSION} D={dim} K={k_known} classes={','.join(classes)}"
+    return "\n".join([header] + [record(s) for s in samples]) + "\n"
+
+
+def _ref_parse_record(line, lineno, dim, k_known, k_total, path):
+    fields = line.split("\t")
+    if len(fields) != 4:
+        raise DataFormatError(
+            f"expected 4 tab-separated fields, got {len(fields)}", path=path, line=lineno)
+    sample_id, feat_field, label_field, flag_field = fields
+    if not sample_id:
+        raise DataFormatError("empty sample id", path=path, line=lineno)
+    try:
+        features = tuple(float(v) for v in feat_field.split(","))
+    except ValueError as exc:
+        raise DataFormatError(f"bad feature value: {exc}", path=path, line=lineno) from exc
+    if len(features) != dim:
+        raise DataFormatError(f"expected {dim} features, got {len(features)}",
+                              path=path, line=lineno)
+    if label_field:
+        try:
+            labels = tuple(int(v) for v in label_field.split(","))
+        except ValueError as exc:
+            raise DataFormatError(f"bad label index: {exc}", path=path, line=lineno) from exc
+    else:
+        labels = ()
+    if len(set(labels)) != len(labels):
+        raise DataFormatError("duplicate label index", path=path, line=lineno)
+    labels = tuple(sorted(labels))
+    if labels and (labels[0] < 0 or labels[-1] >= k_total):
+        raise DataFormatError("label index out of range", path=path, line=lineno)
+    if flag_field not in ("0", "1"):
+        raise DataFormatError(f"unknown flag must be 0 or 1, got {flag_field!r}",
+                              path=path, line=lineno)
+    is_unknown = flag_field == "1"
+    if is_unknown != any(l >= k_known for l in labels):
+        raise DataFormatError("unknown flag does not match labels", path=path, line=lineno)
+    return Sample(id=sample_id, features=features, labels=labels, is_unknown=is_unknown)
+
+
+def _ref_load_split_file(path):
+    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    dim, k_known, classes = _parse_header(lines[0], path)
+    return tuple(_ref_parse_record(line, lineno, dim, k_known, len(classes), path)
+                 for lineno, line in enumerate(lines[1:], start=2))
+
+
+def _ref_samples_to_arrays(samples, k_known, dim):
+    n = len(samples)
+    ids = [s.id for s in samples]
+    x = np.zeros((n, dim), dtype=np.float64)
+    y = np.zeros((n, k_known), dtype=np.float64)
+    flags = np.zeros(n, dtype=bool)
+    for i, s in enumerate(samples):
+        x[i] = s.features
+        for l in s.labels:
+            if l < k_known:
+                y[i, l] = 1.0
+        flags[i] = s.is_unknown
+    return ids, x, y, flags
+
+
+def _assert_same_arrays(got, expected):
+    assert got[0] == expected[0]
+    for a, b in zip(got[1:], expected[1:]):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+
+
+# -- equivalence with the per-row implementations --------------------------
+
+RATES = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@st.composite
+def gen_configs(draw):
+    k_known = draw(st.integers(1, 6))
+    n_pairs = k_known * (k_known - 1) // 2
+    return GenConfig(
+        k_known=k_known,
+        k_unknown=draw(st.integers(0, min(3, n_pairs))),
+        dim=draw(st.integers(k_known, 10)),
+        n_train=draw(st.integers(1, 120)),
+        n_val=draw(st.integers(1, 80)),
+        separation=draw(st.sampled_from([0.5, 6.0])),
+        cooccurrence=draw(RATES),
+        noise=draw(st.one_of(st.just(0.0), st.floats(0.01, 3.0))),
+        normal_rate=draw(RATES),
+        unknown_rate=draw(RATES),
+        seed=draw(st.integers(0, 2**32 - 1)),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=gen_configs())
+def test_generate_save_load_and_arrays_match_the_per_row_code(cfg):
+    ref_train, ref_val, classes = _ref_generate(cfg)
+    split = generate_dataset(cfg)
+    assert split.train == ref_train and split.validation == ref_val
+    assert split.classes == classes
+    with tempfile.TemporaryDirectory() as tmp:
+        save_dataset(split, tmp)
+        for name, ref_rows in ((TRAIN_FILENAME, ref_train), (VAL_FILENAME, ref_val)):
+            written = (Path(tmp) / name).read_text(encoding="utf-8")
+            assert written == _ref_file_text(ref_rows, cfg.dim, cfg.k_known, classes)
+        loaded = load_dataset(tmp)
+        assert loaded == split
+        assert loaded.train == _ref_load_split_file(Path(tmp) / TRAIN_FILENAME)
+        assert loaded.validation == _ref_load_split_file(Path(tmp) / VAL_FILENAME)
+    for rows, ref_rows in ((loaded.train, ref_train), (loaded.validation, ref_val)):
+        _assert_same_arrays(samples_to_arrays(rows, cfg.k_known, cfg.dim),
+                            _ref_samples_to_arrays(ref_rows, cfg.k_known, cfg.dim))
+        _assert_same_arrays(samples_to_arrays(list(ref_rows), cfg.k_known, cfg.dim),
+                            _ref_samples_to_arrays(ref_rows, cfg.k_known, cfg.dim))
+
+
+def _saved(tmp_path):
+    save_dataset(generate_dataset(SMALL), tmp_path / "d")
+    return tmp_path / "d"
+
+
+def _replace_lines(path, replacements):
+    lines = path.read_text().splitlines()
+    for lineno, text in replacements.items():
+        lines[lineno - 1] = text
+    path.write_text("\n".join(lines) + "\n")
+
+
+BAD_RECORDS = {
+    "fields": lambda f: "only-an-id",
+    "id": lambda f: "\t".join(["", *f[1:]]),
+    "feature": lambda f: "\t".join([f[0], "1.0,oops,3.0,4.0", *f[2:]]),
+    "count": lambda f: "\t".join([f[0], "1.0,2.0", *f[2:]]),
+    "nan": lambda f: "\t".join([f[0], "1.0,nan,3.0,4.0", *f[2:]]),
+    "label": lambda f: "\t".join([*f[:2], "x", f[3]]),
+    "duplicate": lambda f: "\t".join([*f[:2], "0,0", "0"]),
+    "range": lambda f: "\t".join([*f[:2], "9", "1"]),
+    "flag": lambda f: "\t".join([*f[:3], "2"]),
+    "mismatch": lambda f: "\t".join([*f[:2], "0", "1"]),
+}
+
+
+KINDS = sorted(BAD_RECORDS)
+
+
+# every kind of bad record once before and once after another kind
+@pytest.mark.parametrize("first,second", list(zip(KINDS, KINDS[1:] + KINDS[:1])))
+def test_first_of_two_bad_lines_is_named(tmp_path, first, second):
+    d = _saved(tmp_path)
+    path = d / VAL_FILENAME
+    fields = [line.split("\t") for line in path.read_text().splitlines()]
+    _replace_lines(path, {4: BAD_RECORDS[first](fields[3]), 9: BAD_RECORDS[second](fields[8])})
+    with pytest.raises(DataFormatError, match="line 4: ") as err:
+        load_dataset(d)
+    if first != "nan":  # the per-row parser let NaN through to Sample
+        with pytest.raises(DataFormatError) as ref_err:
+            _ref_load_split_file(path)
+        assert str(err.value) == str(ref_err.value)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_non_finite_feature_names_the_line(tmp_path, value):
+    d = _saved(tmp_path)
+    path = d / TRAIN_FILENAME
+    fields = path.read_text().splitlines()[6].split("\t")
+    features = fields[1].split(",")
+    features[2] = value
+    _replace_lines(path, {7: "\t".join([fields[0], ",".join(features), *fields[2:]])})
+    with pytest.raises(DataFormatError, match="line 7: non-finite feature"):
+        load_dataset(d)
+
+
+def test_short_and_long_rows_do_not_even_out(tmp_path):
+    """One row a feature short and a later one a feature long hold the
+    right total; the short one must still be named."""
+    d = _saved(tmp_path)
+    path = d / TRAIN_FILENAME
+    fields = [line.split("\t") for line in path.read_text().splitlines()]
+    short, long = fields[3], fields[8]
+    short[1] = short[1].rsplit(",", 1)[0]
+    long[1] = long[1] + ",1.5"
+    _replace_lines(path, {4: "\t".join(short), 9: "\t".join(long)})
+    with pytest.raises(DataFormatError, match="line 4: expected 4 features, got 3"):
+        load_dataset(d)
+
+
+def test_huge_declared_dim_is_a_format_error(tmp_path):
+    d = _saved(tmp_path)
+    for name in (TRAIN_FILENAME, VAL_FILENAME):
+        path = d / name
+        path.write_text(path.read_text().replace(" D=4 ", f" D={10**12} ", 1))
+    with pytest.raises(DataFormatError, match=f"line 2: expected {10**12} features, got 4"):
+        load_dataset(d)
+
+
+def test_unknown_sample_in_train_names_the_line(tmp_path):
+    d = _saved(tmp_path)
+    val_record = next(line for line in (d / VAL_FILENAME).read_text().splitlines()[1:]
+                      if line.endswith("\t1"))
+    _replace_lines(d / TRAIN_FILENAME, {3: val_record})
+    with pytest.raises(DataFormatError, match="line 3: train split must not contain unknown"):
+        load_dataset(d)
+
+
+# -- the table contract ---------------------------------------------------
+
+class TestSampleTable:
+    def test_int_index_returns_the_reference_sample(self):
+        ref_train, ref_val, _ = _ref_generate(SMALL)
+        split = generate_dataset(SMALL)
+        for i in (0, 7, -1):
+            assert isinstance(split.train[i], Sample)
+            assert split.train[i] == ref_train[i]
+            assert split.validation[np.int64(i)] == ref_val[i]
+        assert all(type(v) is float for v in split.train[3].features)
+        with pytest.raises(IndexError):
+            split.train[len(split.train)]
+
+    def test_iteration_yields_the_reference_samples(self):
+        ref_train, _, _ = _ref_generate(SMALL)
+        assert tuple(generate_dataset(SMALL).train) == ref_train
+
+    def test_mask_slice_and_index_array_return_tables(self):
+        _, ref_val, _ = _ref_generate(SMALL)
+        rows = generate_dataset(SMALL).validation
+        mask = rows.unknown
+        known = rows[~mask]
+        assert isinstance(known, SampleTable)
+        assert known == tuple(s for s in ref_val if not s.is_unknown)
+        assert isinstance(rows[2:5], SampleTable) and rows[2:5] == ref_val[2:5]
+        picked = rows[np.array([4, 0, 4])]
+        assert isinstance(picked, SampleTable)
+        assert picked == (ref_val[4], ref_val[0], ref_val[4])
+        with pytest.raises(IndexError):
+            rows[np.ones(3, dtype=bool)]
+
+    def test_arrays_are_read_only(self):
+        rows = generate_dataset(SMALL).train
+        for array in (rows.x, rows.labels, rows.unknown, rows[~rows.unknown].x, rows[1:3].x):
+            assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            rows.x[0, 0] = 1.0
+
+    def test_layout(self):
+        split = generate_dataset(SMALL)
+        rows = split.validation
+        assert rows.x.shape == (30, 4) and rows.x.dtype == np.float64
+        assert rows.labels.shape == (30, 4) and rows.labels.dtype == bool
+        assert rows.unknown.shape == (30,) and rows.unknown.dtype == bool
+        assert isinstance(rows.ids, tuple) and rows.ids[0] == "va-00000"
+        np.testing.assert_array_equal(rows.unknown, rows.labels[:, split.k_known:].any(axis=1))
+
+    def test_empty_split_equals_empty_tuple(self, tmp_path):
+        split = DatasetSplit(train=(), validation=(), known_classes=("a",),
+                             unknown_classes=(), dim=3)
+        assert split.train == () and split.validation == []
+        assert split.train.x.shape == (0, 3) and split.train.labels.shape == (0, 1)
+        save_dataset(split, tmp_path / "d")
+        assert load_dataset(tmp_path / "d") == split
+
+    def test_split_from_sample_tuples_equals_the_generated_split(self):
+        ref_train, ref_val, classes = _ref_generate(SMALL)
+        from_samples = DatasetSplit(train=ref_train, validation=list(ref_val),
+                                    known_classes=classes[:3], unknown_classes=classes[3:],
+                                    dim=4)
+        assert isinstance(from_samples.train, SampleTable)
+        assert from_samples == generate_dataset(SMALL)
+        assert from_samples != generate_dataset(GenConfig(k_known=3, k_unknown=1, dim=4,
+                                                          n_train=60, n_val=30, seed=6))
+
+    def test_tables_are_unhashable(self):
+        with pytest.raises(TypeError):
+            hash(generate_dataset(SMALL).train)
+
+    def test_split_names_the_first_bad_sample(self):
+        rows = (Sample("ok", (0.0, 0.0), (0,)), Sample("range", (0.0, 0.0), (5,)),
+                Sample("width", (0.0,), (0,)))
+        with pytest.raises(ValueError, match="train sample 'range': label index out of range"):
+            DatasetSplit(train=rows, validation=(), known_classes=("a", "b"),
+                         unknown_classes=("u",), dim=2)
+        table = SampleTable(("v0", "v1"), np.zeros((2, 2)),
+                            np.array([[1, 0, 0], [0, 0, 1]], dtype=bool),
+                            np.array([False, False]))
+        with pytest.raises(ValueError, match="validation sample 'v1': unknown flag"):
+            DatasetSplit(train=(), validation=table, known_classes=("a", "b"),
+                         unknown_classes=("u",), dim=2)
+
+    def test_table_checks_its_rows(self):
+        with pytest.raises(ValueError, match="non-finite"):
+            SampleTable(("a", "b"), np.array([[0.0], [math.inf]]),
+                        np.zeros((2, 1), dtype=bool), np.zeros(2, dtype=bool))
+        with pytest.raises(ValueError, match="non-empty"):
+            SampleTable(("",), np.zeros((1, 1)), np.zeros((1, 1), dtype=bool),
+                        np.zeros(1, dtype=bool))
+        with pytest.raises(ValueError, match="row count"):
+            SampleTable(("a",), np.zeros((2, 1)), np.zeros((2, 1), dtype=bool),
+                        np.zeros(2, dtype=bool))

@@ -28,13 +28,17 @@ class DataFormatError(EvidkitError):
 
 
 class TrainingDiverged(EvidkitError):
-    """Training produced a non-finite loss."""
+    """Training produced a non-finite loss or non-finite parameters."""
 
-    def __init__(self, epoch, batch, loss):
-        super().__init__(
-            f"non-finite loss {loss!r} at epoch {epoch}, batch {batch}; "
-            "lower the learning rate or check the input data"
-        )
+    def __init__(self, epoch, batch, loss, parameters=False):
+        if parameters:
+            message = (f"parameters became non-finite in the update at epoch {epoch}, "
+                       f"batch {batch} (batch loss {loss!r}); lower the learning rate "
+                       "or the weight decay")
+        else:
+            message = (f"non-finite loss {loss!r} at epoch {epoch}, batch {batch}; "
+                       "lower the learning rate or check the input data")
+        super().__init__(message)
         self.epoch = epoch
         self.batch = batch
         self.loss = loss

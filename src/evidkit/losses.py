@@ -116,10 +116,15 @@ def multilabel_nll(
 def _alphas(evidence: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray,
             prior_weight: float) -> np.ndarray:
     """Evidence (..., K, 2) plus per-class base rates -> alpha (..., K, 2)."""
-    alpha = np.empty_like(evidence)
-    alpha[..., 0] = evidence[..., 0] + a_pos * prior_weight
-    alpha[..., 1] = evidence[..., 1] + a_neg * prior_weight
-    return alpha
+    return evidence + np.stack([a_pos * prior_weight, a_neg * prior_weight], axis=-1)
+
+
+def _nll(alpha: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample total loss from alpha (N, K, 2) and y (N, K), plus S (N, K)."""
+    s = alpha[..., 0] + alpha[..., 1]
+    log_alpha = np.log(alpha)
+    log_labeled = np.where(y == 1, log_alpha[..., 0], log_alpha[..., 1])
+    return (np.log(s) - log_labeled).sum(axis=-1), s
 
 
 def batch_nll(
@@ -130,10 +135,7 @@ def batch_nll(
     prior_weight: float = DEFAULT_PRIOR_WEIGHT,
 ) -> np.ndarray:
     """Per-sample total loss for evidence (N, K, 2) and multi-hot y (N, K)."""
-    alpha = _alphas(evidence, a_pos, a_neg, prior_weight)
-    s = alpha.sum(axis=-1)
-    log_labeled = np.where(y == 1, np.log(alpha[..., 0]), np.log(alpha[..., 1]))
-    return (np.log(s) - log_labeled).sum(axis=-1)
+    return _nll(_alphas(evidence, a_pos, a_neg, prior_weight), y)[0]
 
 
 def batch_nll_grad(
@@ -145,12 +147,6 @@ def batch_nll_grad(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses (N,) and loss gradient w.r.t. evidence (N, K, 2)."""
     alpha = _alphas(evidence, a_pos, a_neg, prior_weight)
-    s = alpha.sum(axis=-1)
-    log_labeled = np.where(y == 1, np.log(alpha[..., 0]), np.log(alpha[..., 1]))
-    losses = (np.log(s) - log_labeled).sum(axis=-1)
-
-    grad = np.empty_like(alpha)
-    inv_s = 1.0 / s
-    grad[..., 0] = inv_s - y / alpha[..., 0]
-    grad[..., 1] = inv_s - (1.0 - y) / alpha[..., 1]
+    losses, s = _nll(alpha, y)
+    grad = (1.0 / s)[..., None] - np.stack([y, 1.0 - y], axis=-1) / alpha
     return losses, grad

@@ -11,6 +11,17 @@ Everything runs in float64 and is deterministic given the seed: parameter
 init and minibatch shuffling come from one seeded generator, and all
 reductions have a fixed order. Returned parameter sets should be treated
 as immutable; the trainer never mutates its inputs.
+
+The trainer keeps the parameters it updates in one private float64
+vector: the backbone layers and the head when training from scratch,
+the head alone when fine-tuning on a frozen backbone. Each weight and
+bias it hands to the step functions is a reshaped view into that
+vector, wrapped in ``MlpParams`` / ``EvidenceHeadParams`` once, so the
+shape and finiteness checks run at entry, not per step. A step is one
+``sgd_step`` over the whole vector against the concatenated gradients,
+then one finiteness check that raises ``TrainingDiverged`` with the
+epoch and batch. The trainer returns validated copies, never views of
+its vector.
 """
 
 from __future__ import annotations
@@ -234,11 +245,14 @@ def batch_loss(
     return float(batch_nll(evidence, y, a_pos, a_neg, prior_weight).mean())
 
 
-def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_WEIGHT):
+def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_WEIGHT,
+                     backbone=True):
     """Mean loss plus its gradients for every backbone and head parameter.
 
     ReLU uses subgradient 0 at exactly 0. Returns
-    (loss, [(dW, db) per layer], dW_head, db_head).
+    (loss, [(dW, db) per layer], dW_head, db_head). With backbone=False
+    (a frozen backbone) the backbone backward is skipped and the layer
+    list is empty.
     """
     n = x.shape[0]
     acts, zs, z_head, evidence = _forward_cached(mlp, head, x)
@@ -252,13 +266,15 @@ def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_W
     g_head_w = acts[-1].T @ dz_head
     g_head_b = dz_head.sum(axis=0)
 
-    dh = dz_head @ head.weight.T
     grads = []
-    for (w, _), z, a_prev in zip(reversed(mlp.layers), reversed(zs), reversed(acts[:-1])):
-        dz = dh * (z > 0.0)
-        grads.append((dz.T @ a_prev, dz.sum(axis=0)))
-        dh = dz @ w
-    grads.reverse()
+    if backbone:
+        dh = dz_head @ head.weight.T
+        for i in reversed(range(len(mlp.layers))):
+            dz = dh * (zs[i] > 0.0)
+            grads.append((dz.T @ acts[i], dz.sum(axis=0)))
+            if i:  # no gradient is needed for the input itself
+                dh = dz @ mlp.layers[i][0]
+        grads.reverse()
     return loss, grads, g_head_w, g_head_b
 
 
@@ -271,15 +287,18 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float
     return param * (1.0 - lr * weight_decay) - lr * grad
 
 
-def _clone_mlp(mlp: MlpParams) -> MlpParams:
-    return MlpParams([(w.copy(), b.copy()) for w, b in mlp.layers])
-
-
-def _clone_head(head: EvidenceHeadParams) -> EvidenceHeadParams:
-    return EvidenceHeadParams(head.weight.copy(), head.bias.copy())
-
-
 def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbone):
+    trainable = [p for layer in mlp.layers for p in layer] if update_backbone else []
+    trainable += [head.weight, head.bias]
+    theta = np.concatenate([p.ravel() for p in trainable], dtype=np.float64)
+    views, offset = [], 0
+    for p in trainable:
+        views.append(theta[offset:offset + p.size].reshape(p.shape))
+        offset += p.size
+    head = EvidenceHeadParams(*views[-2:])
+    if update_backbone:
+        mlp = MlpParams(list(zip(views[:-2:2], views[1:-2:2])))
+
     n = x.shape[0]
     epoch_losses = []
     for epoch in range(config.epochs):
@@ -289,25 +308,23 @@ def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbo
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             loss, grads, g_head_w, g_head_b = batch_loss_grads(
-                mlp, head, x[idx], y[idx], a_pos, a_neg, prior_weight
+                mlp, head, x[idx], y[idx], a_pos, a_neg, prior_weight,
+                backbone=update_backbone,
             )
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
             total += loss * len(idx)
-            if update_backbone:
-                mlp = MlpParams([
-                    (
-                        sgd_step(w, gw, lr, config.weight_decay),
-                        sgd_step(b, gb, lr, config.weight_decay),
-                    )
-                    for (w, b), (gw, gb) in zip(mlp.layers, grads)
-                ])
-            head = EvidenceHeadParams(
-                sgd_step(head.weight, g_head_w, lr, config.weight_decay),
-                sgd_step(head.bias, g_head_b, lr, config.weight_decay),
+            g = np.concatenate(
+                [d.ravel() for layer in grads for d in layer] + [g_head_w.ravel(), g_head_b.ravel()]
             )
+            theta[...] = sgd_step(theta, g, lr, config.weight_decay)
+            if not np.isfinite(theta).all():
+                raise TrainingDiverged(epoch, batch_idx, loss, parameters=True)
         epoch_losses.append(total / n)
-    return mlp, head, epoch_losses
+
+    if update_backbone:
+        mlp = MlpParams([(w.copy(), b.copy()) for w, b in mlp.layers])
+    return mlp, EvidenceHeadParams(head.weight.copy(), head.bias.copy()), epoch_losses
 
 
 def _base_rate_arrays(ciw: CIWTable):
@@ -372,8 +389,7 @@ def finetune_head(
     a_pos, a_neg = _base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     _, new_head, losses = _fit(
-        mlp, _clone_head(head), x, y, a_pos, a_neg, config, rng, prior_weight,
-        update_backbone=False,
+        mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbone=False
     )
     return TrainResult(mlp, new_head, tuple(losses))
 

@@ -172,6 +172,30 @@ class TestTrain:
         assert code == 4
         assert "non-finite loss" in capsys.readouterr().err
 
+    def test_diverged_parameters_exit_4(self, tmp_path, capsys):
+        d = _generate(tmp_path / "data")
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                         "--out", str(tmp_path / "run"), *TINY_TRAIN,
+                         "--lr", "1e200", "--weight-decay", "1e200"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "parameters became non-finite" in err and "epoch 0, batch 0" in err
+        assert "non-finite loss" not in err
+
+    def test_diverged_head_in_frozen_refit_exits_4(self, tmp_path, capsys):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "base")
+        with np.errstate(all="ignore"):
+            code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                         "--out", str(tmp_path / "tuned"), "--freeze-backbone",
+                         "--init-from", str(ckpt), "--epochs", "1",
+                         "--lr", "1e308", "--weight-decay", "10"])
+        assert code == 4
+        err = capsys.readouterr().err
+        assert "parameters became non-finite" in err and "epoch 0, batch 0" in err
+        assert "non-finite loss" not in err
+
 
 def _oracle_fixture(tmp_path):
     """Dataset plus a handcrafted checkpoint that classifies it perfectly.

@@ -287,6 +287,17 @@ class TestTrainer:
         assert exc_info.value.epoch == 0
         assert exc_info.value.batch == 0
 
+    def test_non_finite_parameters_report_epoch_and_batch(self):
+        # the first update overflows the parameters while its loss is finite
+        x, y = _separable_data(n=40)
+        cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1e200, weight_decay=1e200)
+        with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc_info:
+            train_model(x, y, cfg, UNIFORM_CIW, hidden=(8,), feature_dim=4)
+        assert (exc_info.value.epoch, exc_info.value.batch) == (0, 0)
+        assert math.isfinite(exc_info.value.loss)
+        assert "parameters became non-finite" in str(exc_info.value)
+        assert "non-finite loss" not in str(exc_info.value)
+
     def test_training_does_not_mutate_inputs(self):
         x, y = _separable_data(n=32)
         x_copy, y_copy = x.copy(), y.copy()

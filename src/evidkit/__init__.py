@@ -23,23 +23,13 @@ from .opinions import (
     DirichletPair,
     EvidencePair,
     Opinion,
-    beta_log_density,
     dirichlet_from_evidence,
     expected_probability,
     opinion_from_evidence,
     probability_from_opinion,
 )
 from .base_rates import CIWTable, adjust_base_rates, sigmoid
-from .losses import (
-    BinaryLabel,
-    LossValue,
-    batch_nll,
-    batch_nll_grad,
-    binarize_labels,
-    binary_nll,
-    binary_nll_grad,
-    multilabel_nll,
-)
+from .losses import batch_nll, batch_nll_grad
 from .network import (
     EvidenceHeadParams,
     MlpParams,
@@ -51,7 +41,6 @@ from .network import (
     evidence_from_features,
     extract_features,
     finetune_head,
-    global_average_pool,
     init_head,
     init_model,
     load_checkpoint,
@@ -65,7 +54,6 @@ from .datasets import (
     Sample,
     SampleTable,
     generate_dataset,
-    load_annotation_csv,
     load_ciw_config,
     load_dataset,
     random_ciw_table,
@@ -77,8 +65,6 @@ from .evaluation import (
     AggregationMode,
     BatchPrediction,
     MetricsReport,
-    Prediction,
-    aggregate_uncertainty,
     aupr,
     auroc,
     baseline_ood_scores,
@@ -86,9 +72,7 @@ from .evaluation import (
     f2_ciw,
     fpr_at_95_tpr,
     parse_aggregation,
-    parse_report,
     per_class_f2,
-    predict,
     predict_batch,
     render_report,
     write_scores_csv,

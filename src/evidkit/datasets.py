@@ -38,7 +38,6 @@ directly, so no per-row Sample is built on their paths.
 
 from __future__ import annotations
 
-import csv
 import math
 import re
 from collections.abc import Sequence
@@ -327,6 +326,8 @@ class GenConfig:
             v = getattr(self, field_name)
             if not (0.0 <= v <= 1.0):
                 raise ConfigError(f"{field_name} must be in [0, 1], got {v}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def _ball_noise(rng: np.random.Generator, dim: int, scale: float) -> tuple[np.ndarray, float]:
@@ -683,52 +684,3 @@ def samples_to_arrays(samples, k_known: int, dim: int):
     y = _resize_labels(table.labels, k_known).astype(np.float64)
     return list(table.ids), x, y, table.unknown.copy()
 
-
-def load_annotation_csv(path, features_by_id) -> tuple[tuple[Sample, ...], tuple[str, ...]]:
-    """Adapter for an annotation CSV: id column then per-class binary columns.
-
-    Feature vectors come from features_by_id (a mapping id -> sequence of
-    reals), since this package does not decode images. Returns the samples
-    and the class names from the header. All rows are known-class samples.
-    """
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or len(rows[0]) < 2:
-        raise DataFormatError(
-            "annotation CSV needs a header with an id column and class columns",
-            path=path, line=1,
-        )
-    class_names = tuple(rows[0][1:])
-    if len(set(class_names)) != len(class_names):
-        raise DataFormatError("duplicate class column", path=path, line=1)
-    samples = []
-    dim = None
-    for lineno, row in enumerate(rows[1:], start=2):
-        if len(row) != len(class_names) + 1:
-            raise DataFormatError(
-                f"expected {len(class_names) + 1} columns, got {len(row)}",
-                path=path, line=lineno,
-            )
-        sample_id = row[0]
-        if sample_id not in features_by_id:
-            raise DataFormatError(
-                f"no feature vector supplied for id {sample_id!r}", path=path, line=lineno
-            )
-        labels = []
-        for k, cell in enumerate(row[1:]):
-            if cell not in ("0", "1"):
-                raise DataFormatError(
-                    f"class column value must be 0 or 1, got {cell!r}", path=path, line=lineno
-                )
-            if cell == "1":
-                labels.append(k)
-        features = tuple(float(v) for v in features_by_id[sample_id])
-        if dim is None:
-            dim = len(features)
-        elif len(features) != dim:
-            raise DataFormatError(
-                f"feature vector for {sample_id!r} has length {len(features)}, expected {dim}",
-                path=path, line=lineno,
-            )
-        samples.append(Sample(id=sample_id, features=features, labels=tuple(labels)))
-    return tuple(samples), class_names

@@ -24,13 +24,7 @@ import yaml
 
 from .base_rates import CIWTable
 from .errors import ConfigError
-from .opinions import (
-    DEFAULT_PRIOR_WEIGHT,
-    BaseRatePair,
-    EvidencePair,
-    dirichlet_from_evidence,
-    expected_probability,
-)
+from .opinions import DEFAULT_PRIOR_WEIGHT
 
 DEFAULT_THRESHOLD = 0.5
 
@@ -66,14 +60,8 @@ def parse_aggregation(text: str) -> AggregationMode:
     raise ConfigError(f"unknown aggregation {text!r} (expected max, sum, or topN)")
 
 
-def aggregate_uncertainty(uncertainties, mode: AggregationMode) -> float:
-    u = np.asarray(uncertainties, dtype=np.float64)
-    if u.ndim != 1 or u.size == 0:
-        raise ValueError("uncertainties must be a non-empty vector")
-    return float(_aggregate_rows(u[None, :], mode)[0])
-
-
 def _aggregate_rows(u: np.ndarray, mode: AggregationMode) -> np.ndarray:
+    """Collapse (N, K) per-class uncertainties to one score per row."""
     if mode.kind == "max":
         return u.max(axis=1)
     if mode.kind == "sum":
@@ -84,49 +72,11 @@ def _aggregate_rows(u: np.ndarray, mode: AggregationMode) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Prediction:
-    probabilities: tuple[float, ...]
-    uncertainties: tuple[float, ...]
-    uncertainty: float
-    labels: tuple[bool, ...]
-
-
-@dataclass(frozen=True)
 class BatchPrediction:
     probabilities: np.ndarray
     uncertainties: np.ndarray
     uncertainty: np.ndarray
     labels: np.ndarray
-
-
-def predict(
-    evidences,
-    base,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
-    threshold: float = DEFAULT_THRESHOLD,
-    agg: AggregationMode = MAX_AGGREGATION,
-) -> Prediction:
-    """Per-class expected probability and vacuity for one sample.
-
-    evidences and base are parallel sequences of EvidencePair and
-    BaseRatePair; a class is labeled present iff its positive probability
-    exceeds the threshold.
-    """
-    evidences = tuple(evidences)
-    base = tuple(base)
-    if len(evidences) != len(base) or not evidences:
-        raise ValueError("need one base-rate pair per class and at least one class")
-    probs, uncs = [], []
-    for e, a in zip(evidences, base):
-        d = dirichlet_from_evidence(e, a, prior_weight)
-        probs.append(expected_probability(d)[0])
-        uncs.append(prior_weight / d.strength)
-    return Prediction(
-        probabilities=tuple(probs),
-        uncertainties=tuple(uncs),
-        uncertainty=aggregate_uncertainty(uncs, agg),
-        labels=tuple(p > threshold for p in probs),
-    )
 
 
 def predict_batch(
@@ -137,7 +87,12 @@ def predict_batch(
     threshold: float = DEFAULT_THRESHOLD,
     agg: AggregationMode = MAX_AGGREGATION,
 ) -> BatchPrediction:
-    """Vectorized predict over an (N, K, 2) evidence array."""
+    """Per-class expected probability and vacuity for (N, K, 2) evidence.
+
+    With W = prior_weight and S = e_pos + e_neg + W, p = (e_pos + a_pos * W) / S
+    and u = W / S; a class is labeled present iff p exceeds the threshold,
+    and each row's uncertainties collapse to one score by agg.
+    """
     ev = np.asarray(evidence, dtype=np.float64)
     a_pos = np.asarray(a_pos, dtype=np.float64)
     a_neg = np.asarray(a_neg, dtype=np.float64)
@@ -375,31 +330,6 @@ def render_report(report: MetricsReport, task: str, config: dict | None = None) 
             for name, p, r, f2, w in report.per_class
         }
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
-
-
-def parse_report(text: str) -> tuple[MetricsReport, str, dict]:
-    """Inverse of render_report: returns (report, task, config)."""
-    doc = yaml.safe_load(text)
-    if not isinstance(doc, dict) or "metrics" not in doc or "counts" not in doc:
-        raise ValueError("not a metrics report document")
-    metrics = doc["metrics"]
-    per_class = tuple(
-        sorted(
-            (name, row["precision"], row["recall"], row["f2"], row["weight"])
-            for name, row in doc.get("per_class", {}).items()
-        )
-    )
-    report = MetricsReport(
-        f1_normal=metrics.get("f1_normal"),
-        f2_ciw=metrics.get("f2_ciw"),
-        auroc=metrics.get("auroc"),
-        aupr=metrics.get("aupr"),
-        fpr95=metrics.get("fpr95"),
-        num_known=doc["counts"]["known"],
-        num_unknown=doc["counts"]["unknown"],
-        per_class=per_class,
-    )
-    return report, doc.get("task", ""), doc.get("config", {})
 
 
 def write_scores_csv(path, ids, uncertainties, flags) -> None:

@@ -10,107 +10,18 @@ i.e. the negative log of the expected probability on the labeled side.
 Driving the labeled side's evidence up is the only way to push L to zero;
 evidence on the wrong side inflates S and strictly increases the loss.
 
-The scalar functions define the contract; the ``*_batch`` variants are
-the vectorized equivalents the trainer uses (fixed-order reductions, so
-results are run-to-run identical).
+The functions work on whole batches: evidence (N, K, 2), multi-hot
+labels (N, K) and per-class base rates (K,). Reductions have a fixed
+order, so results are run-to-run identical. The scalar ``opinions`` API
+states the same maths one head at a time; the tests use it as the
+independent oracle for these kernels.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
-from .opinions import (
-    DEFAULT_PRIOR_WEIGHT,
-    BaseRatePair,
-    EvidencePair,
-    dirichlet_from_evidence,
-)
-
-
-@dataclass(frozen=True)
-class BinaryLabel:
-    """One-hot label over {defective, non-defective} for a single head."""
-
-    y_pos: int
-    y_neg: int
-
-    def __post_init__(self):
-        if self.y_pos not in (0, 1) or self.y_neg not in (0, 1):
-            raise ValueError(f"label bits must be 0 or 1, got ({self.y_pos!r}, {self.y_neg!r})")
-        if self.y_pos + self.y_neg != 1:
-            raise ValueError(f"label must be one-hot, got ({self.y_pos!r}, {self.y_neg!r})")
-
-
-@dataclass(frozen=True)
-class LossValue:
-    """Total loss and its per-class decomposition."""
-
-    total: float
-    per_class: tuple[float, ...]
-
-
-def binarize_labels(bits) -> list[BinaryLabel]:
-    """Expand a multi-hot label vector into per-head one-hot labels."""
-    labels = []
-    for bit in bits:
-        if bit not in (0, 1):
-            raise ValueError(f"multi-hot entries must be 0 or 1, got {bit!r}")
-        labels.append(BinaryLabel(y_pos=int(bit), y_neg=1 - int(bit)))
-    return labels
-
-
-def binary_nll(
-    e: EvidencePair,
-    y: BinaryLabel,
-    a: BaseRatePair,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
-) -> float:
-    """Loss of one head: log(S) - log(alpha_labeled)."""
-    d = dirichlet_from_evidence(e, a, prior_weight)
-    alpha_labeled = d.alpha_pos if y.y_pos == 1 else d.alpha_neg
-    return math.log(d.strength) - math.log(alpha_labeled)
-
-
-def binary_nll_grad(
-    e: EvidencePair,
-    y: BinaryLabel,
-    a: BaseRatePair,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
-) -> tuple[float, float]:
-    """Analytic gradient of binary_nll with respect to (e_pos, e_neg).
-
-    dL/de_j = 1/S - y_j / alpha_j: negative on the labeled side (more
-    correct evidence always helps), positive on the other.
-    """
-    d = dirichlet_from_evidence(e, a, prior_weight)
-    inv_s = 1.0 / d.strength
-    return (
-        inv_s - (y.y_pos / d.alpha_pos if y.y_pos else 0.0),
-        inv_s - (y.y_neg / d.alpha_neg if y.y_neg else 0.0),
-    )
-
-
-def multilabel_nll(
-    evidences,
-    bits,
-    bases,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
-) -> LossValue:
-    """Sum of per-head losses over all K classes of one sample."""
-    if not (len(evidences) == len(bits) == len(bases)):
-        raise ValueError(
-            f"length mismatch: {len(evidences)} evidences, {len(bits)} label bits, "
-            f"{len(bases)} base rates"
-        )
-    labels = binarize_labels(bits)
-    per_class = tuple(
-        binary_nll(e, y, a, prior_weight)
-        for e, y, a in zip(evidences, labels, bases)
-    )
-    return LossValue(total=sum(per_class), per_class=per_class)
+from .opinions import DEFAULT_PRIOR_WEIGHT
 
 
 def _alphas(evidence: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray,
@@ -145,7 +56,11 @@ def batch_nll_grad(
     a_neg: np.ndarray,
     prior_weight: float = DEFAULT_PRIOR_WEIGHT,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-sample losses (N,) and loss gradient w.r.t. evidence (N, K, 2)."""
+    """Per-sample losses (N,) and loss gradient w.r.t. evidence (N, K, 2).
+
+    dL/de_j = 1/S - y_j / alpha_j: negative on the labeled side (more
+    correct evidence always helps), positive on the other.
+    """
     alpha = _alphas(evidence, a_pos, a_neg, prior_weight)
     losses, s = _nll(alpha, y)
     grad = (1.0 / s)[..., None] - np.stack([y, 1.0 - y], axis=-1) / alpha

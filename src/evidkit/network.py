@@ -1,10 +1,9 @@
 """Feature extractor, evidence head, and the SGD trainer.
 
 The desk-scale backbone is a fully connected ReLU network on vector
-inputs (a pooling op is provided so channel/height/width feature maps can
-be fed through the same path). The evidence head is a single affine layer
-from the C-dimensional feature vector to 2K outputs, passed through ReLU
-so evidence is non-negative by construction; outputs are laid out as
+inputs. The evidence head is a single affine layer from the
+C-dimensional feature vector to 2K outputs, passed through ReLU so
+evidence is non-negative by construction; outputs are laid out as
 [e_1_pos, e_1_neg, e_2_pos, e_2_neg, ...].
 
 Everything runs in float64 and is deterministic given the seed: parameter
@@ -122,6 +121,8 @@ class TrainConfig:
             raise ConfigError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
         if self.weight_decay < 0 or not math.isfinite(self.weight_decay):
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -129,16 +130,6 @@ class TrainResult:
     mlp: MlpParams
     head: EvidenceHeadParams
     epoch_losses: tuple[float, ...] = field(default_factory=tuple)
-
-
-def global_average_pool(feature_map: np.ndarray) -> np.ndarray:
-    """Mean over the spatial dims of a (C, H, W) map -> (C,) vector."""
-    f = np.asarray(feature_map, dtype=np.float64)
-    if f.ndim != 3 or min(f.shape) < 1:
-        raise ValueError(f"expected a (C, H, W) feature map, got shape {f.shape}")
-    if not np.isfinite(f).all():
-        raise ValueError("feature map contains non-finite entries")
-    return f.mean(axis=(1, 2))
 
 
 def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
@@ -157,7 +148,7 @@ def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
 
 
 def evidence_from_features(features: np.ndarray, head: EvidenceHeadParams) -> np.ndarray:
-    """Evidence pairs from pooled features: relu(f @ W + b) as (..., K, 2)."""
+    """Evidence pairs from backbone features: relu(f @ W + b) as (..., K, 2)."""
     f = np.asarray(features, dtype=np.float64)
     single = f.ndim == 1
     if single:

@@ -13,8 +13,11 @@ with b_i = e_i / S and u = W / S, S = alpha_pos + alpha_neg, so that
 u + b_pos + b_neg = 1: zero evidence means total vacuity (u = 1) and the
 projected probability falls back to the base rate.
 
-All functions are pure and operate on immutable values; they are safe to
-call concurrently.
+This is the scalar contract, one head at a time: the pipeline runs the
+batch kernels in ``losses`` and ``evaluation``, and the tests check those
+kernels against these functions as an independent oracle. All functions
+are pure and operate on immutable values; they are safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -168,20 +171,3 @@ def expected_probability(d: DirichletPair) -> tuple[float, float]:
     s = d.strength
     return (d.alpha_pos / s, d.alpha_neg / s)
 
-
-def beta_log_density(p: float, d: DirichletPair) -> float:
-    """Log density of Beta(alpha_pos, alpha_neg) at positive-class probability p.
-
-    Defined for p in the open interval (0, 1) and positive alpha; the
-    density is zero outside the simplex, so out-of-range p is rejected.
-    """
-    if not math.isfinite(p) or p <= 0.0 or p >= 1.0:
-        raise ValueError(f"p must lie in (0, 1), got {p!r}")
-    if d.alpha_pos <= 0.0 or d.alpha_neg <= 0.0:
-        raise ValueError(
-            f"alpha components must be positive, got ({d.alpha_pos!r}, {d.alpha_neg!r})"
-        )
-    log_norm = (
-        math.lgamma(d.alpha_pos) + math.lgamma(d.alpha_neg) - math.lgamma(d.strength)
-    )
-    return (d.alpha_pos - 1.0) * math.log(p) + (d.alpha_neg - 1.0) * math.log1p(-p) - log_norm

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import yaml
 
 from evidkit.cli import (
     CHECKPOINT_FILENAME,
@@ -23,7 +24,6 @@ from evidkit.datasets import (
     save_dataset,
 )
 from evidkit.base_rates import CIWTable
-from evidkit.evaluation import parse_report
 from evidkit.network import (
     EvidenceHeadParams,
     MlpParams,
@@ -237,15 +237,16 @@ class TestEval:
         out = tmp_path / "eval"
         assert main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--ciw", str(data / CIW_FILENAME), "--out", str(out)]) == 0
-        report, task, config = parse_report(
-            (out / EVAL_REPORT_FILENAME).read_text()
+        report = yaml.safe_load((out / EVAL_REPORT_FILENAME).read_text())
+        assert report["task"] == "msdc"
+        assert report["metrics"]["f1_normal"] == 1.0
+        assert report["metrics"]["f2_ciw"] == 1.0
+        assert all(
+            (row["precision"], row["recall"], row["f2"]) == (1.0, 1.0, 1.0)
+            for row in report["per_class"].values()
         )
-        assert task == "msdc"
-        assert report.f1_normal == 1.0
-        assert report.f2_ciw == 1.0
-        assert all(row[1:4] == (1.0, 1.0, 1.0) for row in report.per_class)
-        assert report.num_known + report.num_unknown == 60
-        assert config["threshold"] == 0.5
+        assert report["counts"]["known"] + report["counts"]["unknown"] == 60
+        assert report["config"]["threshold"] == 0.5
         stdout = capsys.readouterr().out
         assert "F1_Normal: 1.0000" in stdout and "F2_CIW:    1.0000" in stdout
 
@@ -308,13 +309,11 @@ class TestOod:
             out = tmp_path / agg
             assert main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
                          "--out", str(out), "--agg", agg]) == 0
-            report, task, config = parse_report(
-                (out / OOD_REPORT_FILENAME).read_text()
-            )
-            assert task == "ood"
-            assert config["aggregation"] == agg
-            assert report.auroc is not None and report.fpr95 is not None
-            assert report.num_known + report.num_unknown == 40
+            report = yaml.safe_load((out / OOD_REPORT_FILENAME).read_text())
+            assert report["task"] == "ood"
+            assert report["config"]["aggregation"] == agg
+            assert "auroc" in report["metrics"] and "fpr95" in report["metrics"]
+            assert report["counts"]["known"] + report["counts"]["unknown"] == 40
             rows = (out / OOD_SCORES_FILENAME).read_text().splitlines()
             assert len(rows) == 41  # header plus one row per validation sample
             assert rows[0] == "sample_id,uncertainty,is_unknown"
@@ -374,6 +373,26 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["generate", "train", "refit"])
+    def test_exits_2_before_writing(self, tmp_path, capsys, command):
+        out = tmp_path / "out"
+        if command == "generate":
+            args = ["generate", "--out", str(out), *TINY_GEN, "--seed", "-1"]
+        else:
+            d = _generate(tmp_path / "data")
+            args = ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                    "--out", str(out), *TINY_TRAIN, "--seed", "-1"]
+            if command == "refit":
+                ckpt = _train(d, tmp_path / "run")
+                args += ["--freeze-backbone", "--init-from", str(ckpt), "--seed", "-2"]
+        capsys.readouterr()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "seed must be >= 0" in err
+        assert not out.exists()
 
 
 def _replace_feature(path, lineno, value):

@@ -11,7 +11,6 @@ from evidkit.datasets import (
     GenConfig,
     Sample,
     generate_dataset,
-    load_annotation_csv,
     load_ciw_config,
     load_dataset,
     random_ciw_table,
@@ -349,39 +348,3 @@ class TestArrays:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             samples_to_arrays([Sample("s", (1.0, 2.0), ())], 2, 3)
-
-
-class TestAnnotationCsv:
-    def test_happy_path(self, tmp_path):
-        path = tmp_path / "ann.csv"
-        path.write_text("image,crack,root\nimg1,1,0\nimg2,0,1\nimg3,0,0\n")
-        feats = {"img1": (0.1, 0.2), "img2": (0.3, 0.4), "img3": (0.5, 0.6)}
-        samples, classes = load_annotation_csv(path, feats)
-        assert classes == ("crack", "root")
-        assert [s.labels for s in samples] == [(0,), (1,), ()]
-        assert samples[0].features == (0.1, 0.2)
-        assert not any(s.is_unknown for s in samples)
-
-    def test_missing_feature_vector_rejected(self, tmp_path):
-        path = tmp_path / "ann.csv"
-        path.write_text("image,crack\nimg1,1\n")
-        with pytest.raises(DataFormatError, match="img1"):
-            load_annotation_csv(path, {})
-
-    def test_non_binary_cell_rejected(self, tmp_path):
-        path = tmp_path / "ann.csv"
-        path.write_text("image,crack\nimg1,yes\n")
-        with pytest.raises(DataFormatError, match="line 2"):
-            load_annotation_csv(path, {"img1": (0.0,)})
-
-    def test_column_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "ann.csv"
-        path.write_text("image,crack,root\nimg1,1\n")
-        with pytest.raises(DataFormatError, match="line 2"):
-            load_annotation_csv(path, {"img1": (0.0,)})
-
-    def test_duplicate_class_column_rejected(self, tmp_path):
-        path = tmp_path / "ann.csv"
-        path.write_text("image,crack,crack\n")
-        with pytest.raises(DataFormatError):
-            load_annotation_csv(path, {})

@@ -60,6 +60,7 @@ def _openblas_core():
     for lib in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
         if corename is not None:
+            corename.argtypes = []
             corename.restype = ctypes.c_char_p
             return corename().decode()
     return None

@@ -1,117 +1,117 @@
-"""Tests for the per-head negative log-likelihood and its analytic gradient."""
+"""Tests for the per-head negative log-likelihood and its analytic gradient.
+
+The batch kernels are the only implementation; the scalar ``opinions``
+API (Beta parameters and expectations one head at a time) and central
+finite differences are the independent oracles they are checked against.
+"""
 
 import math
 
 import numpy as np
 import pytest
 
-from evidkit.losses import (
-    BinaryLabel,
-    batch_nll,
-    batch_nll_grad,
-    binarize_labels,
-    binary_nll,
-    binary_nll_grad,
-    multilabel_nll,
-)
+from evidkit.losses import batch_nll, batch_nll_grad
 from evidkit.opinions import (
     BaseRatePair,
-    DirichletPair,
     EvidencePair,
     dirichlet_from_evidence,
     expected_probability,
 )
 
-UNIFORM = BaseRatePair(0.5, 0.5)
-POS = BinaryLabel(1, 0)
-NEG = BinaryLabel(0, 1)
+
+def _arrays(e_pos, e_neg, y, a_pos):
+    """One sample, one class: (1, 1, 2) evidence, (1, 1) label, (1,) base rates."""
+    return (
+        np.array([[[e_pos, e_neg]]], dtype=np.float64),
+        np.array([[y]], dtype=np.float64),
+        np.array([a_pos]),
+        np.array([1.0 - a_pos]),
+    )
 
 
-class TestLabels:
-    def test_label_must_be_one_hot(self):
-        with pytest.raises(ValueError):
-            BinaryLabel(1, 1)
-        with pytest.raises(ValueError):
-            BinaryLabel(0, 0)
-        with pytest.raises(ValueError):
-            BinaryLabel(2, -1)
+def _nll(e_pos, e_neg, y, a_pos=0.5):
+    return float(batch_nll(*_arrays(e_pos, e_neg, y, a_pos), 2.0)[0])
 
-    def test_binarize(self):
-        assert binarize_labels([1, 0, 0]) == [POS, NEG, NEG]
-        assert binarize_labels([0, 0]) == [NEG, NEG]
-        assert binarize_labels([1, 1]) == [POS, POS]
 
-    def test_binarize_rejects_non_bits(self):
-        with pytest.raises(ValueError):
-            binarize_labels([0, 2])
+def _grad(e_pos, e_neg, y, a_pos=0.5):
+    return batch_nll_grad(*_arrays(e_pos, e_neg, y, a_pos), 2.0)[1][0, 0]
+
+
+def _random_case(rng, n=16, k=5):
+    evidence = rng.uniform(0, 30, size=(n, k, 2))
+    y = (rng.random((n, k)) < 0.4).astype(float)
+    a_pos = rng.uniform(0.1, 0.9, size=k)
+    return evidence, y, a_pos, 1.0 - a_pos
+
+
+def _opinion_nll(evidence, y, a_pos, a_neg):
+    """-sum_k log E[p_labeled] per sample, through the scalar opinions API."""
+    out = []
+    for i in range(evidence.shape[0]):
+        total = 0.0
+        for k in range(evidence.shape[1]):
+            d = dirichlet_from_evidence(
+                EvidencePair(*evidence[i, k]), BaseRatePair(a_pos[k], a_neg[k]), 2.0
+            )
+            p_pos, p_neg = expected_probability(d)
+            total -= math.log(p_pos if y[i, k] == 1 else p_neg)
+        out.append(total)
+    return np.array(out)
 
 
 class TestBinaryNll:
     def test_vacuous_positive_sample(self):
-        loss = binary_nll(EvidencePair(0.0, 0.0), POS, UNIFORM, 2.0)
-        assert loss == pytest.approx(math.log(2.0), abs=1e-12)
+        assert _nll(0.0, 0.0, 1) == pytest.approx(math.log(2.0), abs=1e-12)
 
     def test_partial_evidence(self):
-        loss = binary_nll(EvidencePair(2.0, 0.0), POS, UNIFORM, 2.0)
-        assert loss == pytest.approx(math.log(4.0) - math.log(3.0), abs=1e-12)
+        assert _nll(2.0, 0.0, 1) == pytest.approx(math.log(4.0) - math.log(3.0), abs=1e-12)
 
     def test_loss_vanishes_as_correct_evidence_grows(self):
-        losses = [
-            binary_nll(EvidencePair(e, 0.0), POS, UNIFORM, 2.0)
-            for e in (1.0, 10.0, 100.0, 1e4, 1e8)
-        ]
+        losses = [_nll(e, 0.0, 1) for e in (1.0, 10.0, 100.0, 1e4, 1e8)]
         assert all(b < a for a, b in zip(losses, losses[1:]))
         assert losses[-1] < 1e-7
 
     def test_loss_is_nonnegative(self):
         rng = np.random.default_rng(2)
         for _ in range(500):
-            e = EvidencePair(*rng.uniform(0, 100, size=2))
-            y = POS if rng.random() < 0.5 else NEG
-            a_pos = rng.uniform(0.05, 0.95)
-            assert binary_nll(e, y, BaseRatePair(a_pos, 1 - a_pos), 2.0) >= 0.0
+            e_pos, e_neg = rng.uniform(0, 100, size=2)
+            y = int(rng.random() < 0.5)
+            assert _nll(e_pos, e_neg, y, rng.uniform(0.05, 0.95)) >= 0.0
 
     def test_wrong_side_evidence_strictly_hurts(self):
-        losses = [
-            binary_nll(EvidencePair(3.0, wrong), POS, UNIFORM, 2.0)
-            for wrong in (0.0, 0.5, 2.0, 10.0)
-        ]
+        losses = [_nll(3.0, wrong, 1) for wrong in (0.0, 0.5, 2.0, 10.0)]
         assert all(b > a for a, b in zip(losses, losses[1:]))
 
     def test_loss_is_negative_log_expected_probability(self):
         """Closed form: L equals -log of the labeled side's Beta expectation."""
         rng = np.random.default_rng(3)
         for _ in range(200):
-            e = EvidencePair(*rng.uniform(0, 50, size=2))
+            e_pos, e_neg = rng.uniform(0, 50, size=2)
             a_pos = rng.uniform(0.05, 0.95)
-            a = BaseRatePair(a_pos, 1 - a_pos)
-            d = dirichlet_from_evidence(e, a, 2.0)
+            d = dirichlet_from_evidence(
+                EvidencePair(e_pos, e_neg), BaseRatePair(a_pos, 1 - a_pos), 2.0
+            )
             p_pos, p_neg = expected_probability(d)
-            assert binary_nll(e, POS, a, 2.0) == pytest.approx(
-                -math.log(p_pos), abs=1e-12
-            )
-            assert binary_nll(e, NEG, a, 2.0) == pytest.approx(
-                -math.log(p_neg), abs=1e-12
-            )
+            assert _nll(e_pos, e_neg, 1, a_pos) == pytest.approx(-math.log(p_pos), abs=1e-12)
+            assert _nll(e_pos, e_neg, 0, a_pos) == pytest.approx(-math.log(p_neg), abs=1e-12)
 
 
 class TestGradient:
     def test_vacuous_gradient_by_hand(self):
-        g = binary_nll_grad(EvidencePair(0.0, 0.0), POS, UNIFORM, 2.0)
+        g = _grad(0.0, 0.0, 1)
         assert g[0] == pytest.approx(-0.5, abs=1e-12)
         assert g[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_partial_evidence_gradient_by_hand(self):
-        g = binary_nll_grad(EvidencePair(2.0, 0.0), POS, UNIFORM, 2.0)
+        g = _grad(2.0, 0.0, 1)
         assert g[0] == pytest.approx(-1.0 / 12.0, abs=1e-12)
         assert g[1] == pytest.approx(0.25, abs=1e-12)
 
     def test_labeled_side_gradient_never_positive(self):
         rng = np.random.default_rng(4)
         for _ in range(500):
-            e = EvidencePair(*rng.uniform(0, 100, size=2))
-            a_pos = rng.uniform(0.05, 0.95)
-            g = binary_nll_grad(e, POS, BaseRatePair(a_pos, 1 - a_pos), 2.0)
+            e_pos, e_neg = rng.uniform(0, 100, size=2)
+            g = _grad(e_pos, e_neg, 1, rng.uniform(0.05, 0.95))
             assert g[0] <= 0.0
             assert g[1] >= 0.0
 
@@ -122,18 +122,13 @@ class TestGradient:
         worst = 0.0
         for _ in range(1000):
             e_pos, e_neg = rng.uniform(h, 100, size=2)
-            y = POS if rng.random() < 0.5 else NEG
+            y = int(rng.random() < 0.5)
             a_pos = rng.uniform(0.05, 0.95)
-            a = BaseRatePair(a_pos, 1 - a_pos)
-            g = binary_nll_grad(EvidencePair(e_pos, e_neg), y, a, 2.0)
-            fd_pos = (
-                binary_nll(EvidencePair(e_pos + h, e_neg), y, a, 2.0)
-                - binary_nll(EvidencePair(e_pos - h, e_neg), y, a, 2.0)
-            ) / (2 * h)
-            fd_neg = (
-                binary_nll(EvidencePair(e_pos, e_neg + h), y, a, 2.0)
-                - binary_nll(EvidencePair(e_pos, e_neg - h), y, a, 2.0)
-            ) / (2 * h)
+            g = _grad(e_pos, e_neg, y, a_pos)
+            fd_pos = (_nll(e_pos + h, e_neg, y, a_pos)
+                      - _nll(e_pos - h, e_neg, y, a_pos)) / (2 * h)
+            fd_neg = (_nll(e_pos, e_neg + h, y, a_pos)
+                      - _nll(e_pos, e_neg - h, y, a_pos)) / (2 * h)
             for analytic, numeric in ((g[0], fd_pos), (g[1], fd_neg)):
                 scale = max(abs(analytic), abs(numeric), 1e-12)
                 worst = max(worst, abs(analytic - numeric) / scale)
@@ -142,74 +137,63 @@ class TestGradient:
 
 class TestMultilabel:
     def test_all_vacuous_normal_sample(self):
-        ev = [EvidencePair(0.0, 0.0)] * 2
-        loss = multilabel_nll(ev, [0, 0], [UNIFORM, UNIFORM], 2.0)
-        assert loss.total == pytest.approx(2 * math.log(2.0), abs=1e-12)
-        assert len(loss.per_class) == 2
+        loss = batch_nll(np.zeros((1, 2, 2)), np.zeros((1, 2)), np.full(2, 0.5),
+                         np.full(2, 0.5), 2.0)
+        assert loss.shape == (1,)
+        assert loss[0] == pytest.approx(2 * math.log(2.0), abs=1e-12)
 
     def test_single_class_reduces_to_binary(self):
-        e = EvidencePair(1.5, 0.3)
-        loss = multilabel_nll([e], [1], [UNIFORM], 2.0)
-        assert loss.total == binary_nll(e, POS, UNIFORM, 2.0)
-        assert loss.total == loss.per_class[0]
+        """One head's loss is log S - log alpha_labeled of its Beta parameters."""
+        d = dirichlet_from_evidence(EvidencePair(1.5, 0.3), BaseRatePair(0.5, 0.5), 2.0)
+        assert _nll(1.5, 0.3, 1) == pytest.approx(
+            math.log(d.strength) - math.log(d.alpha_pos), rel=1e-15
+        )
 
     def test_total_is_sum_of_per_class(self):
         rng = np.random.default_rng(6)
-        ev = [EvidencePair(*rng.uniform(0, 10, 2)) for _ in range(5)]
-        bits = [int(rng.random() < 0.5) for _ in range(5)]
-        loss = multilabel_nll(ev, bits, [UNIFORM] * 5, 2.0)
-        assert loss.total == pytest.approx(sum(loss.per_class), abs=1e-12)
+        evidence, y, a_pos, a_neg = _random_case(rng, n=4, k=5)
+        total = batch_nll(evidence, y, a_pos, a_neg, 2.0)
+        per_class = sum(
+            batch_nll(evidence[:, k:k + 1], y[:, k:k + 1], a_pos[k:k + 1], a_neg[k:k + 1], 2.0)
+            for k in range(5)
+        )
+        np.testing.assert_allclose(total, per_class, rtol=0, atol=1e-12)
 
     def test_permutation_leaves_total_unchanged(self):
         rng = np.random.default_rng(7)
-        ev = [EvidencePair(*rng.uniform(0, 10, 2)) for _ in range(4)]
-        bits = [1, 0, 1, 0]
-        bases = [BaseRatePair(p, 1 - p) for p in (0.3, 0.5, 0.6, 0.7)]
-        base_total = multilabel_nll(ev, bits, bases, 2.0).total
+        evidence = rng.uniform(0, 10, size=(1, 4, 2))
+        y = np.array([[1.0, 0.0, 1.0, 0.0]])
+        a_pos = np.array([0.3, 0.5, 0.6, 0.7])
+        base_total = batch_nll(evidence, y, a_pos, 1.0 - a_pos, 2.0)[0]
         perm = [2, 0, 3, 1]
-        permuted = multilabel_nll(
-            [ev[i] for i in perm], [bits[i] for i in perm], [bases[i] for i in perm], 2.0
-        ).total
+        permuted = batch_nll(evidence[:, perm], y[:, perm], a_pos[perm], 1.0 - a_pos[perm], 2.0)[0]
         assert permuted == pytest.approx(base_total, abs=1e-12)
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            multilabel_nll([EvidencePair(0, 0)], [1, 0], [UNIFORM], 2.0)
 
 
 class TestBatchForms:
-    """The array forms must agree with the scalar contract functions."""
-
-    @staticmethod
-    def _random_case(rng, n=16, k=5):
-        evidence = rng.uniform(0, 30, size=(n, k, 2))
-        y = (rng.random((n, k)) < 0.4).astype(float)
-        a_pos = rng.uniform(0.1, 0.9, size=k)
-        return evidence, y, a_pos, 1.0 - a_pos
+    """The batch kernels against the scalar opinions contract."""
 
     def test_batch_nll_matches_scalar(self):
+        """Per sample, the sum over K heads of -log E[p_labeled]."""
         rng = np.random.default_rng(8)
-        evidence, y, a_pos, a_neg = self._random_case(rng)
-        losses = batch_nll(evidence, y, a_pos, a_neg, 2.0)
-        for i in range(evidence.shape[0]):
-            ev = [EvidencePair(*evidence[i, k]) for k in range(evidence.shape[1])]
-            bases = [BaseRatePair(a_pos[k], a_neg[k]) for k in range(evidence.shape[1])]
-            expected = multilabel_nll(ev, [int(b) for b in y[i]], bases, 2.0).total
-            assert losses[i] == pytest.approx(expected, abs=1e-12)
+        evidence, y, a_pos, a_neg = _random_case(rng, n=200, k=5)
+        np.testing.assert_allclose(
+            batch_nll(evidence, y, a_pos, a_neg, 2.0),
+            _opinion_nll(evidence, y, a_pos, a_neg),
+            rtol=0, atol=1e-12,
+        )
 
     def test_batch_grad_matches_scalar(self):
+        """Losses equal batch_nll; dL/de_j = 1/S - y_j / alpha_j per head."""
         rng = np.random.default_rng(9)
-        evidence, y, a_pos, a_neg = self._random_case(rng, n=8, k=3)
+        evidence, y, a_pos, a_neg = _random_case(rng, n=8, k=3)
         losses, grads = batch_nll_grad(evidence, y, a_pos, a_neg, 2.0)
-        ref = batch_nll(evidence, y, a_pos, a_neg, 2.0)
-        np.testing.assert_allclose(losses, ref, atol=1e-12)
+        np.testing.assert_array_equal(losses, batch_nll(evidence, y, a_pos, a_neg, 2.0))
         for i in range(evidence.shape[0]):
             for k in range(evidence.shape[1]):
-                label = POS if y[i, k] == 1 else NEG
-                g = binary_nll_grad(
-                    EvidencePair(*evidence[i, k]),
-                    label,
-                    BaseRatePair(a_pos[k], a_neg[k]),
-                    2.0,
+                d = dirichlet_from_evidence(
+                    EvidencePair(*evidence[i, k]), BaseRatePair(a_pos[k], a_neg[k]), 2.0
                 )
-                np.testing.assert_allclose(grads[i, k], g, atol=1e-12)
+                expected = (1.0 / d.strength - y[i, k] / d.alpha_pos,
+                            1.0 / d.strength - (1.0 - y[i, k]) / d.alpha_neg)
+                np.testing.assert_allclose(grads[i, k], expected, rtol=0, atol=1e-12)

@@ -17,7 +17,6 @@ from evidkit.network import (
     evidence_from_features,
     extract_features,
     finetune_head,
-    global_average_pool,
     init_head,
     init_model,
     load_checkpoint,
@@ -44,32 +43,6 @@ def _separable_data(n=160, dim=8, gap=6.0, seed=0):
         x.append(center + rng.normal(0, 1.0, dim))
         y.append(labels)
     return np.array(x), np.array(y, dtype=float)
-
-
-class TestPooling:
-    def test_constant_map(self):
-        f = np.full((3, 4, 5), 2.5)
-        np.testing.assert_array_equal(global_average_pool(f), [2.5, 2.5, 2.5])
-
-    def test_single_pixel_is_identity_on_channels(self):
-        f = np.array([[[1.0]], [[-2.0]], [[7.0]]])
-        np.testing.assert_array_equal(global_average_pool(f), [1.0, -2.0, 7.0])
-
-    def test_mean_by_hand(self):
-        f = np.array([[[1.0, 2.0], [3.0, 4.0]]])
-        np.testing.assert_allclose(global_average_pool(f), [2.5])
-
-    def test_bad_shape_rejected(self):
-        with pytest.raises(ValueError):
-            global_average_pool(np.zeros((2, 2)))
-        with pytest.raises(ValueError):
-            global_average_pool(np.zeros((2, 0, 2)))
-
-    def test_non_finite_rejected(self):
-        f = np.zeros((1, 2, 2))
-        f[0, 0, 0] = np.nan
-        with pytest.raises(ValueError):
-            global_average_pool(f)
 
 
 class TestForward:

@@ -5,13 +5,10 @@ u = W / S, and the two probability routes (belief projection vs. Beta
 expectation) agreeing to double precision.
 """
 
-import math
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
 
 from evidkit.opinions import (
     DEFAULT_PRIOR_WEIGHT,
@@ -20,7 +17,6 @@ from evidkit.opinions import (
     DirichletPair,
     EvidencePair,
     Opinion,
-    beta_log_density,
     dirichlet_from_evidence,
     expected_probability,
     opinion_from_evidence,
@@ -189,39 +185,6 @@ class TestInvariants:
             for t in np.linspace(0.0, 100.0, 40)
         ]
         assert all(b < a for a, b in zip(u, u[1:]))
-
-
-class TestBetaLogDensity:
-    def test_uniform_beta_has_zero_log_density(self):
-        d = DirichletPair(1.0, 1.0)
-        for p in (0.01, 0.3, 0.5, 0.9, 0.99):
-            assert beta_log_density(p, d) == pytest.approx(0.0, abs=1e-12)
-
-    def test_linear_beta_at_half(self):
-        # Beta(2, 1) has density 2p, so density 1 and log-density 0 at p = 1/2
-        assert beta_log_density(0.5, DirichletPair(2.0, 1.0)) == pytest.approx(
-            0.0, abs=1e-12
-        )
-
-    def test_out_of_range_p_rejected(self):
-        d = DirichletPair(2.0, 3.0)
-        for p in (0.0, 1.0, -0.5, 1.5, float("nan")):
-            with pytest.raises(ValueError):
-                beta_log_density(p, d)
-
-    def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            beta_log_density(0.5, DirichletPair(-0.5, 3.0))
-
-    def test_density_integrates_to_one(self):
-        """Quadrature over (0, 1) recovers total mass 1 for a spread of alphas."""
-        rng = np.random.default_rng(11)
-        for _ in range(20):
-            d = DirichletPair(*rng.uniform(0.5, 50.0, size=2))
-            mass, _ = integrate.quad(
-                lambda p: math.exp(beta_log_density(p, d)), 0.0, 1.0
-            )
-            assert mass == pytest.approx(1.0, abs=1e-6)
 
 
 def test_default_prior_weight_is_two():

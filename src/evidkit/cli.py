@@ -41,6 +41,7 @@ from .evaluation import (
     render_report,
     write_scores_csv,
 )
+from .fileio import write_text
 from .network import (
     TrainConfig,
     _base_rate_arrays,
@@ -103,11 +104,6 @@ def _check_model_matches(mlp, head, split):
             f"checkpoint has {head.num_classes} classes but the dataset has "
             f"{split.k_known} known classes"
         )
-
-
-def _write_yaml(path: Path, doc: dict) -> None:
-    path.write_text(yaml.safe_dump(doc, sort_keys=True, default_flow_style=False),
-                    encoding="utf-8", newline="\n")
 
 
 def _check_prediction_flags(args) -> None:
@@ -209,7 +205,8 @@ def cmd_train(args) -> int:
         "epoch_losses": [float(v) for v in result.epoch_losses],
         "final_loss": float(result.epoch_losses[-1]) if result.epoch_losses else None,
     }
-    _write_yaml(out / TRAIN_LOG_FILENAME, log)
+    write_text(out / TRAIN_LOG_FILENAME,
+               yaml.safe_dump(log, sort_keys=True, default_flow_style=False))
     if result.epoch_losses:
         print(f"trained {config.epochs} epochs; final mean loss {result.epoch_losses[-1]:.6f}")
     else:
@@ -258,9 +255,7 @@ def cmd_eval(args) -> int:
         "threshold": args.threshold,
         "prior_weight": args.prior_weight,
     }
-    (out / EVAL_REPORT_FILENAME).write_text(
-        render_report(report, "msdc", config), encoding="utf-8", newline="\n"
-    )
+    write_text(out / EVAL_REPORT_FILENAME, render_report(report, "msdc", config))
     print(f"known-class evaluation on {len(known)} samples "
           f"({n_unknown} unknown samples excluded)")
     print(f"F1_Normal: {f1:.4f}")
@@ -304,9 +299,7 @@ def cmd_ood(args) -> int:
         "aggregation": str(agg),
         "prior_weight": args.prior_weight,
     }
-    (out / OOD_REPORT_FILENAME).write_text(
-        render_report(report, "ood", config), encoding="utf-8", newline="\n"
-    )
+    write_text(out / OOD_REPORT_FILENAME, render_report(report, "ood", config))
     write_scores_csv(out / OOD_SCORES_FILENAME, ids, scores, flags)
     print(f"unknown detection over {len(ids)} validation samples "
           f"({report.num_unknown} unknown), aggregation {agg}")

@@ -49,6 +49,7 @@ import numpy as np
 
 from .base_rates import CIWTable
 from .errors import ConfigError, DataFormatError
+from .fileio import read_lines, write_text
 
 DATASET_MAGIC = "#edlset"
 DATASET_VERSION = "v1"
@@ -451,7 +452,7 @@ def _write_split_file(path: Path, rows: SampleTable, split: DatasetSplit) -> Non
         f"{sample_id}\t{','.join(map(repr, features))}\t{tails[key]}"
         for sample_id, features, key in zip(rows.ids, rows.x.tolist(), keys)
     ]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def save_dataset(split: DatasetSplit, path) -> None:
@@ -599,8 +600,7 @@ def _parse_records(records, dim: int, k_known: int, k_total: int,
 def _load_split_file(path: Path, forbid_unknown: bool):
     if not path.is_file():
         raise DataFormatError("missing dataset file", path=path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise DataFormatError("empty dataset file", path=path, line=1)
     dim, k_known, classes = _parse_header(lines[0], path)
@@ -635,8 +635,7 @@ def load_dataset(path) -> DatasetSplit:
 
 def load_ciw_config(path) -> CIWTable:
     """Parse a class-importance-weight file: one `name<TAB>weight` per line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     pairs = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -659,7 +658,7 @@ def load_ciw_config(path) -> CIWTable:
 
 def save_ciw_config(table: CIWTable, path) -> None:
     lines = [f"{name}\t{repr(weight)}" for name, weight in table.entries]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def random_ciw_table(class_names, seed: int, low: float = 0.1, high: float = 1.0) -> CIWTable:

@@ -24,6 +24,7 @@ import yaml
 
 from .base_rates import CIWTable
 from .errors import ConfigError
+from .fileio import atomic_open
 from .opinions import DEFAULT_PRIOR_WEIGHT
 
 DEFAULT_THRESHOLD = 0.5
@@ -339,7 +340,7 @@ def write_scores_csv(path, ids, uncertainties, flags) -> None:
     f = np.asarray(flags).astype(bool)
     if len(ids) != u.size or u.size != f.size:
         raise ValueError("ids, uncertainties, and flags must have equal length")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "uncertainty", "is_unknown"])
         for sid, unc, flag in zip(ids, u, f):

@@ -1,0 +1,66 @@
+"""Reading and atomically writing the package's text files.
+
+Every file evidkit writes (datasets, CIW tables, checkpoints, logs,
+reports, score tables) goes through ``atomic_open``: the text goes to a
+new temporary file in the target's directory, which then replaces the
+target with ``os.replace``. A run that fails or is killed mid-write
+therefore leaves the target with either its old bytes or the complete
+new ones, never a truncated file, and removes its temporary file on
+any failure it survives to see. The data is not fsynced, so this guards
+against interrupted processes, not against power loss.
+
+Every text file evidkit reads goes through ``read_lines``, which turns
+bytes that are not UTF-8 into a DataFormatError naming the file and the
+line of the first bad byte.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import os
+import secrets
+from pathlib import Path
+
+from .errors import DataFormatError
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without their line ends."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = exc.object.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(
+            f"not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}",
+            path=path, line=line,
+        ) from None
+    return text.splitlines()
+
+
+@contextlib.contextmanager
+def atomic_open(path):
+    """Open ``path`` to write UTF-8 text with no newline translation.
+
+    Yields a text file on a fresh temporary file beside ``path``, created
+    with the mode a plain ``open`` gives. When the block ends normally
+    the temporary file replaces ``path``; when it raises, or the replace
+    fails, the temporary file is removed and ``path`` is left untouched.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
+    fh = open(tmp, "x", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path, text: str) -> None:
+    """Replace ``path`` atomically with ``text`` as UTF-8, newlines kept as given."""
+    with atomic_open(path) as fh:
+        fh.write(text)

@@ -11,8 +11,9 @@ Driving the labeled side's evidence up is the only way to push L to zero;
 evidence on the wrong side inflates S and strictly increases the loss.
 
 The functions work on whole batches: evidence (N, K, 2), multi-hot
-labels (N, K) and per-class base rates (K,). Reductions have a fixed
-order, so results are run-to-run identical. The scalar ``opinions`` API
+labels (N, K) and per-class base rates (K,); other shapes raise
+ValueError rather than broadcast. Reductions have a fixed order, so
+results are run-to-run identical. The scalar ``opinions`` API
 states the same maths one head at a time; the tests use it as the
 independent oracle for these kernels.
 """
@@ -24,10 +25,24 @@ import numpy as np
 from .opinions import DEFAULT_PRIOR_WEIGHT
 
 
+def _check_shapes(evidence, y, a_pos, a_neg) -> None:
+    """Raise ValueError unless evidence is (N, K, 2), y (N, K), a_pos and a_neg (K,)."""
+    nk = np.shape(y)
+    shapes = (np.shape(evidence), nk, np.shape(a_pos), np.shape(a_neg))
+    if len(nk) != 2 or shapes != (nk + (2,), nk, nk[1:], nk[1:]):
+        raise ValueError(
+            "expected evidence (N, K, 2), y (N, K), a_pos (K,) and a_neg (K,); "
+            f"got {shapes[0]}, {shapes[1]}, {shapes[2]} and {shapes[3]}"
+        )
+
+
 def _alphas(evidence: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray,
             prior_weight: float) -> np.ndarray:
     """Evidence (..., K, 2) plus per-class base rates -> alpha (..., K, 2)."""
-    return evidence + np.stack([a_pos * prior_weight, a_neg * prior_weight], axis=-1)
+    prior = np.empty((len(a_pos), 2))
+    np.multiply(a_pos, prior_weight, out=prior[:, 0])
+    np.multiply(a_neg, prior_weight, out=prior[:, 1])
+    return evidence + prior
 
 
 def _nll(alpha: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -46,6 +61,7 @@ def batch_nll(
     prior_weight: float = DEFAULT_PRIOR_WEIGHT,
 ) -> np.ndarray:
     """Per-sample total loss for evidence (N, K, 2) and multi-hot y (N, K)."""
+    _check_shapes(evidence, y, a_pos, a_neg)
     return _nll(_alphas(evidence, a_pos, a_neg, prior_weight), y)[0]
 
 
@@ -61,7 +77,13 @@ def batch_nll_grad(
     dL/de_j = 1/S - y_j / alpha_j: negative on the labeled side (more
     correct evidence always helps), positive on the other.
     """
+    _check_shapes(evidence, y, a_pos, a_neg)
     alpha = _alphas(evidence, a_pos, a_neg, prior_weight)
     losses, s = _nll(alpha, y)
-    grad = (1.0 / s)[..., None] - np.stack([y, 1.0 - y], axis=-1) / alpha
+    # the labeled-side indicator [y, 1 - y], divided by alpha, then 1/S minus it
+    grad = np.empty_like(alpha)
+    grad[..., 0] = y
+    np.subtract(1.0, y, out=grad[..., 1])
+    grad /= alpha
+    np.subtract((1.0 / s)[..., None], grad, out=grad)
     return losses, grad

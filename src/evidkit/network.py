@@ -16,11 +16,15 @@ vector: the backbone layers and the head when training from scratch,
 the head alone when fine-tuning on a frozen backbone. Each weight and
 bias it hands to the step functions is a reshaped view into that
 vector, wrapped in ``MlpParams`` / ``EvidenceHeadParams`` once, so the
-shape and finiteness checks run at entry, not per step. A step is one
-``sgd_step`` over the whole vector against the concatenated gradients,
-then one finiteness check that raises ``TrainingDiverged`` with the
-epoch and batch. The trainer returns validated copies, never views of
-its vector.
+shape and finiteness checks run at entry, not per step. Beside it sits
+one gradient vector of the same layout: ``batch_loss_grads`` writes each
+weight and bias gradient straight into its reshaped view of that buffer
+(``out=``), so no per-step gradient arrays are allocated or
+concatenated. A step is then one in-place ``sgd_step`` over the whole
+vector (``out=theta``), then one finiteness check that raises
+``TrainingDiverged`` with the epoch and batch. Each epoch gathers its
+shuffled rows once, so every batch is a contiguous slice. The trainer
+returns validated copies, never views of its vector.
 """
 
 from __future__ import annotations
@@ -32,6 +36,7 @@ import numpy as np
 
 from .base_rates import CIWTable, adjust_base_rates
 from .errors import ConfigError, DataFormatError, TrainingDiverged
+from .fileio import read_lines, write_text
 from .losses import batch_nll, batch_nll_grad
 from .opinions import DEFAULT_PRIOR_WEIGHT
 
@@ -213,11 +218,13 @@ def _forward_cached(mlp, head, x):
     zs = []
     h = x
     for w, b in mlp.layers:
-        z = h @ w.T + b
+        z = h @ w.T
+        z += b
         h = np.maximum(z, 0.0)
         zs.append(z)
         acts.append(h)
-    z_head = h @ head.weight + head.bias
+    z_head = h @ head.weight
+    z_head += head.bias
     evidence = np.maximum(z_head, 0.0)
     return acts, zs, z_head, evidence
 
@@ -237,13 +244,18 @@ def batch_loss(
 
 
 def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_WEIGHT,
-                     backbone=True):
+                     backbone=True, out=None):
     """Mean loss plus its gradients for every backbone and head parameter.
 
     ReLU uses subgradient 0 at exactly 0. Returns
     (loss, [(dW, db) per layer], dW_head, db_head). With backbone=False
     (a frozen backbone) the backbone backward is skipped and the layer
     list is empty.
+
+    ``out``, if given, is the list of arrays to write the gradients into,
+    in the order [dW_0, db_0, dW_1, db_1, ..., dW_head, db_head] (head
+    only when backbone=False); the returned gradients are those arrays.
+    Without it the gradients are freshly allocated.
     """
     n = x.shape[0]
     acts, zs, z_head, evidence = _forward_cached(mlp, head, x)
@@ -251,40 +263,53 @@ def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_W
         evidence.reshape(n, head.num_classes, 2), y, a_pos, a_neg, prior_weight
     )
     loss = float(losses.mean())
+    if out is None:
+        out = [None] * (2 * len(mlp.layers) * backbone + 2)
 
-    d_ev = d_evidence.reshape(n, -1) / n
-    dz_head = d_ev * (z_head > 0.0)
-    g_head_w = acts[-1].T @ dz_head
-    g_head_b = dz_head.sum(axis=0)
+    dz_head = d_evidence.reshape(n, -1)
+    dz_head /= n
+    dz_head *= z_head > 0.0
+    g_head_w = np.matmul(acts[-1].T, dz_head, out=out[-2])
+    g_head_b = dz_head.sum(axis=0, out=out[-1])
 
     grads = []
     if backbone:
         dh = dz_head @ head.weight.T
         for i in reversed(range(len(mlp.layers))):
-            dz = dh * (zs[i] > 0.0)
-            grads.append((dz.T @ acts[i], dz.sum(axis=0)))
+            dz = dh  # dh is this step's own array, so it is masked in place
+            dz *= zs[i] > 0.0
+            grads.append((np.matmul(dz.T, acts[i], out=out[2 * i]),
+                          dz.sum(axis=0, out=out[2 * i + 1])))
             if i:  # no gradient is needed for the input itself
                 dh = dz @ mlp.layers[i][0]
         grads.reverse()
     return loss, grads, g_head_w, g_head_b
 
 
-def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float) -> np.ndarray:
+def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float,
+             out: np.ndarray | None = None) -> np.ndarray:
     """One decoupled step: param * (1 - lr * wd) - lr * grad.
 
     With a zero gradient this scales the parameter by exactly
-    (1 - lr * wd).
+    (1 - lr * wd). With ``out`` (which may be ``param`` itself) the step
+    is written into it and it is returned; the arithmetic is the same.
     """
-    return param * (1.0 - lr * weight_decay) - lr * grad
+    if out is None:
+        return param * (1.0 - lr * weight_decay) - lr * grad
+    np.multiply(param, 1.0 - lr * weight_decay, out=out)
+    out -= lr * grad
+    return out
 
 
 def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbone):
     trainable = [p for layer in mlp.layers for p in layer] if update_backbone else []
     trainable += [head.weight, head.bias]
     theta = np.concatenate([p.ravel() for p in trainable], dtype=np.float64)
-    views, offset = [], 0
+    g = np.empty_like(theta)
+    views, grad_views, offset = [], [], 0
     for p in trainable:
         views.append(theta[offset:offset + p.size].reshape(p.shape))
+        grad_views.append(g[offset:offset + p.size].reshape(p.shape))
         offset += p.size
     head = EvidenceHeadParams(*views[-2:])
     if update_backbone:
@@ -295,20 +320,18 @@ def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbo
     for epoch in range(config.epochs):
         lr = config.learning_rate * config.lr_decay_ratio ** (epoch // config.lr_decay_every)
         order = rng.permutation(n)
+        xs, ys = x[order], y[order]
         total = 0.0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start:start + config.batch_size]
-            loss, grads, g_head_w, g_head_b = batch_loss_grads(
-                mlp, head, x[idx], y[idx], a_pos, a_neg, prior_weight,
-                backbone=update_backbone,
-            )
+            stop = min(start + config.batch_size, n)
+            loss = batch_loss_grads(
+                mlp, head, xs[start:stop], ys[start:stop], a_pos, a_neg, prior_weight,
+                backbone=update_backbone, out=grad_views,
+            )[0]
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
-            total += loss * len(idx)
-            g = np.concatenate(
-                [d.ravel() for layer in grads for d in layer] + [g_head_w.ravel(), g_head_b.ravel()]
-            )
-            theta[...] = sgd_step(theta, g, lr, config.weight_decay)
+            total += loss * (stop - start)
+            sgd_step(theta, g, lr, config.weight_decay, out=theta)
             if not np.isfinite(theta).all():
                 raise TrainingDiverged(epoch, batch_idx, loss, parameters=True)
         epoch_losses.append(total / n)
@@ -409,14 +432,12 @@ def save_checkpoint(path, mlp: MlpParams, head: EvidenceHeadParams) -> None:
         lines.append(f"param {name} {t.shape[0]} {t.shape[1]}")
         for row in t:
             lines.append(_format_row(row))
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> tuple[MlpParams, EvidenceHeadParams]:
     """Read a checkpoint written by save_checkpoint; rejects unknown versions."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines:
         raise DataFormatError("empty checkpoint file", path=path, line=1)
     magic = lines[0].split()

@@ -445,3 +445,60 @@ class TestCorruptInputsExit3:
         assert main([command, "--checkpoint", str(ckpt), "--data", str(d), *extra,
                      "--out", str(tmp_path / "out")]) == 3
         assert f"line {n_lines + 1}: unexpected content" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("target, command", [
+        (TRAIN_FILENAME, "train"), (VAL_FILENAME, "ood"),
+        (CIW_FILENAME, "train"), (CHECKPOINT_FILENAME, "eval"),
+    ])
+    def test_non_utf8_input(self, tmp_path, capsys, target, command):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        bad = ckpt if target == CHECKPOINT_FILENAME else d / target
+        n_lines = len(bad.read_bytes().splitlines())
+        with open(bad, "ab") as fh:
+            fh.write(b"\xff")
+        args = {
+            "train": ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME), *TINY_TRAIN],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(d),
+                     "--ciw", str(d / CIW_FILENAME)],
+            "ood": ["ood", "--checkpoint", str(ckpt), "--data", str(d)],
+        }[command]
+        capsys.readouterr()
+        assert main([*args, "--out", str(tmp_path / "out")]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{bad}: line {n_lines + 1}: not UTF-8 text" in err
+
+
+class TestAtomicWrites:
+    """A write that cannot be completed leaves every earlier file as it was."""
+
+    @pytest.mark.parametrize("command", ["generate", "train", "eval", "ood"])
+    def test_failed_replace_keeps_previous_files(self, tmp_path, capsys, monkeypatch, command):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        out = tmp_path / "out"
+        args, targets = {
+            "generate": (["generate", *TINY_GEN],
+                         [TRAIN_FILENAME, VAL_FILENAME, CIW_FILENAME]),
+            "train": (["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME), *TINY_TRAIN],
+                      [CHECKPOINT_FILENAME, TRAIN_LOG_FILENAME]),
+            "eval": (["eval", "--checkpoint", str(ckpt), "--data", str(d),
+                      "--ciw", str(d / CIW_FILENAME)], [EVAL_REPORT_FILENAME]),
+            "ood": (["ood", "--checkpoint", str(ckpt), "--data", str(d)],
+                    [OOD_REPORT_FILENAME, OOD_SCORES_FILENAME]),
+        }[command]
+        out.mkdir()
+        for name in targets:
+            (out / name).write_bytes(b"previous " + name.encode() + b"\n")
+
+        def refuse(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr("evidkit.fileio.os.replace", refuse)
+        capsys.readouterr()
+        assert main([*args, "--out", str(out)]) == 3
+        assert capsys.readouterr().err.startswith("error: cannot replace")
+        assert sorted(p.name for p in out.iterdir()) == sorted(targets)
+        for name in targets:
+            assert (out / name).read_bytes() == b"previous " + name.encode() + b"\n"

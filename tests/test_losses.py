@@ -197,3 +197,30 @@ class TestBatchForms:
                 expected = (1.0 / d.strength - y[i, k] / d.alpha_pos,
                             1.0 / d.strength - (1.0 - y[i, k]) / d.alpha_neg)
                 np.testing.assert_allclose(grads[i, k], expected, rtol=0, atol=1e-12)
+
+
+class TestShapes:
+    """Mismatched shapes raise instead of broadcasting to a wrong loss."""
+
+    HALF = np.array([0.5])
+    HALVES = np.array([0.5, 0.5])
+
+    @pytest.mark.parametrize("kernel", [batch_nll, batch_nll_grad])
+    @pytest.mark.parametrize("evidence, y, a_pos, a_neg", [
+        # one-class evidence against a two-class label broadcast to 2 log 2
+        (np.zeros((1, 1, 2)), np.array([[1.0, 0.0]]), HALF, HALF),
+        (np.zeros((2, 2, 2)), np.array([[1.0, 0.0]]), HALVES, HALVES),
+        (np.zeros((1, 2, 1)), np.array([[1.0, 0.0]]), HALVES, HALVES),
+        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), HALF, HALVES),
+        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), HALVES, HALF),
+        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), HALVES[None], HALVES),
+        (np.zeros((2, 2)), np.array([1.0, 0.0]), HALVES, HALVES),
+    ], ids=["evidence-k", "evidence-n", "evidence-pair", "a_pos", "a_neg", "a_pos-2d",
+            "y-1d"])
+    def test_mismatched_shapes_raise(self, kernel, evidence, y, a_pos, a_neg):
+        with pytest.raises(ValueError, match=r"expected evidence \(N, K, 2\)"):
+            kernel(evidence, y, a_pos, a_neg, 2.0)
+
+    def test_empty_batch_is_accepted(self):
+        half = np.full(3, 0.5)
+        assert batch_nll(np.zeros((0, 3, 2)), np.zeros((0, 3)), half, half, 2.0).shape == (0,)

@@ -208,6 +208,42 @@ class TestGradients:
         sgd_step(param, np.full(3, 5.0), lr=0.1, weight_decay=0.0)
         np.testing.assert_array_equal(param, np.ones(3))
 
+    @pytest.mark.parametrize("backbone", [True, False])
+    def test_out_buffers_receive_the_allocated_gradients(self, backbone):
+        """With out=, the gradients land in (and are) the given views of one buffer."""
+        rng = np.random.default_rng(5)
+        mlp, head = init_model(6, 3, hidden=(7, 5), feature_dim=4, seed=rng)
+        x = rng.normal(size=(11, 6))
+        y = (rng.random((11, 3)) < 0.4).astype(float)
+        a_pos = rng.uniform(0.2, 0.8, size=3)
+        args = (mlp, head, x, y, a_pos, 1.0 - a_pos)
+        loss, grads, g_head_w, g_head_b = batch_loss_grads(*args, backbone=backbone)
+        expected = [d for layer in grads for d in layer] + [g_head_w, g_head_b]
+
+        flat = np.full(sum(d.size for d in expected), np.nan)
+        views, offset = [], 0
+        for d in expected:
+            views.append(flat[offset:offset + d.size].reshape(d.shape))
+            offset += d.size
+        out_loss, out_grads, out_w, out_b = batch_loss_grads(*args, backbone=backbone, out=views)
+        got = [d for layer in out_grads for d in layer] + [out_w, out_b]
+        assert out_loss == loss
+        assert len(got) == len(views) and all(g is v for g, v in zip(got, views))
+        assert [g.tobytes() for g in got] == [d.tobytes() for d in expected]
+
+    def test_in_place_step_matches_the_functional_form(self):
+        rng = np.random.default_rng(6)
+        param, grad = rng.normal(size=40), rng.normal(size=40)
+        expected = sgd_step(param, grad, lr=0.3, weight_decay=0.07)
+        assert sgd_step(param, grad, 0.3, 0.07, out=param) is param
+        assert param.tobytes() == expected.tobytes()
+
+    def test_zero_gradient_in_place_step_is_pure_decay(self):
+        param = np.array([2.0, -4.0, 0.5])
+        expected = param * (1.0 - 0.1 * 0.01)
+        sgd_step(param, np.zeros(3), lr=0.1, weight_decay=0.01, out=param)
+        assert param.tobytes() == expected.tobytes()
+
 
 class TestTrainer:
     def test_zero_learning_rate_keeps_initialization(self):

@@ -147,6 +147,8 @@ def cmd_train(args) -> int:
     _check_prediction_flags(args)
     split = load_dataset(args.data)
     ciw = _align_ciw(load_ciw_config(args.ciw), split.known_classes)
+    if not split.train:
+        raise DataFormatError("train split has no samples to fit")
     _, x, y, _ = samples_to_arrays(split.train, split.k_known, split.dim)
 
     epochs = args.epochs if args.epochs is not None else (

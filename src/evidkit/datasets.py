@@ -372,12 +372,15 @@ def _draw_known_labels(rng, cfg) -> tuple[int, ...]:
     return (k,)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def generate_dataset(cfg: GenConfig) -> DatasetSplit:
     """Deterministic synthetic dataset; same config -> identical samples.
 
     Draws are made row by row in a fixed order (label draws, then the noise
     direction, then its radius), and the features are assembled afterwards
-    as centre + factor * direction in one array operation.
+    as centre + factor * direction in one array operation. A geometry too
+    large for float64 (noise, separation and unknown_scale multiply) is a
+    ConfigError, raised before anything is written.
     """
     rng = np.random.default_rng(cfg.seed)
     known_protos = _known_prototypes(rng, cfg)
@@ -416,6 +419,9 @@ def generate_dataset(cfg: GenConfig) -> DatasetSplit:
             centres[code] = known_protos[list(labels)].mean(axis=0)
     row_codes = np.array(row_codes, dtype=np.intp)
     x = centres[row_codes] + np.array(factors)[:, None] * np.array(directions)
+    if not np.isfinite(x).all():
+        raise ConfigError("generated features overflow float64; "
+                          "lower noise, separation or unknown_scale")
     labels = code_labels[row_codes]
     unknown = labels[:, cfg.k_known:].any(axis=1)
 
@@ -634,26 +640,28 @@ def load_dataset(path) -> DatasetSplit:
 
 
 def load_ciw_config(path) -> CIWTable:
-    """Parse a class-importance-weight file: one `name<TAB>weight` per line."""
-    lines = read_lines(path)
-    pairs = []
-    for lineno, line in enumerate(lines, start=1):
+    """Parse a class-importance-weight file: one `name<TAB>weight` per line.
+
+    Whatever is wrong with the file, a DataFormatError names it and the line.
+    """
+    weights = {}
+    for lineno, line in enumerate(read_lines(path), start=1):
         if not line.strip():
             continue
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0]:
-            raise ConfigError(f"{path}: line {lineno}: expected `class_name<TAB>weight`")
+            raise DataFormatError("expected `class_name<TAB>weight`", path=path, line=lineno)
+        name, text = fields
         try:
-            weight = float(fields[1])
+            weight = float(text)
         except ValueError:
-            raise ConfigError(
-                f"{path}: line {lineno}: non-numeric weight {fields[1]!r}"
-            ) from None
-        pairs.append((fields[0], weight))
-    try:
-        return CIWTable.from_pairs(pairs)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from exc
+            raise DataFormatError(f"non-numeric weight {text!r}", path=path, line=lineno) from None
+        if not math.isfinite(weight):
+            raise DataFormatError(f"non-finite weight {text!r}", path=path, line=lineno)
+        if name in weights:
+            raise DataFormatError(f"duplicate class name {name!r}", path=path, line=lineno)
+        weights[name] = weight
+    return CIWTable.from_pairs(weights.items())
 
 
 def save_ciw_config(table: CIWTable, path) -> None:

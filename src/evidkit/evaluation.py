@@ -175,7 +175,8 @@ def per_class_f2(pred_labels, true_labels):
 def f2_ciw(pred_labels, true_labels, ciw: CIWTable) -> float:
     """Importance-weighted macro F2: sum_k w_k F2_k / sum_k w_k.
 
-    With uniform weights this equals the plain macro F2 exactly.
+    With uniform weights this equals the plain macro F2 exactly. The
+    weights must be >= 0, so the score is a weighted mean within [0, 1].
     """
     pred = _as_label_matrix(pred_labels)
     if pred.shape[1] != len(ciw):
@@ -184,8 +185,8 @@ def f2_ciw(pred_labels, true_labels, ciw: CIWTable) -> float:
         )
     weights = np.asarray(ciw.weights, dtype=np.float64)
     total = float(weights.sum())
-    if total <= 0.0:
-        raise ConfigError("CIW weights must sum to a positive value")
+    if (weights < 0.0).any() or total <= 0.0:
+        raise ConfigError("F2_CIW needs CIW weights >= 0 with a positive sum")
     rows = per_class_f2(pred_labels, true_labels)
     f2s = np.array([r[2] for r in rows])
     return float(np.dot(weights, f2s) / total)

@@ -73,6 +73,15 @@ class TestGenerate:
         assert code == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", ["--noise", "--unknown-scale"])
+    def test_overflowing_geometry_exits_2_before_writing(self, tmp_path, capsys, flag):
+        out = tmp_path / "d"
+        assert main(["generate", "--out", str(out), *TINY_GEN, flag, "1e308"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "overflow float64" in err
+        assert "Warning" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, tmp_path):
@@ -116,6 +125,15 @@ class TestTrain:
                      "--out", str(tmp_path / "run"), *TINY_TRAIN])
         assert code == 2
         assert "does not match" in capsys.readouterr().err
+
+    def test_saturating_ciw_weight_exits_2(self, tmp_path, capsys):
+        d = _generate(tmp_path / "data")
+        extreme = tmp_path / "extreme.tsv"
+        save_ciw_config(CIWTable.uniform(["known_01", "known_02", "known_03"], 1e3), extreme)
+        code = main(["train", "--data", str(d), "--ciw", str(extreme),
+                     "--out", str(tmp_path / "run"), *TINY_TRAIN])
+        assert code == 2
+        assert "falls outside (0, 1)" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "flags",
@@ -268,6 +286,17 @@ class TestEval:
                      "--ciw", str(data / CIW_FILENAME), "--out", str(tmp_path / "e")])
         assert code == 2
         assert "classes" in capsys.readouterr().err
+
+    def test_negative_ciw_weight_exits_2(self, tmp_path, capsys):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        mixed = tmp_path / "mixed.tsv"
+        save_ciw_config(CIWTable.from_pairs(
+            [("known_01", 2.0), ("known_02", -0.5), ("known_03", 0.5)]), mixed)
+        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(d),
+                     "--ciw", str(mixed), "--out", str(tmp_path / "e")])
+        assert code == 2
+        assert "F2_CIW needs CIW weights >= 0" in capsys.readouterr().err
 
     def test_bad_threshold_exits_2(self, tmp_path):
         data, ckpt = _oracle_fixture(tmp_path)
@@ -468,6 +497,31 @@ class TestCorruptInputsExit3:
         err = capsys.readouterr().err
         assert err.startswith("error: ")
         assert f"{bad}: line {n_lines + 1}: not UTF-8 text" in err
+
+
+    def test_train_split_without_rows(self, tmp_path, capsys):
+        d = _generate(tmp_path / "data")
+        train = d / TRAIN_FILENAME
+        train.write_text(train.read_text().splitlines()[0] + "\n")
+        capsys.readouterr()
+        assert main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                     *TINY_TRAIN, "--out", str(tmp_path / "out")]) == 3
+        assert "train split has no samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ["known_01\tx\n", "known_01\t1e400\n"])
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    def test_malformed_ciw_line(self, tmp_path, capsys, command, text):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        bad = tmp_path / "bad.tsv"
+        bad.write_text(text)
+        args = {
+            "train": ["train", "--data", str(d), *TINY_TRAIN],
+            "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(d)],
+        }[command]
+        capsys.readouterr()
+        assert main([*args, "--ciw", str(bad), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: ")
 
 
 class TestAtomicWrites:

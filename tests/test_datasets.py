@@ -295,20 +295,33 @@ class TestCiwFiles:
     def test_duplicate_class_rejected(self, tmp_path):
         path = tmp_path / "ciw.tsv"
         path.write_text("crack\t0.9\ncrack\t0.1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataFormatError, match="line 2: duplicate class name 'crack'"):
             load_ciw_config(path)
 
     def test_non_numeric_weight_rejected(self, tmp_path):
         path = tmp_path / "ciw.tsv"
         path.write_text("crack\thigh\n")
-        with pytest.raises(ConfigError, match="line 1"):
+        with pytest.raises(DataFormatError, match="line 1"):
             load_ciw_config(path)
 
     def test_missing_tab_rejected(self, tmp_path):
         path = tmp_path / "ciw.tsv"
         path.write_text("crack 0.9\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(DataFormatError):
             load_ciw_config(path)
+
+    @pytest.mark.parametrize("text, line, problem", [
+        ("crack\t0.9\nroot\t1e400\n", 2, "non-finite weight '1e400'"),
+        ("crack\tnan\n", 1, "non-finite weight 'nan'"),
+        ("\tcrack\t0.9\n", 1, "expected `class_name<TAB>weight`"),
+        ("crack\t0.9\n\ncrack\t0.1\n", 3, "duplicate class name 'crack'"),
+    ])
+    def test_error_names_the_path_and_line(self, tmp_path, text, line, problem):
+        path = tmp_path / "ciw.tsv"
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as exc_info:
+            load_ciw_config(path)
+        assert str(exc_info.value) == f"{path}: line {line}: {problem}"
 
     def test_weights_round_trip_exactly(self, tmp_path):
         rng = np.random.default_rng(8)

@@ -244,6 +244,14 @@ class TestF2Ciw:
         with pytest.raises(ConfigError):
             f2_ciw(y, y, table)
 
+    def test_negative_weight_rejected(self):
+        # 2 * 1.0 - 1 * 0.0 over a sum of 1 would score 2.0
+        true = np.array([[1, 1], [0, 0]])
+        pred = np.array([[1, 0], [0, 1]])
+        table = CIWTable.from_pairs([("a", 2.0), ("b", -1.0)])
+        with pytest.raises(ConfigError, match=">= 0"):
+            f2_ciw(pred, true, table)
+
     def test_class_count_mismatch_rejected(self):
         y = np.array([[1, 0]])
         with pytest.raises(ConfigError):

@@ -14,6 +14,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 from .opinions import BaseRatePair
 
@@ -87,3 +89,12 @@ def adjust_base_rates(
             )
         adjusted.append(BaseRatePair(a_pos, a_neg))
     return tuple(adjusted)
+
+
+def base_rate_arrays(ciw: CIWTable) -> tuple[np.ndarray, np.ndarray]:
+    """adjust_base_rates on the uniform prior, as float64 (a_pos, a_neg) arrays."""
+    bases = adjust_base_rates(ciw)
+    return (
+        np.array([p.a_pos for p in bases], dtype=np.float64),
+        np.array([p.a_neg for p in bases], dtype=np.float64),
+    )

@@ -9,14 +9,16 @@ failure during training.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import yaml
 
-from .base_rates import CIWTable
+from .base_rates import CIWTable, base_rate_arrays
 from .datasets import (
     GenConfig,
     generate_dataset,
@@ -29,6 +31,8 @@ from .datasets import (
 )
 from .errors import ConfigError, DataFormatError, TrainingDiverged
 from .evaluation import (
+    DEFAULT_THRESHOLD,
+    MAX_AGGREGATION,
     MetricsReport,
     auroc,
     aupr,
@@ -43,8 +47,9 @@ from .evaluation import (
 )
 from .fileio import write_text
 from .network import (
+    DEFAULT_FEATURE_DIM,
+    DEFAULT_HIDDEN,
     TrainConfig,
-    _base_rate_arrays,
     batch_evidence,
     finetune_head,
     init_head,
@@ -61,9 +66,17 @@ OOD_REPORT_FILENAME = "ood_report.yaml"
 OOD_SCORES_FILENAME = "ood_scores.csv"
 CIW_FILENAME = "ciw.tsv"
 
-# defaults for the two training phases: from-scratch vs head-only
-SCRATCH_EPOCHS, SCRATCH_LR = 60, 0.1
+# what main() returns for each error it reports
+EXIT_CODES = {ConfigError: 2, DataFormatError: 3, TrainingDiverged: 4, OSError: 3}
+
+# the head-only refit's own defaults; training from scratch takes TrainConfig's
 FINETUNE_EPOCHS, FINETUNE_LR = 20, 0.001
+
+
+def _config_values(config, args) -> dict:
+    """The parsed flags that fill fields of the dataclass `config`, unset ones left out."""
+    values = {f.name: getattr(args, f.name) for f in fields(config)}
+    return {name: value for name, value in values.items() if value is not None}
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -83,13 +96,10 @@ def _align_ciw(table: CIWTable, class_names) -> CIWTable:
     by_name = dict(table.entries)
     missing = [c for c in class_names if c not in by_name]
     extra = [n for n in by_name if n not in set(class_names)]
-    if missing or extra:
-        parts = []
-        if missing:
-            parts.append(f"missing classes {missing}")
-        if extra:
-            parts.append(f"unexpected classes {extra}")
-        raise ConfigError("CIW table does not match the dataset: " + "; ".join(parts))
+    problems = [f"{kind} classes {names}"
+                for kind, names in (("missing", missing), ("unexpected", extra)) if names]
+    if problems:
+        raise ConfigError("CIW table does not match the dataset: " + "; ".join(problems))
     return CIWTable.from_pairs((c, by_name[c]) for c in class_names)
 
 
@@ -115,20 +125,7 @@ def _check_prediction_flags(args) -> None:
 
 
 def cmd_generate(args) -> int:
-    cfg = GenConfig(
-        k_known=args.known,
-        k_unknown=args.unknown,
-        dim=args.dim,
-        n_train=args.train_samples,
-        n_val=args.val_samples,
-        separation=args.separation,
-        cooccurrence=args.cooccurrence,
-        noise=args.noise,
-        normal_rate=args.normal_rate,
-        unknown_rate=args.unknown_rate,
-        unknown_scale=args.unknown_scale,
-        seed=args.seed,
-    )
+    cfg = GenConfig(**_config_values(GenConfig, args))
     split = generate_dataset(cfg)
     out = Path(args.out)
     save_dataset(split, out)
@@ -151,21 +148,10 @@ def cmd_train(args) -> int:
         raise DataFormatError("train split has no samples to fit")
     _, x, y, _ = samples_to_arrays(split.train, split.k_known, split.dim)
 
-    epochs = args.epochs if args.epochs is not None else (
-        FINETUNE_EPOCHS if args.freeze_backbone else SCRATCH_EPOCHS
-    )
-    lr = args.lr if args.lr is not None else (
-        FINETUNE_LR if args.freeze_backbone else SCRATCH_LR
-    )
-    config = TrainConfig(
-        epochs=epochs,
-        batch_size=args.batch_size,
-        learning_rate=lr,
-        lr_decay_ratio=args.lr_decay_ratio,
-        lr_decay_every=args.lr_decay_every,
-        weight_decay=args.weight_decay,
-        seed=args.seed,
-    )
+    defaults = {}
+    if args.freeze_backbone:
+        defaults = {"epochs": FINETUNE_EPOCHS, "learning_rate": FINETUNE_LR}
+    config = TrainConfig(**defaults | _config_values(TrainConfig, args))
     hidden = _parse_hidden(args.hidden)
 
     if args.init_from and not args.freeze_backbone:
@@ -191,13 +177,7 @@ def cmd_train(args) -> int:
         "config": {
             "data": args.data,
             "ciw": args.ciw,
-            "epochs": config.epochs,
-            "batch_size": config.batch_size,
-            "learning_rate": config.learning_rate,
-            "lr_decay_ratio": config.lr_decay_ratio,
-            "lr_decay_every": config.lr_decay_every,
-            "weight_decay": config.weight_decay,
-            "seed": config.seed,
+            **asdict(config),
             "hidden": list(hidden),
             "feature_dim": args.feature_dim,
             "prior_weight": args.prior_weight,
@@ -231,7 +211,7 @@ def cmd_eval(args) -> int:
         raise DataFormatError("validation split has no known samples to score")
     _, x, y, _ = samples_to_arrays(known, split.k_known, split.dim)
 
-    a_pos, a_neg = _base_rate_arrays(ciw)
+    a_pos, a_neg = base_rate_arrays(ciw)
     evidence = batch_evidence(mlp, head, x)
     batch = predict_batch(
         evidence, a_pos, a_neg, prior_weight=args.prior_weight, threshold=args.threshold
@@ -250,13 +230,8 @@ def cmd_eval(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = {
-        "checkpoint": args.checkpoint,
-        "data": args.data,
-        "ciw": args.ciw,
-        "threshold": args.threshold,
-        "prior_weight": args.prior_weight,
-    }
+    config = {name: getattr(args, name)
+              for name in ("checkpoint", "data", "ciw", "threshold", "prior_weight")}
     write_text(out / EVAL_REPORT_FILENAME, render_report(report, "msdc", config))
     print(f"known-class evaluation on {len(known)} samples "
           f"({n_unknown} unknown samples excluded)")
@@ -313,6 +288,16 @@ def cmd_ood(args) -> int:
     return 0
 
 
+def _config_flag(parser, config, flag, field=None, **kwargs) -> None:
+    """Add `flag` for `field` of the dataclass `config` (by default the flag's
+    own name); the field's default is the flag's default and sets its type."""
+    name = flag[2:].replace("-", "_")
+    field = field or name
+    default = getattr(config, field)
+    kwargs.setdefault("default", default)
+    parser.add_argument(flag, dest=field, metavar=name.upper(), type=type(default), **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="evidkit",
@@ -322,41 +307,40 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="generate a synthetic dataset")
     gen.add_argument("--out", required=True, help="output directory for dataset files")
-    gen.add_argument("--seed", type=int, default=7)
-    gen.add_argument("--known", type=int, default=6, help="number of known classes")
-    gen.add_argument("--unknown", type=int, default=2,
-                     help="number of held-out unknown classes (validation only)")
-    gen.add_argument("--dim", type=int, default=8, help="feature dimensionality")
-    gen.add_argument("--train-samples", type=int, default=2000)
-    gen.add_argument("--val-samples", type=int, default=600)
-    gen.add_argument("--separation", type=float, default=6.0,
-                     help="prototype radius in units of the noise scale")
-    gen.add_argument("--cooccurrence", type=float, default=0.2,
-                     help="probability a defect sample carries a second label")
-    gen.add_argument("--noise", type=float, default=1.0)
-    gen.add_argument("--normal-rate", type=float, default=0.25,
-                     help="fraction of label-free samples")
-    gen.add_argument("--unknown-rate", type=float, default=0.25,
-                     help="fraction of validation samples from unknown classes")
-    gen.add_argument("--unknown-scale", type=float, default=2.0,
-                     help="unknown prototype distance as a multiple of the pair midpoint")
+    flag = functools.partial(_config_flag, gen, GenConfig)
+    flag("--seed")
+    flag("--known", "k_known", help="number of known classes")
+    flag("--unknown", "k_unknown",
+         help="number of held-out unknown classes (validation only)")
+    flag("--dim", help="feature dimensionality")
+    flag("--train-samples", "n_train")
+    flag("--val-samples", "n_val")
+    flag("--separation", help="prototype radius in units of the noise scale")
+    flag("--cooccurrence", help="probability a defect sample carries a second label")
+    flag("--noise")
+    flag("--normal-rate", help="fraction of label-free samples")
+    flag("--unknown-rate", help="fraction of validation samples from unknown classes")
+    flag("--unknown-scale",
+         help="unknown prototype distance as a multiple of the pair midpoint")
     gen.set_defaults(func=cmd_generate)
 
     tr = sub.add_parser("train", help="train the model on a dataset directory")
     tr.add_argument("--data", required=True, help="dataset directory from `generate`")
     tr.add_argument("--ciw", required=True, help="class importance weight file")
     tr.add_argument("--out", required=True, help="output directory")
-    tr.add_argument("--epochs", type=int, default=None,
-                    help="default 60, or 20 with --freeze-backbone")
-    tr.add_argument("--batch-size", type=int, default=64)
-    tr.add_argument("--lr", type=float, default=None,
-                    help="default 0.1, or 0.001 with --freeze-backbone")
-    tr.add_argument("--lr-decay-ratio", type=float, default=0.1)
-    tr.add_argument("--lr-decay-every", type=int, default=30)
-    tr.add_argument("--weight-decay", type=float, default=1e-4)
-    tr.add_argument("--seed", type=int, default=0)
-    tr.add_argument("--hidden", default="64,64", help="comma-separated hidden layer sizes")
-    tr.add_argument("--feature-dim", type=int, default=32)
+    flag = functools.partial(_config_flag, tr, TrainConfig)
+    flag("--epochs", default=None,
+         help=f"default {TrainConfig.epochs}, or {FINETUNE_EPOCHS} with --freeze-backbone")
+    flag("--batch-size")
+    flag("--lr", "learning_rate", default=None,
+         help=f"default {TrainConfig.learning_rate}, or {FINETUNE_LR} with --freeze-backbone")
+    flag("--lr-decay-ratio")
+    flag("--lr-decay-every")
+    flag("--weight-decay")
+    flag("--seed")
+    tr.add_argument("--hidden", default=",".join(map(str, DEFAULT_HIDDEN)),
+                    help="comma-separated hidden layer sizes")
+    tr.add_argument("--feature-dim", type=int, default=DEFAULT_FEATURE_DIM)
     tr.add_argument("--prior-weight", type=float, default=DEFAULT_PRIOR_WEIGHT)
     tr.add_argument("--freeze-backbone", action="store_true",
                     help="keep backbone weights fixed and fit a fresh evidence head")
@@ -369,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--data", required=True)
     ev.add_argument("--ciw", required=True)
     ev.add_argument("--out", required=True)
-    ev.add_argument("--threshold", type=float, default=0.5)
+    ev.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
     ev.add_argument("--prior-weight", type=float, default=DEFAULT_PRIOR_WEIGHT)
     ev.set_defaults(func=cmd_eval)
 
@@ -377,7 +361,8 @@ def build_parser() -> argparse.ArgumentParser:
     ood.add_argument("--checkpoint", required=True)
     ood.add_argument("--data", required=True)
     ood.add_argument("--out", required=True)
-    ood.add_argument("--agg", default="max", help="uncertainty aggregation: max, sum, or topN")
+    ood.add_argument("--agg", default=str(MAX_AGGREGATION),
+                     help="uncertainty aggregation: max, sum, or topN")
     ood.add_argument("--prior-weight", type=float, default=DEFAULT_PRIOR_WEIGHT)
     ood.set_defaults(func=cmd_ood)
 
@@ -388,18 +373,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    except tuple(EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except TrainingDiverged as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base_rates import CIWTable, adjust_base_rates
+from .base_rates import CIWTable, base_rate_arrays
 from .errors import ConfigError, DataFormatError, TrainingDiverged
 from .fileio import read_lines, write_text
 from .losses import batch_nll, batch_nll_grad
@@ -195,9 +195,7 @@ def init_model(
         w = _uniform_init(rng, (d_out, d_in), d_in)
         b = _uniform_init(rng, (d_out,), d_in)
         layers.append((w, b))
-    head_w = _uniform_init(rng, (feature_dim, 2 * num_classes), feature_dim)
-    head_b = _uniform_init(rng, (2 * num_classes,), feature_dim)
-    return MlpParams(layers), EvidenceHeadParams(head_w, head_b)
+    return MlpParams(layers), init_head(feature_dim, num_classes, rng)
 
 
 def init_head(
@@ -341,14 +339,6 @@ def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbo
     return mlp, EvidenceHeadParams(head.weight.copy(), head.bias.copy()), epoch_losses
 
 
-def _base_rate_arrays(ciw: CIWTable):
-    bases = adjust_base_rates(ciw)
-    return (
-        np.array([p.a_pos for p in bases], dtype=np.float64),
-        np.array([p.a_neg for p in bases], dtype=np.float64),
-    )
-
-
 def _validate_training_data(x, y, k):
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -377,7 +367,7 @@ def train_model(
     order; base rates come from the table via the expert assignment.
     """
     x, y = _validate_training_data(features, labels, len(ciw))
-    a_pos, a_neg = _base_rate_arrays(ciw)
+    a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     mlp, head = init_model(x.shape[1], len(ciw), hidden, feature_dim, rng)
     mlp, head, losses = _fit(
@@ -400,7 +390,7 @@ def finetune_head(
     x, y = _validate_training_data(features, labels, len(ciw))
     if head.num_classes != len(ciw):
         raise ValueError(f"head has {head.num_classes} classes but the CIW table has {len(ciw)}")
-    a_pos, a_neg = _base_rate_arrays(ciw)
+    a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     _, new_head, losses = _fit(
         mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbone=False

@@ -14,7 +14,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evidkit.base_rates import CIWTable
+from evidkit.base_rates import CIWTable, base_rate_arrays
 from evidkit.errors import TrainingDiverged
 from evidkit.losses import batch_nll_grad
 from evidkit.network import (
@@ -22,7 +22,6 @@ from evidkit.network import (
     EvidenceHeadParams,
     MlpParams,
     TrainConfig,
-    _base_rate_arrays,
     _forward_cached,
     finetune_head,
     init_head,
@@ -106,14 +105,14 @@ def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, updat
 
 
 def _retired_train_model(x, y, config, ciw, hidden, feature_dim, prior_weight):
-    a_pos, a_neg = _base_rate_arrays(ciw)
+    a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     mlp, head = init_model(x.shape[1], len(ciw), hidden, feature_dim, rng)
     return _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, True)
 
 
 def _retired_finetune_head(mlp, head, x, y, config, ciw, prior_weight):
-    a_pos, a_neg = _base_rate_arrays(ciw)
+    a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     head = EvidenceHeadParams(head.weight.copy(), head.bias.copy())
     return _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, False)

@@ -67,7 +67,7 @@ OOD_SCORES_FILENAME = "ood_scores.csv"
 CIW_FILENAME = "ciw.tsv"
 
 # what main() returns for each error it reports
-EXIT_CODES = {ConfigError: 2, DataFormatError: 3, TrainingDiverged: 4, OSError: 3}
+_EXIT_CODES = {ConfigError: 2, DataFormatError: 3, TrainingDiverged: 4, OSError: 3}
 
 # the head-only refit's own defaults; training from scratch takes TrainConfig's
 FINETUNE_EPOCHS, FINETUNE_LR = 20, 0.001
@@ -248,15 +248,15 @@ def cmd_ood(args) -> int:
     _check_model_matches(mlp, head, split)
     agg = parse_aggregation(args.agg)
 
-    if not split.validation.unknown.any():
-        raise DataFormatError(
-            "validation split contains no unknown samples; nothing to detect"
-        )
+    unknown = split.validation.unknown
+    if not unknown.any():
+        raise DataFormatError("validation split contains no unknown samples; nothing to detect")
+    if unknown.all():
+        raise DataFormatError("validation split contains no known samples to rank against")
     ids, x, _, flags = samples_to_arrays(split.validation, split.k_known, split.dim)
 
     # base rates do not enter the vacuity u = W / S, so uniform ones suffice
-    k = split.k_known
-    uniform = np.full(k, 0.5)
+    uniform = np.full(split.k_known, 0.5)
     evidence = batch_evidence(mlp, head, x)
     batch = predict_batch(evidence, uniform, uniform, prior_weight=args.prior_weight, agg=agg)
     scores = batch.uncertainty
@@ -290,7 +290,8 @@ def cmd_ood(args) -> int:
 
 def _config_flag(parser, config, flag, field=None, **kwargs) -> None:
     """Add `flag` for `field` of the dataclass `config` (by default the flag's
-    own name); the field's default is the flag's default and sets its type."""
+    own name). The field's default is the flag's default and sets its type;
+    the metavar stays the one argparse derives from the flag."""
     name = flag[2:].replace("-", "_")
     field = field or name
     default = getattr(config, field)
@@ -373,9 +374,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except tuple(EXIT_CODES) as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return next(code for kind, code in EXIT_CODES.items() if isinstance(exc, kind))
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

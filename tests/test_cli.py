@@ -370,6 +370,15 @@ class TestOod:
         assert code == 3
         assert "no unknown" in capsys.readouterr().err
 
+    def test_no_known_samples_exits_3(self, tmp_path, capsys):
+        d = _generate(tmp_path / "data", ["--unknown-rate", "1.0"])
+        ckpt = _train(d, tmp_path / "run")
+        code = main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
+                     "--out", str(tmp_path / "o")])
+        assert code == 3
+        assert "no known samples" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_aggregation_exits_2(self, tmp_path):
         d = _generate(tmp_path / "data")
         ckpt = _train(d, tmp_path / "run")

@@ -380,8 +380,19 @@ def generate_dataset(cfg: GenConfig) -> DatasetSplit:
     direction, then its radius), and the features are assembled afterwards
     as centre + factor * direction in one array operation. A geometry too
     large for float64 (noise, separation and unknown_scale multiply) is a
-    ConfigError, raised before anything is written.
+    ConfigError, raised before anything is written; so is a size that
+    cannot be allocated.
     """
+    try:
+        return _generate_split(cfg)
+    except MemoryError:
+        raise ConfigError(
+            f"a dataset of dim {cfg.dim} with {cfg.n_train} train and {cfg.n_val} "
+            "validation rows does not fit in memory; lower dim, n_train or n_val"
+        ) from None
+
+
+def _generate_split(cfg: GenConfig) -> DatasetSplit:
     rng = np.random.default_rng(cfg.seed)
     known_protos = _known_prototypes(rng, cfg)
     unknown_protos = _unknown_prototypes(rng, cfg, known_protos)

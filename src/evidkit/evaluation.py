@@ -7,8 +7,10 @@ by aggregated per-class uncertainty; auroc / aupr / fpr_at_95_tpr plus
 two baseline scorers cover that task. The three ranking metrics share one
 O(n log n) sort and a cumulative-count sweep over the distinct scores
 (Fawcett 2006, Alg. 1-2): tied samples are scored as a group, and FPR95
-is read at the operating points "flag every score >= d". All metric
-functions are pure and permutation-invariant over samples.
+is read at the operating points "flag every score >= d". The sweep reads
+its counts only at tie-group ends, so the sort need not be stable and
+numpy's default (introsort) argsort is used. All metric functions are
+pure and permutation-invariant over samples, bit for bit.
 """
 
 from __future__ import annotations
@@ -99,10 +101,15 @@ def predict_batch(
     a_neg = np.asarray(a_neg, dtype=np.float64)
     if ev.ndim != 3 or ev.shape[2] != 2 or ev.shape[1] != a_pos.shape[0]:
         raise ValueError(f"evidence shape {ev.shape} does not match {a_pos.shape[0]} classes")
-    if (ev < 0).any() or not np.isfinite(ev).all():
+    # NaN fails both comparisons; empty evidence has no extrema to check
+    if ev.size and not (ev.min() >= 0.0 and ev.max() < np.inf):
         raise ValueError("evidence must be finite and non-negative")
-    strength = ev[:, :, 0] + ev[:, :, 1] + prior_weight
-    probs = (ev[:, :, 0] + a_pos * prior_weight) / strength
+    # the same operations in the same order as S = e_pos + e_neg + W and
+    # p = (e_pos + a_pos * W) / S, written into the fresh sums
+    strength = ev[:, :, 0] + ev[:, :, 1]
+    strength += prior_weight
+    probs = ev[:, :, 0] + a_pos * prior_weight
+    probs /= strength
     uncs = prior_weight / strength
     return BatchPrediction(
         probabilities=probs,
@@ -209,12 +216,17 @@ def _check_scores(scores, labels, need_pos=True, need_neg=True):
 
 
 def _tie_groups(s: np.ndarray, y: np.ndarray):
-    """One stable descending sort; per tie group, the cumulative counts.
+    """One descending sort; per tie group, the cumulative counts.
 
     Returns (flagged, tp): for each distinct score d_i, highest first, the
     number of samples with score >= d_i and how many of them are positive.
+    Both are read only at the last position of each tie group, where the
+    running count covers every sample of the group and of the groups
+    before it, whatever order the sort left the tied samples in. So the
+    sort need not be stable, and numpy's default argsort is used. -0.0
+    and 0.0 compare equal and share a group.
     """
-    order = np.argsort(-s, kind="stable")
+    order = np.argsort(-s)
     s_sorted = s[order]
     ends = np.flatnonzero(np.r_[s_sorted[1:] != s_sorted[:-1], True])
     return ends + 1, np.cumsum(y[order])[ends]
@@ -344,5 +356,4 @@ def write_scores_csv(path, ids, uncertainties, flags) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "uncertainty", "is_unknown"])
-        for sid, unc, flag in zip(ids, u, f):
-            writer.writerow([sid, repr(float(unc)), int(flag)])
+        writer.writerows(zip(ids, map(repr, u.tolist()), f.astype(int).tolist()))

@@ -25,6 +25,11 @@ vector (``out=theta``), then one finiteness check that raises
 ``TrainingDiverged`` with the epoch and batch. Each epoch gathers its
 shuffled rows once, so every batch is a contiguous slice. The trainer
 returns validated copies, never views of its vector.
+
+Inference (``extract_features``, ``evidence_from_features``) adds each
+bias and applies each ReLU in place on the fresh matmul output: one
+N x width array per layer, the same arithmetic as ``relu(h @ W.T + b)``,
+and never a write into the caller's input or parameters.
 """
 
 from __future__ import annotations
@@ -148,7 +153,9 @@ def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
             f"input shape {np.asarray(x).shape} does not match backbone input dim {mlp.dim_in}"
         )
     for w, b in mlp.layers:
-        h = np.maximum(h @ w.T + b, 0.0)
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
     return h[0] if single else h
 
 
@@ -163,7 +170,9 @@ def evidence_from_features(features: np.ndarray, head: EvidenceHeadParams) -> np
             f"feature shape {np.asarray(features).shape} does not match head input dim "
             f"{head.dim_in}"
         )
-    ev = np.maximum(f @ head.weight + head.bias, 0.0)
+    ev = f @ head.weight
+    ev += head.bias
+    np.maximum(ev, 0.0, out=ev)
     ev = ev.reshape(f.shape[0], head.num_classes, 2)
     return ev[0] if single else ev
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
+from evidkit import datasets
 from evidkit.cli import (
     CHECKPOINT_FILENAME,
     CIW_FILENAME,
@@ -80,6 +81,20 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "overflow float64" in err
         assert "Warning" not in err
+        assert not out.exists()
+
+    def test_unallocatable_size_exits_2_before_writing(self, tmp_path, capsys, monkeypatch):
+        # stands in for the multi-TiB prototype draw of a huge --dim
+        def no_memory(rng, cfg):
+            raise MemoryError
+
+        monkeypatch.setattr(datasets, "_known_prototypes", no_memory)
+        out = tmp_path / "d"
+        argv = ["generate", "--out", str(out), *TINY_GEN, "--dim", "100000000000"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not fit in memory" in err
+        assert "dim 100000000000" in err and "train" in err and "validation rows" in err
         assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 """Tests for prediction, uncertainty aggregation, and the metric suite."""
 
+import csv
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from evidkit.evaluation import (
     AggregationMode,
     MetricsReport,
     _aggregate_rows,
+    _tie_groups,
     aupr,
     auroc,
     baseline_ood_scores,
@@ -500,6 +502,57 @@ class TestTieGroupSweep:
         assert repr(fpr_at_95_tpr(scores, labels)) == "0.6405622489959839"
 
 
+def _stable_tie_groups(s, y):
+    """The stable-sort version of ``_tie_groups``, kept as its oracle."""
+    order = np.argsort(-s, kind="stable")
+    s_sorted = s[order]
+    ends = np.flatnonzero(np.r_[s_sorted[1:] != s_sorted[:-1], True])
+    return ends + 1, np.cumsum(y[order])[ends]
+
+
+# few distinct values, signed zeros and infinities, so most samples tie
+_SIGNED_TIED_SCORE = st.sampled_from([0.0, -0.0, np.inf, -np.inf, 1.0 / 7.0, -3.0 / 7.0, 1.0])
+
+
+@st.composite
+def _shuffled_tied_samples(draw):
+    """Tie-heavy (scores, labels) with both classes, and a permutation."""
+    n = draw(st.integers(2, 80))
+    scores = np.array(draw(st.lists(_SIGNED_TIED_SCORE, min_size=n, max_size=n)))
+    both = st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda v: any(v) and not all(v))
+    labels = np.array(draw(both))
+    perm = np.array(draw(st.permutations(range(n))))
+    return scores, labels, perm
+
+
+class TestTieOrder:
+    """The ranking metrics read counts at tie-group ends only, so the order
+    of the samples inside a tie, and so the sort's stability, cannot matter."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_shuffled_tied_samples())
+    def test_metrics_equal_after_shuffle(self, sample):
+        scores, labels, perm = sample
+        for metric in (auroc, aupr, fpr_at_95_tpr):
+            assert metric(scores, labels) == metric(scores[perm], labels[perm])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_shuffled_tied_samples())
+    def test_tie_groups_equal_stable_sort(self, sample):
+        scores, labels, perm = sample
+        for s, y in ((scores, labels), (scores[perm], labels[perm])):
+            flagged, tp = _tie_groups(s, y)
+            want_flagged, want_tp = _stable_tie_groups(s, y)
+            np.testing.assert_array_equal(flagged, want_flagged)
+            np.testing.assert_array_equal(tp, want_tp)
+
+    def test_signed_zeros_share_a_group(self):
+        flagged, tp = _tie_groups(np.array([0.0, -0.0, 1.0, -0.0]),
+                                  np.array([True, False, False, True]))
+        np.testing.assert_array_equal(flagged, [1, 4])
+        np.testing.assert_array_equal(tp, [0, 2])
+
+
 class TestBaselines:
     def test_maxlogit_hand_values(self):
         out = baseline_ood_scores(np.array([[3.0, -1.0], [0.5, 2.0]]), "maxlogit")
@@ -601,3 +654,19 @@ class TestScoresCsv:
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_scores_csv(tmp_path / "s.csv", ["a"], [0.1, 0.2], [0, 1])
+
+    def test_bytes_equal_per_row_writer(self, tmp_path):
+        # ids with a comma, a quote, a space and a newline must be quoted
+        ids = ["va-00000", "a,b", 'say "hi"', " pad ", "two\nlines", "", "plain"]
+        u = np.array([0.125, 1.0 / 3.0, -0.0, 1.0, 5e-324, 0.1 + 0.2, np.inf])
+        flags = np.array([0, 1, 1, 0, 1, 0, 1])
+        path = tmp_path / "scores.csv"
+        write_scores_csv(path, ids, u, flags)
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="", encoding="utf-8") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["sample_id", "uncertainty", "is_unknown"])
+            for sid, unc, flag in zip(ids, u, flags.astype(bool)):
+                writer.writerow([sid, repr(float(unc)), int(flag)])
+        assert path.read_bytes() == want.read_bytes()
+        assert b'"a,b"' in path.read_bytes() and b'"say ""hi"""' in path.read_bytes()

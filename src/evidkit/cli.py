@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import re
 import sys
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -367,6 +368,12 @@ def build_parser() -> argparse.ArgumentParser:
     ood.add_argument("--prior-weight", type=float, default=DEFAULT_PRIOR_WEIGHT)
     ood.set_defaults(func=cmd_ood)
 
+    # argparse reads only "-" plus digits and dots as a negative number and has
+    # no public setting for it; without this a value given as a separate word
+    # (-1e-3, -inf, -nan) reads as an unknown option and never reaches the
+    # range checks
+    for command in sub.choices.values():
+        command._negative_number_matcher = re.compile(r"^-\.?\d|^-(inf|nan)", re.IGNORECASE)
     return parser
 
 

@@ -29,11 +29,9 @@ In memory a split is a SampleTable: one frozen row table of arrays, not a
 tuple of per-row objects. It holds `ids` (a tuple of N str), `x` (an
 (N, D) float64 feature matrix), `labels` (an (N, C) bool matrix over all
 C classes, known first, then unknown) and `unknown` (an (N,) bool flag
-array); the arrays are read-only. The table still reads as a sequence of
-Samples: `len()`, iteration and int indexing give validated Samples built
-on demand, while slices, bool masks and index arrays give tables. The
-generator, the file I/O and samples_to_arrays work on the arrays
-directly, so no per-row Sample is built on their paths.
+array); the arrays are read-only. Every row selection is a table: an int
+index gives the one-row table at that position, and slices, bool masks
+and index arrays give the rows they select.
 """
 
 from __future__ import annotations
@@ -65,34 +63,6 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 _PARSE_BLOCK_ROWS = 4096
 
 
-@dataclass(frozen=True)
-class Sample:
-    id: str
-    features: tuple[float, ...]
-    labels: tuple[int, ...]
-    is_unknown: bool = False
-
-    def __post_init__(self):
-        if not self.id:
-            raise ValueError("sample id must be non-empty")
-        if any(not math.isfinite(v) for v in self.features):
-            raise ValueError(f"sample {self.id!r}: non-finite feature")
-        if list(self.labels) != sorted(set(self.labels)):
-            raise ValueError(f"sample {self.id!r}: labels must be sorted and unique")
-        if any(l < 0 for l in self.labels):
-            raise ValueError(f"sample {self.id!r}: negative label index")
-
-
-def _resize_labels(labels: np.ndarray, width: int) -> np.ndarray:
-    """The label matrix cut or zero-padded to `width` columns."""
-    if labels.shape[1] == width:
-        return labels
-    out = np.zeros((labels.shape[0], width), dtype=bool)
-    keep = min(width, labels.shape[1])
-    out[:, :keep] = labels[:, :keep]
-    return out
-
-
 def _frozen(values, dtype, ndim: int, name: str) -> np.ndarray:
     array = np.asarray(values, dtype=dtype)
     if array.ndim != ndim:
@@ -110,10 +80,9 @@ class SampleTable(Sequence):
     unknown an (N,) bool array. The table takes the arrays over without
     copying and makes them read-only.
 
-    It reads as a sequence of Samples: an int index or iteration builds
-    validated Samples on demand, while a slice, a bool mask or an index
-    array returns a table. A table equals another table with the same
-    arrays, and any sequence of Samples equal to its rows.
+    Every selection returns a table: an int index (negative allowed) the
+    one-row table at that position, a slice, a bool mask or an index array
+    the rows it selects. A table equals another table with the same arrays.
     """
 
     ids: tuple[str, ...]
@@ -141,27 +110,14 @@ class SampleTable(Sequence):
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "unknown", unknown)
 
-    @classmethod
-    def from_samples(cls, samples, dim: int) -> SampleTable:
-        """Stack Samples of `dim` features each into a table."""
-        ids, x, labels, unknown, width_ok = _stack_samples(samples, dim, 0)
-        if not width_ok.all():
-            raise ValueError(f"sample {ids[int(width_ok.argmin())]!r}: expected {dim} features")
-        return cls(ids, x, labels, unknown)
-
     def __len__(self) -> int:
         return len(self.ids)
 
     def __getitem__(self, key):
         if isinstance(key, (int, np.integer)):
-            i = range(len(self.ids))[key]
-            return Sample(
-                id=self.ids[i],
-                features=tuple(self.x[i].tolist()),
-                labels=tuple(np.flatnonzero(self.labels[i]).tolist()),
-                is_unknown=bool(self.unknown[i]),
-            )
-        if not isinstance(key, slice):
+            i = range(len(self.ids))[key]  # raises IndexError when out of range
+            key = slice(i, i + 1)
+        elif not isinstance(key, slice):
             key = np.asarray(key)
         x = self.x[key]  # numpy checks the mask length and the index range
         if isinstance(key, slice):
@@ -172,71 +128,25 @@ class SampleTable(Sequence):
             ids = tuple(map(self.ids.__getitem__, key.tolist()))
         return SampleTable(ids, x, self.labels[key], self.unknown[key])
 
-    def __iter__(self):
-        return (self[i] for i in range(len(self.ids)))
-
     def __eq__(self, other):
-        if isinstance(other, SampleTable):
-            width = max(self.labels.shape[1], other.labels.shape[1])
-            return (
-                self.ids == other.ids
-                and np.array_equal(self.x, other.x)
-                and np.array_equal(self.unknown, other.unknown)
-                and np.array_equal(_resize_labels(self.labels, width),
-                                   _resize_labels(other.labels, width))
-            )
-        if isinstance(other, Sequence):
-            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
-        return NotImplemented
+        if not isinstance(other, SampleTable):
+            return NotImplemented
+        return (
+            self.ids == other.ids
+            and np.array_equal(self.x, other.x)
+            and np.array_equal(self.labels, other.labels)
+            and np.array_equal(self.unknown, other.unknown)
+        )
 
     __hash__ = None
-
-
-def _stack_samples(samples, dim: int, n_classes: int):
-    """(ids, x, labels, unknown, width_ok) of a sequence of Samples.
-
-    width_ok flags the rows with `dim` features; x is None unless all have
-    them. The label matrix has n_classes columns, or more if a label index
-    needs them.
-    """
-    samples = tuple(samples)
-    n = len(samples)
-    ids = tuple(s.id for s in samples)
-    width_ok = np.fromiter((len(s.features) == dim for s in samples), dtype=bool, count=n)
-    x = None
-    if width_ok.all():
-        x = np.array([s.features for s in samples], dtype=np.float64).reshape(n, dim)
-    rows = [i for i, s in enumerate(samples) for _ in s.labels]
-    cols = [l for s in samples for l in s.labels]
-    labels = np.zeros((n, max(n_classes, max(cols, default=-1) + 1)), dtype=bool)
-    labels[rows, cols] = True
-    unknown = np.fromiter((s.is_unknown for s in samples), dtype=bool, count=n)
-    return ids, x, labels, unknown, width_ok
-
-
-def _check_rows(where, ids, width_ok, labels, unknown, dim, k_known, k_total) -> None:
-    """Raise ValueError naming the first row of a split that breaks a rule."""
-    out_of_range = labels[:, k_total:].any(axis=1)
-    mismatch = unknown != labels[:, k_known:].any(axis=1)
-    bad = ~width_ok | out_of_range | mismatch
-    if bad.any():
-        i = int(bad.argmax())
-        if not width_ok[i]:
-            problem = f"expected {dim} features"
-        elif out_of_range[i]:
-            problem = "label index out of range"
-        else:
-            problem = "unknown flag does not match labels"
-        raise ValueError(f"{where} sample {ids[i]!r}: {problem}")
 
 
 @dataclass(frozen=True)
 class DatasetSplit:
     """A full dataset: train and validation rows plus the class lists.
 
-    train and validation may be given as SampleTables or as sequences of
-    Samples; either way they are held as SampleTables whose label matrix
-    spans all classes.
+    train and validation are SampleTables with `dim` feature columns and
+    one label column per class, known first.
     """
 
     train: SampleTable
@@ -253,20 +163,16 @@ class DatasetSplit:
                 raise ValueError(f"class name {name!r} is not file-format safe")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("known and unknown class lists must be disjoint")
-        k_known, k_total = self.k_known, len(self.classes)
         for where in ("train", "validation"):
             rows = getattr(self, where)
-            if isinstance(rows, SampleTable):
-                ids, x, labels, unknown = rows.ids, rows.x, rows.labels, rows.unknown
-                width_ok = np.full(len(ids), x.shape[1] == self.dim)
-            else:
-                ids, x, labels, unknown, width_ok = _stack_samples(rows, self.dim, k_total)
-            _check_rows(where, ids, width_ok, labels, unknown, self.dim, k_known, k_total)
-            if not (isinstance(rows, SampleTable) and labels.shape[1] == k_total
-                    and x.shape[1] == self.dim):
-                rows = SampleTable(ids, x.reshape(len(ids), self.dim),
-                                   _resize_labels(labels, k_total), unknown)
-                object.__setattr__(self, where, rows)
+            if not (isinstance(rows, SampleTable) and rows.x.shape[1] == self.dim
+                    and rows.labels.shape[1] == len(self.classes)):
+                raise ValueError(f"{where} must be a SampleTable with {self.dim} feature "
+                                 f"and {len(self.classes)} label columns")
+            mismatch = rows.unknown != rows.labels[:, self.k_known:].any(axis=1)
+            if mismatch.any():
+                raise ValueError(f"{where} sample {rows.ids[int(mismatch.argmax())]!r}: "
+                                 "unknown flag does not match labels")
         if self.train.unknown.any():
             raise ValueError("train split must not contain unknown samples")
 
@@ -689,16 +595,21 @@ def random_ciw_table(class_names, seed: int, low: float = 0.1, high: float = 1.0
     return CIWTable.from_pairs(zip(class_names, (float(w) for w in weights)))
 
 
-def samples_to_arrays(samples, k_known: int, dim: int):
+def samples_to_arrays(rows, k_known: int, dim: int):
     """Split rows into (ids, features (N,D), known multi-hot (N,K), unknown flags).
 
-    `samples` is a SampleTable or any sequence of Samples; the arrays
-    returned are fresh copies.
+    `rows` is a SampleTable, or a sequence of SampleTables stacked in order;
+    the arrays returned are fresh copies.
     """
-    table = samples if isinstance(samples, SampleTable) else SampleTable.from_samples(samples, dim)
-    if table.x.shape[1] != dim and len(table):
-        raise ValueError(f"sample {table.ids[0]!r}: expected {dim} features")
-    x = table.x.reshape(len(table), dim).copy()
-    y = _resize_labels(table.labels, k_known).astype(np.float64)
-    return list(table.ids), x, y, table.unknown.copy()
-
+    tables = [rows] if isinstance(rows, SampleTable) else list(rows)
+    for t in tables:
+        if t.x.shape[1] != dim or t.labels.shape[1] < k_known:
+            raise ValueError(f"rows of {t.x.shape[1]} features and {t.labels.shape[1]} "
+                             f"label columns do not fit dim={dim}, k_known={k_known}")
+    ids = [i for t in tables for i in t.ids]
+    # the empty leading blocks give the shapes when there are no tables
+    x = np.concatenate([np.empty((0, dim))] + [t.x for t in tables])
+    y = np.concatenate([np.empty((0, k_known), dtype=bool)]
+                       + [t.labels[:, :k_known] for t in tables], dtype=np.float64)
+    unknown = np.concatenate([np.empty(0, dtype=bool)] + [t.unknown for t in tables])
+    return ids, x, y, unknown

@@ -285,19 +285,14 @@ def baseline_ood_scores(logits, method: str) -> np.ndarray:
     MaxLogit: -max_k logit_k. JointEnergy: -sum_k log(1 + exp(logit_k)).
     """
     z = np.asarray(logits, dtype=np.float64)
-    single = z.ndim == 1
-    if single:
-        z = z[None, :]
     if z.ndim != 2 or z.shape[1] == 0:
         raise ValueError(f"expected (N, K) logits, got shape {np.asarray(logits).shape}")
     name = method.strip().lower()
     if name == "maxlogit":
-        out = -z.max(axis=1)
-    elif name == "jointenergy":
-        out = -np.logaddexp(0.0, z).sum(axis=1)
-    else:
-        raise ValueError(f"unknown baseline method {method!r}")
-    return out[0] if single else out
+        return -z.max(axis=1)
+    if name == "jointenergy":
+        return -np.logaddexp(0.0, z).sum(axis=1)
+    raise ValueError(f"unknown baseline method {method!r}")
 
 
 @dataclass(frozen=True)

@@ -143,11 +143,8 @@ class TrainResult:
 
 
 def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
-    """Forward pass of the backbone; accepts (D,) or (N, D) input."""
+    """Forward pass of the backbone: (N, D) inputs -> (N, width) features."""
     h = np.asarray(x, dtype=np.float64)
-    single = h.ndim == 1
-    if single:
-        h = h[None, :]
     if h.ndim != 2 or h.shape[1] != mlp.dim_in:
         raise ValueError(
             f"input shape {np.asarray(x).shape} does not match backbone input dim {mlp.dim_in}"
@@ -156,15 +153,12 @@ def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
         h = h @ w.T
         h += b
         np.maximum(h, 0.0, out=h)
-    return h[0] if single else h
+    return h
 
 
 def evidence_from_features(features: np.ndarray, head: EvidenceHeadParams) -> np.ndarray:
-    """Evidence pairs from backbone features: relu(f @ W + b) as (..., K, 2)."""
+    """Evidence pairs from (N, F) backbone features: relu(f @ W + b) as (N, K, 2)."""
     f = np.asarray(features, dtype=np.float64)
-    single = f.ndim == 1
-    if single:
-        f = f[None, :]
     if f.ndim != 2 or f.shape[1] != head.dim_in:
         raise ValueError(
             f"feature shape {np.asarray(features).shape} does not match head input dim "
@@ -173,8 +167,7 @@ def evidence_from_features(features: np.ndarray, head: EvidenceHeadParams) -> np
     ev = f @ head.weight
     ev += head.bias
     np.maximum(ev, 0.0, out=ev)
-    ev = ev.reshape(f.shape[0], head.num_classes, 2)
-    return ev[0] if single else ev
+    return ev.reshape(f.shape[0], head.num_classes, 2)
 
 
 def batch_evidence(mlp: MlpParams, head: EvidenceHeadParams, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from evidkit.datasets import (
     TRAIN_FILENAME,
     VAL_FILENAME,
     DatasetSplit,
-    Sample,
+    SampleTable,
     load_dataset,
     samples_to_arrays,
     save_ciw_config,
@@ -330,8 +330,8 @@ class TestEval:
 
     def test_no_known_validation_samples_exits_3(self, tmp_path):
         split = DatasetSplit(
-            train=(Sample("t0", (0.0, 0.0), (0,)),),
-            validation=(Sample("v0", (0.0, 0.0), (1,), is_unknown=True),),
+            train=SampleTable(("t0",), [[0.0, 0.0]], [[True, False]], [False]),
+            validation=SampleTable(("v0",), [[0.0, 0.0]], [[False, True]], [True]),
             known_classes=("a",), unknown_classes=("u",), dim=2,
         )
         d = tmp_path / "data"
@@ -426,6 +426,25 @@ class TestParser:
         with pytest.raises(SystemExit) as err:
             main([])
         assert err.value.code == 2
+
+    @pytest.mark.parametrize("command, flag, value, problem", [
+        ("generate", "--noise", "-1e-3", "noise must be >= 0, got -0.001"),
+        ("train", "--lr", "-inf", "learning_rate must be >= 0, got -inf"),
+        ("generate", "--separation", "-nan", "separation must be > 0, got nan"),
+    ])
+    def test_negative_value_as_separate_word_gets_the_range_error(
+            self, tmp_path, capsys, command, flag, value, problem):
+        out = tmp_path / "out"
+        if command == "generate":
+            args = ["generate", "--out", str(out), *TINY_GEN]
+        else:
+            d = _generate(tmp_path / "data")
+            args = ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                    "--out", str(out), *TINY_TRAIN]
+        capsys.readouterr()
+        assert main([*args, flag, value]) == 2
+        assert capsys.readouterr().err == f"error: {problem}\n"
+        assert not out.exists()
 
 
 class TestNegativeSeed:

@@ -9,7 +9,7 @@ from evidkit.datasets import (
     VAL_FILENAME,
     DatasetSplit,
     GenConfig,
-    Sample,
+    SampleTable,
     generate_dataset,
     load_ciw_config,
     load_dataset,
@@ -23,29 +23,26 @@ from evidkit.errors import ConfigError, DataFormatError
 SMALL = GenConfig(k_known=3, k_unknown=1, dim=4, n_train=60, n_val=30, seed=5)
 
 
+def _table(ids, x, labels, unknown):
+    """A SampleTable from nested lists: labels are rows of 0/1 over all classes."""
+    return SampleTable(ids, np.array(x, dtype=float), np.array(labels, dtype=bool), unknown)
+
+
 class TestSampleValidation:
     def test_empty_id_rejected(self):
-        with pytest.raises(ValueError):
-            Sample(id="", features=(0.0,), labels=())
+        with pytest.raises(ValueError, match="non-empty"):
+            _table(("",), [[0.0]], [[0]], [False])
 
     def test_non_finite_feature_rejected(self):
-        with pytest.raises(ValueError):
-            Sample(id="s", features=(float("inf"),), labels=())
-
-    def test_labels_must_be_sorted_unique(self):
-        with pytest.raises(ValueError):
-            Sample(id="s", features=(0.0,), labels=(2, 1))
-        with pytest.raises(ValueError):
-            Sample(id="s", features=(0.0,), labels=(1, 1))
-        with pytest.raises(ValueError):
-            Sample(id="s", features=(0.0,), labels=(-1,))
+        with pytest.raises(ValueError, match="'s': non-finite"):
+            _table(("s",), [[float("inf")]], [[0]], [False])
 
 
 class TestSplitValidation:
     def _mk(self, **kwargs):
         defaults = dict(
-            train=(Sample("t0", (0.0, 0.0), (0,)),),
-            validation=(Sample("v0", (0.0, 0.0), (2,), is_unknown=True),),
+            train=_table(("t0",), [[0.0, 0.0]], [[1, 0, 0]], [False]),
+            validation=_table(("v0",), [[0.0, 0.0]], [[0, 0, 1]], [True]),
             known_classes=("a", "b"),
             unknown_classes=("u",),
             dim=2,
@@ -68,21 +65,21 @@ class TestSplitValidation:
 
     def test_wrong_feature_dim_rejected(self):
         with pytest.raises(ValueError):
-            self._mk(train=(Sample("t0", (0.0,), (0,)),))
+            self._mk(train=_table(("t0",), [[0.0]], [[1, 0, 0]], [False]))
 
     def test_label_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            self._mk(train=(Sample("t0", (0.0, 0.0), (3,)),))
+            self._mk(train=_table(("t0",), [[0.0, 0.0]], [[0, 0, 0, 1]], [False]))
 
     def test_flag_must_match_labels(self):
         with pytest.raises(ValueError):
-            self._mk(validation=(Sample("v0", (0.0, 0.0), (2,), is_unknown=False),))
+            self._mk(validation=_table(("v0",), [[0.0, 0.0]], [[0, 0, 1]], [False]))
         with pytest.raises(ValueError):
-            self._mk(validation=(Sample("v0", (0.0, 0.0), (0,), is_unknown=True),))
+            self._mk(validation=_table(("v0",), [[0.0, 0.0]], [[1, 0, 0]], [True]))
 
     def test_train_must_not_contain_unknown(self):
         with pytest.raises(ValueError):
-            self._mk(train=(Sample("t0", (0.0, 0.0), (2,), is_unknown=True),))
+            self._mk(train=_table(("t0",), [[0.0, 0.0]], [[0, 0, 1]], [True]))
 
 
 class TestGenConfig:
@@ -123,8 +120,8 @@ class TestGeneration:
 
     def test_train_is_free_of_unknowns(self):
         split = generate_dataset(GenConfig())
-        assert not any(s.is_unknown for s in split.train)
-        assert any(s.is_unknown for s in split.validation)
+        assert not split.train.unknown.any()
+        assert split.validation.unknown.any()
 
     def test_same_seed_is_identical(self):
         assert generate_dataset(SMALL) == generate_dataset(SMALL)
@@ -136,18 +133,16 @@ class TestGeneration:
     def test_zero_noise_collapses_samples_onto_prototypes(self):
         cfg = GenConfig(k_known=3, k_unknown=0, dim=4, n_train=80, n_val=10,
                         noise=0.0, cooccurrence=0.0, normal_rate=0.2, seed=3)
-        split = generate_dataset(cfg)
-        by_label = {}
-        for s in split.train:
-            by_label.setdefault(s.labels, set()).add(s.features)
+        rows = generate_dataset(cfg).train
         # every sample sits exactly on its class prototype (or the origin)
-        for labels, feature_sets in by_label.items():
-            assert len(feature_sets) == 1
+        for labels in np.unique(rows.labels, axis=0):
+            same_labels = (rows.labels == labels).all(axis=1)
+            assert len(np.unique(rows.x[same_labels], axis=0)) == 1
 
     def test_unknowns_only_when_requested(self):
         cfg = GenConfig(k_known=3, k_unknown=0, dim=4, n_train=20, n_val=20, seed=1)
         split = generate_dataset(cfg)
-        assert not any(s.is_unknown for s in split.validation)
+        assert not split.validation.unknown.any()
         assert split.unknown_classes == ()
 
     def test_clusters_are_linearly_separable(self):
@@ -155,15 +150,11 @@ class TestGeneration:
         pair of single-label clusters with a strict margin, and every cluster
         away from the label-free samples at the origin."""
         split = generate_dataset(GenConfig())
-        k = split.k_known
-        groups = {}
-        for s in split.train:
-            if len(s.labels) == 1:
-                groups.setdefault(s.labels[0], []).append(s.features)
-            elif not s.labels:
-                groups.setdefault(None, []).append(s.features)
-        arrays = {key: np.array(v) for key, v in groups.items()}
-        keys = [key for key in arrays if key is not None] + [None]
+        rows = split.train
+        n_labels = rows.labels.sum(axis=1)
+        arrays = {k: rows.x[(n_labels == 1) & rows.labels[:, k]] for k in range(split.k_known)}
+        arrays[None] = rows.x[n_labels == 0]
+        keys = list(arrays)
         for i, a in enumerate(keys):
             for b in keys[i + 1:]:
                 direction = arrays[a].mean(axis=0) - arrays[b].mean(axis=0)
@@ -173,8 +164,7 @@ class TestGeneration:
 
     def test_cooccurring_samples_exist_and_sit_between_prototypes(self):
         split = generate_dataset(GenConfig())
-        multi = [s for s in split.train if len(s.labels) == 2]
-        assert multi  # default co-occurrence rate is 0.2
+        assert (split.train.labels.sum(axis=1) == 2).any()  # default co-occurrence rate is 0.2
 
 
 class TestDatasetFiles:
@@ -193,11 +183,12 @@ class TestDatasetFiles:
             ).read_bytes()
 
     def test_empty_split_round_trips(self, tmp_path):
-        split = DatasetSplit(train=(), validation=(), known_classes=("a", "b"),
+        empty = _table((), np.zeros((0, 3)), np.zeros((0, 2)), [])
+        split = DatasetSplit(train=empty, validation=empty, known_classes=("a", "b"),
                              unknown_classes=(), dim=3)
         save_dataset(split, tmp_path / "d")
         loaded = load_dataset(tmp_path / "d")
-        assert loaded.train == () and loaded.validation == ()
+        assert loaded.train == empty and loaded.validation == empty
         assert loaded.known_classes == ("a", "b")
 
     def test_missing_file_reported(self, tmp_path):
@@ -345,13 +336,14 @@ class TestCiwFiles:
 class TestArrays:
     def test_multi_hot_covers_known_classes_only(self):
         split = generate_dataset(SMALL)
-        ids, x, y, flags = samples_to_arrays(split.validation, split.k_known, split.dim)
+        rows = split.validation
+        ids, x, y, flags = samples_to_arrays(rows, split.k_known, split.dim)
         assert x.shape == (30, 4) and y.shape == (30, 3)
-        for i, s in enumerate(split.validation):
-            assert ids[i] == s.id
-            assert flags[i] == s.is_unknown
+        for i in range(len(rows)):
+            assert ids[i] == rows.ids[i]
+            assert flags[i] == rows.unknown[i]
             expected = np.zeros(3)
-            for l in s.labels:
+            for l in np.flatnonzero(rows.labels[i]):
                 if l < 3:
                     expected[l] = 1.0
             np.testing.assert_array_equal(y[i], expected)
@@ -360,4 +352,4 @@ class TestArrays:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            samples_to_arrays([Sample("s", (1.0, 2.0), ())], 2, 3)
+            samples_to_arrays(_table(("s",), [[1.0, 2.0]], [[0, 0]], [False]), 2, 3)

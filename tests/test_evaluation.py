@@ -567,24 +567,25 @@ class TestBaselines:
         )
 
     def test_confident_logits_score_more_known(self):
-        weak = np.zeros(4)
-        confident = np.array([10.0, 0.0, 0.0, 0.0])
+        weak = np.zeros((1, 4))
+        confident = np.array([[10.0, 0.0, 0.0, 0.0]])
         for method in ("maxlogit", "jointenergy"):
             assert baseline_ood_scores(confident, method) < baseline_ood_scores(
                 weak, method
             )
 
     def test_all_minus_infinity_is_maximally_unknown(self):
-        z = np.full(3, -np.inf)
+        z = np.full((1, 3), -np.inf)
         assert baseline_ood_scores(z, "maxlogit") == np.inf
         assert baseline_ood_scores(z, "jointenergy") == 0.0  # its largest value
 
     def test_single_row_matches_batch(self):
-        z = np.array([1.0, -2.0, 0.5])
+        # a single sample is a one-row batch; a 1-D row is a shape error
+        z = np.array([[1.0, -2.0, 0.5], [0.0, 3.0, -1.0]])
         for method in ("maxlogit", "jointenergy"):
-            assert baseline_ood_scores(z, method) == baseline_ood_scores(
-                z[None, :], method
-            )[0]
+            assert baseline_ood_scores(z[1:], method) == baseline_ood_scores(z, method)[1:]
+            with pytest.raises(ValueError, match=r"expected \(N, K\) logits"):
+                baseline_ood_scores(z[1], method)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

@@ -20,22 +20,15 @@ from evidkit.network import batch_evidence, evidence_from_features, extract_feat
 
 def _allocating_features(x, mlp):
     h = np.asarray(x, dtype=np.float64)
-    single = h.ndim == 1
-    if single:
-        h = h[None, :]
     for w, b in mlp.layers:
         h = np.maximum(h @ w.T + b, 0.0)
-    return h[0] if single else h
+    return h
 
 
 def _allocating_evidence(features, head):
     f = np.asarray(features, dtype=np.float64)
-    single = f.ndim == 1
-    if single:
-        f = f[None, :]
     ev = np.maximum(f @ head.weight + head.bias, 0.0)
-    ev = ev.reshape(f.shape[0], head.num_classes, 2)
-    return ev[0] if single else ev
+    return ev.reshape(f.shape[0], head.num_classes, 2)
 
 
 def _allocating_predict(ev, a_pos, prior_weight, threshold, agg):
@@ -56,7 +49,7 @@ def _snapshot(*arrays):
 
 @st.composite
 def _models(draw):
-    """A seeded model, and inputs of shape (D,), (1, D) or (N, D) with
+    """A seeded model, and inputs of shape (1, D) or (N, D) with
     signed zeros planted so that some pre-activations sit on the ReLU."""
     dim = draw(st.integers(1, 6))
     hidden = draw(st.sampled_from([(), (3,), (6, 5)]))
@@ -65,8 +58,7 @@ def _models(draw):
     seed = draw(st.integers(0, 2**16))
     mlp, head = init_model(dim, k, hidden=hidden, feature_dim=feature_dim, seed=seed)
     rng = np.random.default_rng(seed)
-    n = draw(st.sampled_from([None, 1, 2, 17]))
-    shape = (dim,) if n is None else (n, dim)
+    shape = (draw(st.sampled_from([1, 2, 17])), dim)
     x = rng.normal(size=shape) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
     x[rng.uniform(size=shape) < 0.2] = draw(st.sampled_from([0.0, -0.0]))
     return mlp, head, x

@@ -48,12 +48,12 @@ def _separable_data(n=160, dim=8, gap=6.0, seed=0):
 class TestForward:
     def test_zero_parameters_give_zero_features(self):
         mlp = MlpParams([(np.zeros((3, 4)), np.zeros(3))])
-        np.testing.assert_array_equal(extract_features(np.ones(4), mlp), np.zeros(3))
+        np.testing.assert_array_equal(extract_features(np.ones((1, 4)), mlp), np.zeros((1, 3)))
 
     def test_identity_layer_is_relu(self):
         mlp = MlpParams([(np.eye(3), np.zeros(3))])
-        x = np.array([1.0, -2.0, 0.5])
-        np.testing.assert_array_equal(extract_features(x, mlp), [1.0, 0.0, 0.5])
+        x = np.array([[1.0, -2.0, 0.5]])
+        np.testing.assert_array_equal(extract_features(x, mlp), [[1.0, 0.0, 0.5]])
 
     def test_forward_is_deterministic(self):
         mlp, head = init_model(6, 3, hidden=(8,), feature_dim=4, seed=12)
@@ -63,34 +63,41 @@ class TestForward:
         np.testing.assert_array_equal(first, second)
 
     def test_single_and_batch_paths_agree(self):
-        # BLAS may route single rows and batches through different kernels,
-        # so agreement is to rounding, not bit-exact
+        # a single sample is a one-row batch; BLAS may route one row and a
+        # batch through different kernels, so agreement is to rounding
         mlp, head = init_model(6, 3, hidden=(8,), feature_dim=4, seed=12)
         x = np.random.default_rng(1).normal(size=(5, 6))
         batched = batch_evidence(mlp, head, x)
         for i in range(5):
             np.testing.assert_allclose(
-                batch_evidence(mlp, head, x[i]), batched[i], rtol=1e-10, atol=0
+                batch_evidence(mlp, head, x[i:i + 1]), batched[i:i + 1], rtol=1e-10, atol=0
             )
 
     def test_input_dim_mismatch_rejected(self):
         mlp, head = init_model(6, 3, seed=0)
         with pytest.raises(ValueError):
-            extract_features(np.ones(5), mlp)
+            extract_features(np.ones((1, 5)), mlp)
         with pytest.raises(ValueError):
-            evidence_from_features(np.ones(7), head)
+            evidence_from_features(np.ones((1, 7)), head)
+
+    def test_one_dimensional_input_rejected(self):
+        mlp, head = init_model(6, 3, seed=0)
+        with pytest.raises(ValueError, match=r"input shape \(6,\)"):
+            extract_features(np.ones(6), mlp)
+        with pytest.raises(ValueError, match=r"feature shape \(%d,\)" % head.dim_in):
+            evidence_from_features(np.ones(head.dim_in), head)
 
 
 class TestEvidenceHead:
     def test_zero_parameters_give_zero_evidence(self):
         head = EvidenceHeadParams(np.zeros((4, 6)), np.zeros(6))
-        ev = evidence_from_features(np.ones(4), head)
-        np.testing.assert_array_equal(ev, np.zeros((3, 2)))
+        ev = evidence_from_features(np.ones((1, 4)), head)
+        np.testing.assert_array_equal(ev, np.zeros((1, 3, 2)))
 
     def test_bias_only_head_returns_bias_pairs(self):
         head = EvidenceHeadParams(np.zeros((4, 4)), np.array([3.0, 1.0, 0.5, 0.0]))
-        ev = evidence_from_features(np.zeros(4), head)
-        np.testing.assert_array_equal(ev, [[3.0, 1.0], [0.5, 0.0]])
+        ev = evidence_from_features(np.zeros((1, 4)), head)
+        np.testing.assert_array_equal(ev, [[[3.0, 1.0], [0.5, 0.0]]])
 
     def test_evidence_never_negative(self):
         """ReLU guarantee over a sweep of random parameters and inputs."""
@@ -106,8 +113,8 @@ class TestEvidenceHead:
         w[0, 0] = 1.0  # class 0 positive reads feature 0
         w[1, 3] = 1.0  # class 1 negative reads feature 1
         head = EvidenceHeadParams(w, np.zeros(4))
-        ev = evidence_from_features(np.array([2.0, 5.0]), head)
-        np.testing.assert_array_equal(ev, [[2.0, 0.0], [0.0, 5.0]])
+        ev = evidence_from_features(np.array([[2.0, 5.0]]), head)
+        np.testing.assert_array_equal(ev, [[[2.0, 0.0], [0.0, 5.0]]])
 
     def test_odd_output_dim_rejected(self):
         with pytest.raises(ValueError):

@@ -3,11 +3,13 @@
 The reference functions below are the per-row generator, writer, parser
 and stacker that the array paths replaced. They stay here as oracles:
 the array paths must draw, write, read and stack exactly what they did.
+Their rows are plain `_Row` tuples.
 """
 
 import math
 import tempfile
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -21,7 +23,6 @@ from evidkit.datasets import (
     VAL_FILENAME,
     DatasetSplit,
     GenConfig,
-    Sample,
     SampleTable,
     _draw_known_labels,
     _known_prototypes,
@@ -39,6 +40,12 @@ SMALL = GenConfig(k_known=3, k_unknown=1, dim=4, n_train=60, n_val=30, seed=5)
 
 # -- reference: the per-row implementations ------------------------------
 
+class _Row(NamedTuple):
+    id: str
+    features: tuple[float, ...]
+    labels: tuple[int, ...]
+    is_unknown: bool
+
 def _ref_ball_noise(rng, dim, scale):
     direction = rng.standard_normal(dim)
     norm = float(np.linalg.norm(direction))
@@ -51,12 +58,11 @@ def _ref_ball_noise(rng, dim, scale):
 
 def _ref_make_sample(sample_id, labels, is_unknown, center, rng, cfg):
     features = center + _ref_ball_noise(rng, cfg.dim, cfg.noise)
-    return Sample(id=sample_id, features=tuple(float(v) for v in features),
-                  labels=labels, is_unknown=is_unknown)
+    return _Row(sample_id, tuple(float(v) for v in features), labels, is_unknown)
 
 
 def _ref_generate(cfg):
-    """(train Samples, validation Samples, class names) as drawn row by row."""
+    """(train rows, validation rows, class names) as drawn row by row."""
     rng = np.random.default_rng(cfg.seed)
     known_protos = _known_prototypes(rng, cfg)
     unknown_protos = _unknown_prototypes(rng, cfg, known_protos)
@@ -130,7 +136,7 @@ def _ref_parse_record(line, lineno, dim, k_known, k_total, path):
     is_unknown = flag_field == "1"
     if is_unknown != any(l >= k_known for l in labels):
         raise DataFormatError("unknown flag does not match labels", path=path, line=lineno)
-    return Sample(id=sample_id, features=features, labels=labels, is_unknown=is_unknown)
+    return _Row(sample_id, features, labels, is_unknown)
 
 
 def _ref_load_split_file(path):
@@ -153,6 +159,12 @@ def _ref_samples_to_arrays(samples, k_known, dim):
                 y[i, l] = 1.0
         flags[i] = s.is_unknown
     return ids, x, y, flags
+
+
+def _ref_table(samples, k_total, dim):
+    """The reference rows stacked into a table whose labels span k_total classes."""
+    ids, x, y, flags = _ref_samples_to_arrays(samples, k_total, dim)
+    return SampleTable(tuple(ids), x, y.astype(bool), flags)
 
 
 def _assert_same_arrays(got, expected):
@@ -190,8 +202,10 @@ def gen_configs(draw):
 @given(cfg=gen_configs())
 def test_generate_save_load_and_arrays_match_the_per_row_code(cfg):
     ref_train, ref_val, classes = _ref_generate(cfg)
+    k_total = len(classes)
     split = generate_dataset(cfg)
-    assert split.train == ref_train and split.validation == ref_val
+    assert split.train == _ref_table(ref_train, k_total, cfg.dim)
+    assert split.validation == _ref_table(ref_val, k_total, cfg.dim)
     assert split.classes == classes
     with tempfile.TemporaryDirectory() as tmp:
         save_dataset(split, tmp)
@@ -200,13 +214,14 @@ def test_generate_save_load_and_arrays_match_the_per_row_code(cfg):
             assert written == _ref_file_text(ref_rows, cfg.dim, cfg.k_known, classes)
         loaded = load_dataset(tmp)
         assert loaded == split
-        assert loaded.train == _ref_load_split_file(Path(tmp) / TRAIN_FILENAME)
-        assert loaded.validation == _ref_load_split_file(Path(tmp) / VAL_FILENAME)
+        for name, rows in ((TRAIN_FILENAME, loaded.train), (VAL_FILENAME, loaded.validation)):
+            parsed = _ref_load_split_file(Path(tmp) / name)
+            assert rows == _ref_table(parsed, k_total, cfg.dim)
     for rows, ref_rows in ((loaded.train, ref_train), (loaded.validation, ref_val)):
-        _assert_same_arrays(samples_to_arrays(rows, cfg.k_known, cfg.dim),
-                            _ref_samples_to_arrays(ref_rows, cfg.k_known, cfg.dim))
-        _assert_same_arrays(samples_to_arrays(list(ref_rows), cfg.k_known, cfg.dim),
-                            _ref_samples_to_arrays(ref_rows, cfg.k_known, cfg.dim))
+        expected = _ref_samples_to_arrays(ref_rows, cfg.k_known, cfg.dim)
+        _assert_same_arrays(samples_to_arrays(rows, cfg.k_known, cfg.dim), expected)
+        # the one-row tables of iteration, stacked again
+        _assert_same_arrays(samples_to_arrays(list(rows), cfg.k_known, cfg.dim), expected)
 
 
 def _saved(tmp_path):
@@ -247,7 +262,7 @@ def test_first_of_two_bad_lines_is_named(tmp_path, first, second):
     _replace_lines(path, {4: BAD_RECORDS[first](fields[3]), 9: BAD_RECORDS[second](fields[8])})
     with pytest.raises(DataFormatError, match="line 4: ") as err:
         load_dataset(d)
-    if first != "nan":  # the per-row parser let NaN through to Sample
+    if first != "nan":  # the per-row parser let NaN through
         with pytest.raises(DataFormatError) as ref_err:
             _ref_load_split_file(path)
         assert str(err.value) == str(ref_err.value)
@@ -301,33 +316,54 @@ def test_unknown_sample_in_train_names_the_line(tmp_path):
 
 class TestSampleTable:
     def test_int_index_returns_the_reference_sample(self):
-        ref_train, ref_val, _ = _ref_generate(SMALL)
+        ref_train, ref_val, classes = _ref_generate(SMALL)
         split = generate_dataset(SMALL)
         for i in (0, 7, -1):
-            assert isinstance(split.train[i], Sample)
-            assert split.train[i] == ref_train[i]
-            assert split.validation[np.int64(i)] == ref_val[i]
-        assert all(type(v) is float for v in split.train[3].features)
-        with pytest.raises(IndexError):
-            split.train[len(split.train)]
+            row = split.train[i]
+            assert isinstance(row, SampleTable) and len(row) == 1
+            assert row == _ref_table([ref_train[i]], len(classes), SMALL.dim)
+            assert split.validation[np.int64(i)] == _ref_table([ref_val[i]], len(classes),
+                                                               SMALL.dim)
+        for i in (len(split.train), -len(split.train) - 1):
+            with pytest.raises(IndexError):
+                split.train[i]
 
     def test_iteration_yields_the_reference_samples(self):
-        ref_train, _, _ = _ref_generate(SMALL)
-        assert tuple(generate_dataset(SMALL).train) == ref_train
+        ref_train, _, classes = _ref_generate(SMALL)
+        assert list(generate_dataset(SMALL).train) == [
+            _ref_table([row], len(classes), SMALL.dim) for row in ref_train]
 
     def test_mask_slice_and_index_array_return_tables(self):
-        _, ref_val, _ = _ref_generate(SMALL)
+        _, ref_val, classes = _ref_generate(SMALL)
+
+        def ref(rows):
+            return _ref_table(rows, len(classes), SMALL.dim)
+
         rows = generate_dataset(SMALL).validation
         mask = rows.unknown
         known = rows[~mask]
         assert isinstance(known, SampleTable)
-        assert known == tuple(s for s in ref_val if not s.is_unknown)
-        assert isinstance(rows[2:5], SampleTable) and rows[2:5] == ref_val[2:5]
+        assert known == ref([s for s in ref_val if not s.is_unknown])
+        assert isinstance(rows[2:5], SampleTable) and rows[2:5] == ref(ref_val[2:5])
         picked = rows[np.array([4, 0, 4])]
         assert isinstance(picked, SampleTable)
-        assert picked == (ref_val[4], ref_val[0], ref_val[4])
+        assert picked == ref([ref_val[4], ref_val[0], ref_val[4]])
         with pytest.raises(IndexError):
             rows[np.ones(3, dtype=bool)]
+
+    def test_one_row_tables_stack_like_an_index_array(self):
+        """A list of one-row tables, as a caller gathers rows one by one,
+        gives the arrays of the index-array selection, bit for bit."""
+        split = generate_dataset(SMALL)
+        rows, k, dim = split.validation, split.k_known, split.dim
+        picked = [np.int64(3), -1, 0, np.int64(-30), 29, 3, np.int64(12)]
+        _assert_same_arrays(samples_to_arrays([rows[i] for i in picked], k, dim),
+                            samples_to_arrays(rows[picked], k, dim))
+        ids, x, y, flags = samples_to_arrays([], k, dim)
+        assert ids == [] and x.shape == (0, dim) and y.shape == (0, k) and flags.shape == (0,)
+        _assert_same_arrays((ids, x, y, flags), samples_to_arrays(rows[:0], k, dim))
+        with pytest.raises(IndexError):
+            rows[len(rows)]
 
     def test_arrays_are_read_only(self):
         rows = generate_dataset(SMALL).train
@@ -345,39 +381,40 @@ class TestSampleTable:
         assert isinstance(rows.ids, tuple) and rows.ids[0] == "va-00000"
         np.testing.assert_array_equal(rows.unknown, rows.labels[:, split.k_known:].any(axis=1))
 
-    def test_empty_split_equals_empty_tuple(self, tmp_path):
-        split = DatasetSplit(train=(), validation=(), known_classes=("a",),
+    def test_empty_split_has_empty_arrays(self, tmp_path):
+        empty = SampleTable((), np.zeros((0, 3)), np.zeros((0, 1), dtype=bool),
+                            np.zeros(0, dtype=bool))
+        split = DatasetSplit(train=empty, validation=empty, known_classes=("a",),
                              unknown_classes=(), dim=3)
-        assert split.train == () and split.validation == []
+        assert len(split.train) == 0 and split.validation == empty
         assert split.train.x.shape == (0, 3) and split.train.labels.shape == (0, 1)
         save_dataset(split, tmp_path / "d")
         assert load_dataset(tmp_path / "d") == split
-
-    def test_split_from_sample_tuples_equals_the_generated_split(self):
-        ref_train, ref_val, classes = _ref_generate(SMALL)
-        from_samples = DatasetSplit(train=ref_train, validation=list(ref_val),
-                                    known_classes=classes[:3], unknown_classes=classes[3:],
-                                    dim=4)
-        assert isinstance(from_samples.train, SampleTable)
-        assert from_samples == generate_dataset(SMALL)
-        assert from_samples != generate_dataset(GenConfig(k_known=3, k_unknown=1, dim=4,
-                                                          n_train=60, n_val=30, seed=6))
 
     def test_tables_are_unhashable(self):
         with pytest.raises(TypeError):
             hash(generate_dataset(SMALL).train)
 
     def test_split_names_the_first_bad_sample(self):
-        rows = (Sample("ok", (0.0, 0.0), (0,)), Sample("range", (0.0, 0.0), (5,)),
-                Sample("width", (0.0,), (0,)))
-        with pytest.raises(ValueError, match="train sample 'range': label index out of range"):
-            DatasetSplit(train=rows, validation=(), known_classes=("a", "b"),
-                         unknown_classes=("u",), dim=2)
-        table = SampleTable(("v0", "v1"), np.zeros((2, 2)),
-                            np.array([[1, 0, 0], [0, 0, 1]], dtype=bool),
-                            np.array([False, False]))
+        table = SampleTable(("v0", "v1", "v2"), np.zeros((3, 2)),
+                            np.array([[1, 0, 0], [0, 0, 1], [0, 1, 0]], dtype=bool),
+                            np.array([False, False, True]))
         with pytest.raises(ValueError, match="validation sample 'v1': unknown flag"):
-            DatasetSplit(train=(), validation=table, known_classes=("a", "b"),
+            DatasetSplit(train=table[:1], validation=table, known_classes=("a", "b"),
+                         unknown_classes=("u",), dim=2)
+
+    @pytest.mark.parametrize("train", [
+        SampleTable(("t0",), np.zeros((1, 1)), [[True, False, False]], [False]),
+        SampleTable(("t0",), np.zeros((1, 2)), [[True, False]], [False]),
+        SampleTable(("t0",), np.zeros((1, 2)), [[True, False, False, False]], [False]),
+        [("t0", (0.0, 0.0), (0,), False)],
+    ], ids=["feature-short", "label-short", "label-over", "row-tuples"])
+    def test_split_takes_only_tables_of_its_width(self, train):
+        empty = SampleTable((), np.zeros((0, 2)), np.zeros((0, 3), dtype=bool),
+                            np.zeros(0, dtype=bool))
+        with pytest.raises(ValueError,
+                           match="train must be a SampleTable with 2 feature and 3 label columns"):
+            DatasetSplit(train=train, validation=empty, known_classes=("a", "b"),
                          unknown_classes=("u",), dim=2)
 
     def test_table_checks_its_rows(self):

@@ -25,6 +25,7 @@ from .datasets import (
     generate_dataset,
     load_ciw_config,
     load_dataset,
+    load_validation,
     random_ciw_table,
     samples_to_arrays,
     save_ciw_config,
@@ -104,16 +105,16 @@ def _align_ciw(table: CIWTable, class_names) -> CIWTable:
     return CIWTable.from_pairs((c, by_name[c]) for c in class_names)
 
 
-def _check_model_matches(mlp, head, split):
-    if mlp.dim_in != split.dim:
+def _check_model_matches(mlp, head, dim, k_known):
+    if mlp.dim_in != dim:
         raise ConfigError(
             f"checkpoint expects {mlp.dim_in}-dimensional inputs but the dataset has "
-            f"dim {split.dim}"
+            f"dim {dim}"
         )
-    if head.num_classes != split.k_known:
+    if head.num_classes != k_known:
         raise ConfigError(
             f"checkpoint has {head.num_classes} classes but the dataset has "
-            f"{split.k_known} known classes"
+            f"{k_known} known classes"
         )
 
 
@@ -161,7 +162,7 @@ def cmd_train(args) -> int:
         if not args.init_from:
             raise ConfigError("--freeze-backbone requires --init-from CHECKPOINT")
         mlp, old_head = load_checkpoint(args.init_from)
-        _check_model_matches(mlp, old_head, split)
+        _check_model_matches(mlp, old_head, split.dim, split.k_known)
         head = init_head(mlp.dim_out, split.k_known, config.seed)
         result = finetune_head(mlp, head, x, y, config, ciw, prior_weight=args.prior_weight)
     else:
@@ -202,15 +203,16 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     _check_prediction_flags(args)
     mlp, head = load_checkpoint(args.checkpoint)
-    split = load_dataset(args.data)
-    _check_model_matches(mlp, head, split)
-    ciw = _align_ciw(load_ciw_config(args.ciw), split.known_classes)
+    known_classes, validation = load_validation(args.data)
+    k_known, dim = len(known_classes), validation.x.shape[1]
+    _check_model_matches(mlp, head, dim, k_known)
+    ciw = _align_ciw(load_ciw_config(args.ciw), known_classes)
 
-    known = split.validation[~split.validation.unknown]
-    n_unknown = len(split.validation) - len(known)
+    known = validation[~validation.unknown]
+    n_unknown = len(validation) - len(known)
     if not known:
         raise DataFormatError("validation split has no known samples to score")
-    _, x, y, _ = samples_to_arrays(known, split.k_known, split.dim)
+    _, x, y, _ = samples_to_arrays(known, k_known, dim)
 
     a_pos, a_neg = base_rate_arrays(ciw)
     evidence = batch_evidence(mlp, head, x)
@@ -245,19 +247,20 @@ def cmd_eval(args) -> int:
 def cmd_ood(args) -> int:
     _check_prediction_flags(args)
     mlp, head = load_checkpoint(args.checkpoint)
-    split = load_dataset(args.data)
-    _check_model_matches(mlp, head, split)
+    known_classes, validation = load_validation(args.data)
+    k_known, dim = len(known_classes), validation.x.shape[1]
+    _check_model_matches(mlp, head, dim, k_known)
     agg = parse_aggregation(args.agg)
 
-    unknown = split.validation.unknown
+    unknown = validation.unknown
     if not unknown.any():
         raise DataFormatError("validation split contains no unknown samples; nothing to detect")
     if unknown.all():
         raise DataFormatError("validation split contains no known samples to rank against")
-    ids, x, _, flags = samples_to_arrays(split.validation, split.k_known, split.dim)
+    ids, x, _, flags = samples_to_arrays(validation, k_known, dim)
 
     # base rates do not enter the vacuity u = W / S, so uniform ones suffice
-    uniform = np.full(split.k_known, 0.5)
+    uniform = np.full(k_known, 0.5)
     evidence = batch_evidence(mlp, head, x)
     batch = predict_batch(evidence, uniform, uniform, prior_weight=args.prior_weight, agg=agg)
     scores = batch.uncertainty

@@ -47,7 +47,7 @@ import numpy as np
 
 from .base_rates import CIWTable
 from .errors import ConfigError, DataFormatError
-from .fileio import read_lines, write_text
+from .fileio import read_first_line, read_lines, write_text
 
 DATASET_MAGIC = "#edlset"
 DATASET_VERSION = "v1"
@@ -520,14 +520,19 @@ def _parse_records(records, dim: int, k_known: int, k_total: int,
     return SampleTable(tuple(ids), x, code_labels[codes], code_unknown[codes])
 
 
-def _load_split_file(path: Path, forbid_unknown: bool):
+def _read_split_header(path: Path):
+    """D, K and the class list from the first line of a split file, read alone."""
     if not path.is_file():
         raise DataFormatError("missing dataset file", path=path)
-    lines = read_lines(path)
-    if not lines:
+    line = read_first_line(path)
+    if line is None:
         raise DataFormatError("empty dataset file", path=path, line=1)
-    dim, k_known, classes = _parse_header(lines[0], path)
-    records = lines[1:]
+    return _parse_header(line, path)
+
+
+def _load_split_file(path: Path, forbid_unknown: bool):
+    dim, k_known, classes = _read_split_header(path)
+    records = read_lines(path)[1:]
     rows = _parse_records(records, dim, k_known, len(classes), forbid_unknown)
     if rows is None:
         # some record breaks a rule: name the first such line
@@ -537,15 +542,19 @@ def _load_split_file(path: Path, forbid_unknown: bool):
     return dim, k_known, classes, rows
 
 
+def _check_headers_agree(train_header, val_header, directory: Path) -> None:
+    if train_header != val_header:
+        raise DataFormatError(
+            "train and validation headers disagree", path=directory / VAL_FILENAME, line=1
+        )
+
+
 def load_dataset(path) -> DatasetSplit:
     """Read a dataset directory written by save_dataset."""
     directory = Path(path)
     train_meta = _load_split_file(directory / TRAIN_FILENAME, forbid_unknown=True)
     val_meta = _load_split_file(directory / VAL_FILENAME, forbid_unknown=False)
-    if train_meta[:3] != val_meta[:3]:
-        raise DataFormatError(
-            "train and validation headers disagree", path=directory / VAL_FILENAME, line=1
-        )
+    _check_headers_agree(train_meta[:3], val_meta[:3], directory)
     dim, k_known, classes = train_meta[:3]
     return DatasetSplit(
         train=train_meta[3],
@@ -554,6 +563,22 @@ def load_dataset(path) -> DatasetSplit:
         unknown_classes=classes[k_known:],
         dim=dim,
     )
+
+
+def load_validation(path) -> tuple[tuple[str, ...], SampleTable]:
+    """The known classes and the validation rows of a dataset directory.
+
+    Reads all of val.edlset but only the header line of train.edlset,
+    which must agree with the validation header on D, K and the class
+    list; the train records are neither read nor checked. The rows are
+    those of ``load_dataset(path).validation``, with D feature columns.
+    """
+    directory = Path(path)
+    train_header = _read_split_header(directory / TRAIN_FILENAME)
+    dim, k_known, classes, rows = _load_split_file(directory / VAL_FILENAME,
+                                                   forbid_unknown=False)
+    _check_headers_agree(train_header, (dim, k_known, classes), directory)
+    return classes[:k_known], rows
 
 
 def load_ciw_config(path) -> CIWTable:

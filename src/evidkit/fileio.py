@@ -9,9 +9,10 @@ new ones, never a truncated file, and removes its temporary file on
 any failure it survives to see. The data is not fsynced, so this guards
 against interrupted processes, not against power loss.
 
-Every text file evidkit reads goes through ``read_lines``, which turns
-bytes that are not UTF-8 into a DataFormatError naming the file and the
-line of the first bad byte.
+Every text file evidkit reads goes through ``read_lines``, or through
+``read_first_line`` where only a file's first line is needed. Both turn
+bytes that are not UTF-8 into the same DataFormatError, naming the file
+and the line of the first bad byte.
 """
 
 from __future__ import annotations
@@ -24,19 +25,34 @@ from pathlib import Path
 from .errors import DataFormatError
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, without their line ends."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _decode(data: bytes, path) -> str:
+    """``data``, read from the start of the file at ``path``, decoded as UTF-8."""
     try:
-        text = data.decode("utf-8")
+        return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         line = exc.object.count(b"\n", 0, exc.start) + 1
         raise DataFormatError(
             f"not UTF-8 text: byte {exc.object[exc.start]:#04x} at offset {exc.start}",
             path=path, line=line,
         ) from None
-    return text.splitlines()
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without their line ends."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return _decode(data, path).splitlines()
+
+
+def read_first_line(path) -> str | None:
+    """``read_lines(path)[0]``, or None for an empty file, reading no further
+    than the first newline byte."""
+    with open(path, "rb") as fh:
+        data = fh.readline()
+    # splitlines ends a line at the same places read_lines does; a UTF-8
+    # sequence never holds a newline byte, so the cut splits no character
+    lines = _decode(data, path).splitlines()
+    return lines[0] if lines else None
 
 
 @contextlib.contextmanager

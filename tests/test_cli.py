@@ -567,6 +567,76 @@ class TestCorruptInputsExit3:
         assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: ")
 
 
+def _eval_or_ood(command, d, ckpt, out):
+    extra = ["--ciw", str(d / CIW_FILENAME)] if command == "eval" else []
+    return [command, "--checkpoint", str(ckpt), "--data", str(d), *extra, "--out", str(out)]
+
+
+class TestTrainFileForEvalAndOod:
+    """`eval` and `ood` read only the header line of train.edlset."""
+
+    OUTPUTS = {"eval": [EVAL_REPORT_FILENAME],
+               "ood": [OOD_REPORT_FILENAME, OOD_SCORES_FILENAME]}
+
+    @pytest.mark.parametrize("damage", ["garbage records", "truncated after the header"])
+    @pytest.mark.parametrize("command", ["eval", "ood"])
+    def test_train_records_are_not_read(self, tmp_path, command, damage):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        assert main(_eval_or_ood(command, d, ckpt, tmp_path / "pristine")) == 0
+        train = d / TRAIN_FILENAME
+        header, records = train.read_bytes().split(b"\n", 1)
+        body = b""
+        if damage == "garbage records":
+            body = b"not a record \xff\n" * records.count(b"\n")
+        train.write_bytes(header + b"\n" + body)
+        assert main(_eval_or_ood(command, d, ckpt, tmp_path / "damaged")) == 0
+        for name in self.OUTPUTS[command]:
+            assert (tmp_path / "damaged" / name).read_bytes() == (
+                tmp_path / "pristine" / name).read_bytes()
+
+    @pytest.mark.parametrize("fault, problem", [
+        ("missing", "missing dataset file"),
+        ("empty", "line 1: empty dataset file"),
+        ("malformed header", "line 1: malformed dataset header"),
+        ("non-UTF-8 header", "line 1: not UTF-8 text"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "ood"])
+    def test_bad_train_header_exits_3(self, tmp_path, capsys, command, fault, problem):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        train = d / TRAIN_FILENAME
+        header, rest = train.read_bytes().split(b"\n", 1)
+        if fault == "missing":
+            train.unlink()
+        else:
+            train.write_bytes({
+                "empty": b"",
+                "malformed header": b"#edlset\n" + rest,
+                "non-UTF-8 header": header + b"\xff\n" + rest,
+            }[fault])
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(_eval_or_ood(command, d, ckpt, out)) == 3
+        assert capsys.readouterr().err.startswith(f"error: {train}: {problem}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new", [
+        (" D=4 ", " D=5 "), (" K=3 ", " K=2 "), ("classes=known_01", "classes=other_01"),
+    ])
+    @pytest.mark.parametrize("command", ["eval", "ood"])
+    def test_train_header_disagreement_exits_3(self, tmp_path, capsys, command, old, new):
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        train = d / TRAIN_FILENAME
+        text = train.read_text()
+        assert old in text.splitlines()[0]
+        train.write_text(text.replace(old, new, 1))
+        capsys.readouterr()
+        assert main(_eval_or_ood(command, d, ckpt, tmp_path / "out")) == 3
+        assert "train and validation headers disagree" in capsys.readouterr().err
+
+
 class TestAtomicWrites:
     """A write that cannot be completed leaves every earlier file as it was."""
 

@@ -92,6 +92,8 @@ def _mutate(data: bytes, changes, truncate) -> bytes:
 
 @pytest.mark.parametrize("target, command", [
     ("data/" + TRAIN_FILENAME, "train"),
+    ("data/" + TRAIN_FILENAME, "eval"),
+    ("data/" + TRAIN_FILENAME, "ood"),
     ("data/" + VAL_FILENAME, "eval"),
     ("data/" + VAL_FILENAME, "ood"),
     ("data/" + CIW_FILENAME, "train"),

@@ -1,5 +1,7 @@
 """Tests for synthetic dataset generation and the on-disk formats."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from evidkit.datasets import (
     generate_dataset,
     load_ciw_config,
     load_dataset,
+    load_validation,
     random_ciw_table,
     samples_to_arrays,
     save_ciw_config,
@@ -269,6 +272,19 @@ class TestDatasetFiles:
         val.write_text(text)
         with pytest.raises(DataFormatError, match="disagree"):
             load_dataset(d)
+
+    @pytest.mark.parametrize("n_val", [30, 0])
+    def test_validation_loader_matches_load_dataset(self, tmp_path, n_val):
+        split = generate_dataset(SMALL)
+        save_dataset(replace(split, validation=split.validation[:n_val]), tmp_path / "d")
+        full = load_dataset(tmp_path / "d")
+        known_classes, rows = load_validation(tmp_path / "d")
+        assert known_classes == full.known_classes
+        assert rows.ids == full.validation.ids and len(rows) == n_val
+        for name in ("x", "labels", "unknown"):
+            ours, theirs = getattr(rows, name), getattr(full.validation, name)
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+            assert ours.tobytes() == theirs.tobytes()
 
 
 class TestCiwFiles:

@@ -6,7 +6,7 @@ import stat
 import pytest
 
 from evidkit.errors import DataFormatError
-from evidkit.fileio import atomic_open, read_lines, write_text
+from evidkit.fileio import atomic_open, read_first_line, read_lines, write_text
 
 
 def test_written_file_has_the_mode_of_a_plain_open(tmp_path):
@@ -42,3 +42,30 @@ def test_lines_split_as_text_mode_does(tmp_path):
     path.write_bytes(data.encode("utf-8"))
     with open(path, encoding="utf-8") as fh:
         assert read_lines(path) == fh.read().splitlines()
+
+
+@pytest.mark.parametrize("data", [
+    b"", b"\n", b"one", b"one\ntwo\n", b"one\r\ntwo", b"one\rtwo\n",
+    "one\u2028two\nthree".encode("utf-8"), "\u00e9t\u00e9\n".encode("utf-8"),
+])
+def test_first_line_is_the_first_of_read_lines(tmp_path, data):
+    path = tmp_path / "f"
+    path.write_bytes(data)
+    assert read_first_line(path) == (read_lines(path) or [None])[0]
+
+
+def test_first_line_ignores_what_follows_it(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"header\nr\xe9st\n")
+    assert read_first_line(path) == "header"
+
+
+def test_first_line_reports_a_bad_byte_as_read_lines_does(tmp_path):
+    path = tmp_path / "f"
+    path.write_bytes(b"he\xe9der\r\xffrest\n\xff\n")
+    with pytest.raises(DataFormatError) as whole:
+        read_lines(path)
+    with pytest.raises(DataFormatError) as first:
+        read_first_line(path)
+    assert str(first.value) == str(whole.value)
+    assert (first.value.path, first.value.line) == (path, 1)

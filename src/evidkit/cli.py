@@ -180,8 +180,8 @@ def cmd_train(args) -> int:
             "data": args.data,
             "ciw": args.ciw,
             **asdict(config),
-            "hidden": list(hidden),
-            "feature_dim": args.feature_dim,
+            "hidden": [w.shape[0] for w, _ in result.mlp.layers[:-1]],
+            "feature_dim": result.mlp.dim_out,
             "prior_weight": args.prior_weight,
             "freeze_backbone": bool(args.freeze_backbone),
             "init_from": args.init_from,

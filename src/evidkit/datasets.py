@@ -611,12 +611,10 @@ def save_ciw_config(table: CIWTable, path) -> None:
     write_text(path, "\n".join(lines) + "\n")
 
 
-def random_ciw_table(class_names, seed: int, low: float = 0.1, high: float = 1.0) -> CIWTable:
-    """Seeded uniform weights in [low, high], one per class name."""
-    if not (0 <= low <= high):
-        raise ConfigError(f"need 0 <= low <= high, got low={low}, high={high}")
+def random_ciw_table(class_names, seed: int) -> CIWTable:
+    """Seeded uniform weights in [0.1, 1.0], one per class name."""
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(low, high, size=len(tuple(class_names)))
+    weights = rng.uniform(0.1, 1.0, size=len(tuple(class_names)))
     return CIWTable.from_pairs(zip(class_names, (float(w) for w in weights)))
 
 

@@ -30,6 +30,7 @@ from .fileio import atomic_open
 from .opinions import DEFAULT_PRIOR_WEIGHT
 
 DEFAULT_THRESHOLD = 0.5
+_TPR_TARGET = 0.95  # the true-positive rate fpr_at_95_tpr must reach
 
 
 @dataclass(frozen=True)
@@ -199,7 +200,7 @@ def f2_ciw(pred_labels, true_labels, ciw: CIWTable) -> float:
     return float(np.dot(weights, f2s) / total)
 
 
-def _check_scores(scores, labels, need_pos=True, need_neg=True):
+def _check_scores(scores, labels, need_neg=True):
     s = np.asarray(scores, dtype=np.float64)
     y = np.asarray(labels).astype(bool)
     if s.ndim != 1 or s.shape != y.shape or s.size == 0:
@@ -208,7 +209,7 @@ def _check_scores(scores, labels, need_pos=True, need_neg=True):
         raise ValueError("scores contain NaN")
     n_pos = int(y.sum())
     n_neg = int(s.size - n_pos)
-    if need_pos and n_pos == 0:
+    if n_pos == 0:
         raise ValueError("metric undefined: no positive (unknown) samples")
     if need_neg and n_neg == 0:
         raise ValueError("metric undefined: no negative (known) samples")
@@ -264,7 +265,7 @@ def aupr(scores, labels) -> float:
     return float(np.cumsum(terms)[-1])
 
 
-def fpr_at_95_tpr(scores, labels, tpr_target: float = 0.95) -> float:
+def fpr_at_95_tpr(scores, labels) -> float:
     """Smallest false-positive rate among operating points reaching the TPR target.
 
     The operating points are "flag nothing" and, for each distinct score
@@ -275,7 +276,7 @@ def fpr_at_95_tpr(scores, labels, tpr_target: float = 0.95) -> float:
     flagged, tp = _tie_groups(s, y)
     tpr = np.r_[0, tp] / n_pos
     fpr = np.r_[0, flagged - tp] / n_neg
-    reached = tpr >= tpr_target
+    reached = tpr >= _TPR_TARGET
     return float(fpr[reached].min()) if reached.any() else 1.0
 
 

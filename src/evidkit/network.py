@@ -11,6 +11,18 @@ init and minibatch shuffling come from one seeded generator, and all
 reductions have a fixed order. Returned parameter sets should be treated
 as immutable; the trainer never mutates its inputs.
 
+One layer loop, ``_relu_layers``, computes every relu(h @ W.T + b): each
+backbone layer, and the head as one more layer whose weight is stored
+transposed. It adds the bias and applies the ReLU in place on the fresh
+matmul output, so a layer costs one N x width array, and it never writes
+into the caller's input or parameters. Inference (``extract_features``,
+``evidence_from_features``) and training run that same loop, so the
+function the trainer descends is the function that is scored.
+``batch_loss_grads`` keeps the activations the loop yields and takes
+each ReLU mask from them: relu(z) > 0 exactly where z > 0, for NaN,
+signed zeros and infinities too, so no pre-activation is kept. Its
+backward pass is one loop that carries dz down through the weight above.
+
 The trainer keeps the parameters it updates in one private float64
 vector: the backbone layers and the head when training from scratch,
 the head alone when fine-tuning on a frozen backbone. Each weight and
@@ -21,15 +33,11 @@ one gradient vector of the same layout: ``batch_loss_grads`` writes each
 weight and bias gradient straight into its reshaped view of that buffer
 (``out=``), so no per-step gradient arrays are allocated or
 concatenated. A step is then one in-place ``sgd_step`` over the whole
-vector (``out=theta``), then one finiteness check that raises
-``TrainingDiverged`` with the epoch and batch. Each epoch gathers its
-shuffled rows once, so every batch is a contiguous slice. The trainer
-returns validated copies, never views of its vector.
-
-Inference (``extract_features``, ``evidence_from_features``) adds each
-bias and applies each ReLU in place on the fresh matmul output: one
-N x width array per layer, the same arithmetic as ``relu(h @ W.T + b)``,
-and never a write into the caller's input or parameters.
+vector (``out=theta``; the step has one arithmetic path, with or without
+``out``), then one finiteness check that raises ``TrainingDiverged``
+with the epoch and batch. Each epoch gathers its shuffled rows once, so
+every batch is a contiguous slice. The trainer returns validated copies,
+never views of its vector.
 """
 
 from __future__ import annotations
@@ -142,6 +150,15 @@ class TrainResult:
     epoch_losses: tuple[float, ...] = field(default_factory=tuple)
 
 
+def _relu_layers(h: np.ndarray, layers):
+    """Yield relu(h @ W.T + b) for each (W, b) in turn; each output is the next h."""
+    for w, b in layers:
+        h = h @ w.T
+        h += b
+        np.maximum(h, 0.0, out=h)
+        yield h
+
+
 def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
     """Forward pass of the backbone: (N, D) inputs -> (N, width) features."""
     h = np.asarray(x, dtype=np.float64)
@@ -149,10 +166,8 @@ def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
         raise ValueError(
             f"input shape {np.asarray(x).shape} does not match backbone input dim {mlp.dim_in}"
         )
-    for w, b in mlp.layers:
-        h = h @ w.T
-        h += b
-        np.maximum(h, 0.0, out=h)
+    for h in _relu_layers(h, mlp.layers):
+        pass
     return h
 
 
@@ -164,9 +179,8 @@ def evidence_from_features(features: np.ndarray, head: EvidenceHeadParams) -> np
             f"feature shape {np.asarray(features).shape} does not match head input dim "
             f"{head.dim_in}"
         )
-    ev = f @ head.weight
-    ev += head.bias
-    np.maximum(ev, 0.0, out=ev)
+    # the head is one more ReLU layer whose weight is stored transposed
+    (ev,) = _relu_layers(f, [(head.weight.T, head.bias)])
     return ev.reshape(f.shape[0], head.num_classes, 2)
 
 
@@ -190,7 +204,7 @@ def init_model(
     """Seeded uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] initialization."""
     if dim_in < 1 or num_classes < 1 or feature_dim < 1 or any(h < 1 for h in hidden):
         raise ConfigError("all model dimensions must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     dims = [dim_in, *hidden, feature_dim]
     layers = []
     for d_in, d_out in zip(dims[:-1], dims[1:]):
@@ -206,27 +220,11 @@ def init_head(
     """Fresh seeded evidence head, e.g. for backbone-frozen fine-tuning."""
     if feature_dim < 1 or num_classes < 1:
         raise ConfigError("all model dimensions must be >= 1")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return EvidenceHeadParams(
         _uniform_init(rng, (feature_dim, 2 * num_classes), feature_dim),
         _uniform_init(rng, (2 * num_classes,), feature_dim),
     )
-
-
-def _forward_cached(mlp, head, x):
-    acts = [x]
-    zs = []
-    h = x
-    for w, b in mlp.layers:
-        z = h @ w.T
-        z += b
-        h = np.maximum(z, 0.0)
-        zs.append(z)
-        acts.append(h)
-    z_head = h @ head.weight
-    z_head += head.bias
-    evidence = np.maximum(z_head, 0.0)
-    return acts, zs, z_head, evidence
 
 
 def batch_loss(
@@ -239,8 +237,7 @@ def batch_loss(
     prior_weight: float = DEFAULT_PRIOR_WEIGHT,
 ) -> float:
     """Mean per-sample loss over a batch; the quantity the trainer descends."""
-    evidence = batch_evidence(mlp, head, x).reshape(x.shape[0], head.num_classes, 2)
-    return float(batch_nll(evidence, y, a_pos, a_neg, prior_weight).mean())
+    return float(batch_nll(batch_evidence(mlp, head, x), y, a_pos, a_neg, prior_weight).mean())
 
 
 def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_WEIGHT,
@@ -258,31 +255,30 @@ def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_W
     Without it the gradients are freshly allocated.
     """
     n = x.shape[0]
-    acts, zs, z_head, evidence = _forward_cached(mlp, head, x)
-    losses, d_evidence = batch_nll_grad(
-        evidence.reshape(n, head.num_classes, 2), y, a_pos, a_neg, prior_weight
-    )
+    acts = [x, *_relu_layers(x, mlp.layers)]
+    evidence = evidence_from_features(acts[-1], head)
+    losses, d_evidence = batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight)
     loss = float(losses.mean())
     if out is None:
         out = [None] * (2 * len(mlp.layers) * backbone + 2)
 
-    dz_head = d_evidence.reshape(n, -1)
-    dz_head /= n
-    dz_head *= z_head > 0.0
-    g_head_w = np.matmul(acts[-1].T, dz_head, out=out[-2])
-    g_head_b = dz_head.sum(axis=0, out=out[-1])
+    # each mask comes from the activation (see the module docstring);
+    # every dz is this step's own array, so it is masked in place
+    dz = d_evidence.reshape(n, -1)
+    dz /= n
+    dz *= evidence.reshape(n, -1) > 0.0
+    g_head_w = np.matmul(acts[-1].T, dz, out=out[-2])
+    g_head_b = dz.sum(axis=0, out=out[-1])
 
     grads = []
-    if backbone:
-        dh = dz_head @ head.weight.T
-        for i in reversed(range(len(mlp.layers))):
-            dz = dh  # dh is this step's own array, so it is masked in place
-            dz *= zs[i] > 0.0
-            grads.append((np.matmul(dz.T, acts[i], out=out[2 * i]),
-                          dz.sum(axis=0, out=out[2 * i + 1])))
-            if i:  # no gradient is needed for the input itself
-                dh = dz @ mlp.layers[i][0]
-        grads.reverse()
+    w_above = head.weight.T
+    for i in reversed(range(len(mlp.layers) if backbone else 0)):
+        dz = dz @ w_above
+        dz *= acts[i + 1] > 0.0
+        grads.append((np.matmul(dz.T, acts[i], out=out[2 * i]),
+                      dz.sum(axis=0, out=out[2 * i + 1])))
+        w_above = mlp.layers[i][0]
+    grads.reverse()
     return loss, grads, g_head_w, g_head_b
 
 
@@ -291,12 +287,10 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float
     """One decoupled step: param * (1 - lr * wd) - lr * grad.
 
     With a zero gradient this scales the parameter by exactly
-    (1 - lr * wd). With ``out`` (which may be ``param`` itself) the step
-    is written into it and it is returned; the arithmetic is the same.
+    (1 - lr * wd). The step is written into ``out`` (which may be
+    ``param`` itself), or into a fresh array without it, and returned.
     """
-    if out is None:
-        return param * (1.0 - lr * weight_decay) - lr * grad
-    np.multiply(param, 1.0 - lr * weight_decay, out=out)
+    out = np.multiply(param, 1.0 - lr * weight_decay, out=out)
     out -= lr * grad
     return out
 

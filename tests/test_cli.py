@@ -190,6 +190,18 @@ class TestTrain:
             np.testing.assert_array_equal(b0, b1)
         assert not np.array_equal(base_head.weight, tuned_head.weight)
 
+    def test_refit_log_records_the_checkpoint_architecture(self, tmp_path):
+        """A frozen refit logs the loaded backbone's sizes, not the flag defaults."""
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "base", extra=["--hidden", "8,5"])
+        tuned = tmp_path / "tuned"
+        assert main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                     "--out", str(tuned), "--freeze-backbone",
+                     "--init-from", str(ckpt), "--epochs", "1"]) == 0
+        for run in (tmp_path / "base", tuned):
+            config = yaml.safe_load((run / TRAIN_LOG_FILENAME).read_text())["config"]
+            assert config["hidden"] == [8, 5] and config["feature_dim"] == 4
+
     def test_divergence_exits_4(self, tmp_path, capsys):
         d = _generate(tmp_path / "data")
         # a backbone with alternating +-1e308 columns overflows on the first

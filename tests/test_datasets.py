@@ -345,8 +345,6 @@ class TestCiwFiles:
         t2 = random_ciw_table(names, seed=4)
         assert t1 == t2
         assert all(0.1 <= w <= 1.0 for w in t1.weights)
-        with pytest.raises(ConfigError):
-            random_ciw_table(names, seed=4, low=2.0, high=1.0)
 
 
 class TestArrays:

@@ -2,6 +2,7 @@
 
 import csv
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidkit import evaluation
 from evidkit.base_rates import CIWTable
 from evidkit.errors import ConfigError
 from evidkit.evaluation import (
@@ -473,7 +475,11 @@ class TestTieGroupSweep:
     @settings(max_examples=300, deadline=None)
     @given(_tied_samples(), st.sampled_from([0.5, 0.9, 0.95, 1.0]))
     def test_fpr95_equals_exhaustive_sweep(self, sample, target):
-        assert fpr_at_95_tpr(*sample, tpr_target=target) == _exhaustive_fpr95(*sample, target)
+        # the target is a module constant, read at call time, so the same
+        # sweep is checked at the other targets too
+        with mock.patch.object(evaluation, "_TPR_TARGET", target):
+            got = fpr_at_95_tpr(*sample)
+        assert got == _exhaustive_fpr95(*sample, target)
 
     @pytest.mark.parametrize(
         "high, low",

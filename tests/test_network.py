@@ -241,7 +241,8 @@ class TestGradients:
     def test_in_place_step_matches_the_functional_form(self):
         rng = np.random.default_rng(6)
         param, grad = rng.normal(size=40), rng.normal(size=40)
-        expected = sgd_step(param, grad, lr=0.3, weight_decay=0.07)
+        expected = param * (1.0 - 0.3 * 0.07) - 0.3 * grad
+        assert sgd_step(param, grad, lr=0.3, weight_decay=0.07).tobytes() == expected.tobytes()
         assert sgd_step(param, grad, 0.3, 0.07, out=param) is param
         assert param.tobytes() == expected.tobytes()
 

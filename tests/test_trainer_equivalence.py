@@ -2,15 +2,18 @@
 
 The retired implementation is kept below as a test oracle: it rebuilt
 (and so revalidated) the parameter dataclasses after every step, ran
-one ``sgd_step`` per weight and bias, computed the full backbone
+one allocating SGD step per weight and bias, computed the full backbone
 backward even when only the head was trained, and built the loss
-gradient column by column. Every returned array must match it bit for
-bit, and every epoch loss exactly.
+gradient column by column. Its forward pass kept every pre-activation z
+and masked the backward pass with z > 0, where the trainer takes the
+mask from the activation relu(z). Every returned array must match it bit
+for bit, and every epoch loss exactly.
 """
 
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,17 +25,36 @@ from evidkit.network import (
     EvidenceHeadParams,
     MlpParams,
     TrainConfig,
-    _forward_cached,
+    batch_loss_grads,
     finetune_head,
     init_head,
     init_model,
-    sgd_step,
     train_model,
 )
 from evidkit.opinions import DEFAULT_PRIOR_WEIGHT
 
 
 # -- the retired implementation ------------------------------------------
+
+
+def _forward_cached(mlp, head, x):
+    acts = [x]
+    zs = []
+    h = x
+    for w, b in mlp.layers:
+        z = h @ w.T
+        z += b
+        h = np.maximum(z, 0.0)
+        zs.append(z)
+        acts.append(h)
+    z_head = h @ head.weight
+    z_head += head.bias
+    evidence = np.maximum(z_head, 0.0)
+    return acts, zs, z_head, evidence
+
+
+def _sgd_step(param, grad, lr, weight_decay):
+    return param * (1.0 - lr * weight_decay) - lr * grad
 
 
 def _retired_batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_WEIGHT):
@@ -91,14 +113,14 @@ def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, updat
             if update_backbone:
                 mlp = MlpParams([
                     (
-                        sgd_step(w, gw, lr, config.weight_decay),
-                        sgd_step(b, gb, lr, config.weight_decay),
+                        _sgd_step(w, gw, lr, config.weight_decay),
+                        _sgd_step(b, gb, lr, config.weight_decay),
                     )
                     for (w, b), (gw, gb) in zip(mlp.layers, grads)
                 ])
             head = EvidenceHeadParams(
-                sgd_step(head.weight, g_head_w, lr, config.weight_decay),
-                sgd_step(head.bias, g_head_b, lr, config.weight_decay),
+                _sgd_step(head.weight, g_head_w, lr, config.weight_decay),
+                _sgd_step(head.bias, g_head_b, lr, config.weight_decay),
             )
         epoch_losses.append(total / n)
     return mlp, head, epoch_losses
@@ -216,6 +238,68 @@ class TestSameBitsAsTheRetiredTrainer:
         got = batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight)
         want = _retired_batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight)
         _assert_bytes_equal(list(got), list(want))
+
+
+# -- ReLU masks at exactly zero ----------------------------------------------
+
+
+def _zero_preactivation_model(hidden, seed):
+    """A model with exact-zero pre-activations in every layer and the head.
+
+    Every other weight row (head column) is zeroed and its bias is 0.0
+    or -0.0, so those units see z = h @ 0 + (+-0.0) for every input.
+    That z is +0.0 either way: a matmul sums from +0.0, and
+    0.0 + -0.0 == +0.0. So the forward pass never yields z = -0.0, and
+    ``test_relu_keeps_the_sign_of_z_for_every_float`` covers -0.0 itself.
+    """
+    rng = np.random.default_rng(seed)
+    mlp, head = init_model(5, 3, hidden, 4, seed)
+    layers = []
+    for w, b in mlp.layers:
+        w, b = w.copy(), b.copy()
+        w[::2] = 0.0
+        b[::2] = rng.choice([0.0, -0.0], size=b[::2].shape)
+        layers.append((w, b))
+    weight, bias = head.weight.copy(), head.bias.copy()
+    weight[:, ::2] = 0.0
+    bias[::2] = rng.choice([0.0, -0.0], size=bias[::2].shape)
+    return MlpParams(layers), EvidenceHeadParams(weight, bias)
+
+
+@pytest.mark.parametrize("backbone", [True, False])
+@pytest.mark.parametrize("hidden", [(), (6,), (7, 5)])
+@pytest.mark.parametrize("seed", range(4))
+def test_activation_masks_match_the_z_masks(backbone, hidden, seed):
+    mlp, head = _zero_preactivation_model(hidden, seed)
+    rng = np.random.default_rng(seed + 100)
+    x = rng.normal(size=(17, 5))
+    x[::4] = 0.0  # whole rows of exact zeros, so live units see z = b too
+    x[1::4] = -0.0
+    y = (rng.random((17, 3)) < 0.4).astype(np.float64)
+    a_pos = rng.uniform(0.2, 0.8, size=3)
+
+    _, zs, z_head, _ = _forward_cached(mlp, head, x)
+    assert all((z == 0.0).any() for z in [*zs, z_head])
+
+    got_loss, got_grads, got_w, got_b = batch_loss_grads(
+        mlp, head, x, y, a_pos, 1.0 - a_pos, backbone=backbone
+    )
+    loss, grads, g_head_w, g_head_b = _retired_batch_loss_grads(
+        mlp, head, x, y, a_pos, 1.0 - a_pos, DEFAULT_PRIOR_WEIGHT
+    )
+    assert got_loss == loss
+    want = [g for pair in grads for g in pair] if backbone else []
+    _assert_bytes_equal([g for pair in got_grads for g in pair] + [got_w, got_b],
+                        want + [g_head_w, g_head_b])
+
+
+def test_relu_keeps_the_sign_of_z_for_every_float():
+    """max(z, 0) > 0 is z > 0 for NaN, signed zeros, infinities and subnormals."""
+    z = np.array([np.nan, -np.nan, 0.0, -0.0, np.inf, -np.inf,
+                  5e-324, -5e-324, 1.0, -1.0, 1e308, -1e308])
+    h = z.copy()
+    np.maximum(h, 0.0, out=h)
+    np.testing.assert_array_equal(h > 0.0, z > 0.0)
 
 
 # -- inputs and outputs are never shared ------------------------------------

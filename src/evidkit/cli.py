@@ -154,21 +154,28 @@ def cmd_train(args) -> int:
     if args.freeze_backbone:
         defaults = {"epochs": FINETUNE_EPOCHS, "learning_rate": FINETUNE_LR}
     config = TrainConfig(**defaults | _config_values(TrainConfig, args))
-    hidden = _parse_hidden(args.hidden)
 
     if args.init_from and not args.freeze_backbone:
         raise ConfigError("--init-from is only supported together with --freeze-backbone")
     if args.freeze_backbone:
         if not args.init_from:
             raise ConfigError("--freeze-backbone requires --init-from CHECKPOINT")
+        for flag, value in (("--hidden", args.hidden), ("--feature-dim", args.feature_dim)):
+            if value is not None:
+                raise ConfigError(
+                    f"{flag} cannot be combined with --freeze-backbone: the backbone "
+                    "comes from the --init-from checkpoint"
+                )
         mlp, old_head = load_checkpoint(args.init_from)
         _check_model_matches(mlp, old_head, split.dim, split.k_known)
         head = init_head(mlp.dim_out, split.k_known, config.seed)
         result = finetune_head(mlp, head, x, y, config, ciw, prior_weight=args.prior_weight)
     else:
+        hidden = DEFAULT_HIDDEN if args.hidden is None else _parse_hidden(args.hidden)
+        feature_dim = DEFAULT_FEATURE_DIM if args.feature_dim is None else args.feature_dim
         result = train_model(
             x, y, config, ciw,
-            hidden=hidden, feature_dim=args.feature_dim, prior_weight=args.prior_weight,
+            hidden=hidden, feature_dim=feature_dim, prior_weight=args.prior_weight,
         )
 
     out = Path(args.out)
@@ -343,9 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--lr-decay-every")
     flag("--weight-decay")
     flag("--seed")
-    tr.add_argument("--hidden", default=",".join(map(str, DEFAULT_HIDDEN)),
-                    help="comma-separated hidden layer sizes")
-    tr.add_argument("--feature-dim", type=int, default=DEFAULT_FEATURE_DIM)
+    # None until given, so that a frozen refit can reject them
+    tr.add_argument("--hidden", help="comma-separated hidden layer sizes")
+    tr.add_argument("--feature-dim", type=int)
     tr.add_argument("--prior-weight", type=float, default=DEFAULT_PRIOR_WEIGHT)
     tr.add_argument("--freeze-backbone", action="store_true",
                     help="keep backbone weights fixed and fit a fresh evidence head")

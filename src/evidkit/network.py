@@ -23,12 +23,18 @@ each ReLU mask from them: relu(z) > 0 exactly where z > 0, for NaN,
 signed zeros and infinities too, so no pre-activation is kept. Its
 backward pass is one loop that carries dz down through the weight above.
 
+The frozen refit computes each training row's backbone features once,
+before its first epoch, in blocks of ``_FEATURE_BLOCK_ROWS`` rows written
+into one preallocated array, so at most one block's layer outputs are
+live at a time. It then fits the head on those features as a model with
+an empty backbone, so scratch training and the refit run one fit path.
+
 The trainer keeps the parameters it updates in one private float64
-vector: the backbone layers and the head when training from scratch,
-the head alone when fine-tuning on a frozen backbone. Each weight and
-bias it hands to the step functions is a reshaped view into that
-vector, wrapped in ``MlpParams`` / ``EvidenceHeadParams`` once, so the
-shape and finiteness checks run at entry, not per step. Beside it sits
+vector: the backbone layers and the head (the head alone when the
+backbone is empty). Each weight and bias it hands to the step functions
+is a reshaped view into that vector, wrapped in ``MlpParams`` /
+``EvidenceHeadParams`` once, so the shape and finiteness checks run at
+entry, not per step. Beside it sits
 one gradient vector of the same layout: ``batch_loss_grads`` writes each
 weight and bias gradient straight into its reshaped view of that buffer
 (``out=``), so no per-step gradient arrays are allocated or
@@ -58,6 +64,9 @@ CHECKPOINT_VERSION = "v1"
 
 DEFAULT_HIDDEN = (64, 64)
 DEFAULT_FEATURE_DIM = 32
+
+# rows per backbone forward when the frozen refit computes its features
+_FEATURE_BLOCK_ROWS = 1024
 
 
 @dataclass
@@ -241,18 +250,18 @@ def batch_loss(
 
 
 def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_WEIGHT,
-                     backbone=True, out=None):
+                     out=None):
     """Mean loss plus its gradients for every backbone and head parameter.
 
     ReLU uses subgradient 0 at exactly 0. Returns
-    (loss, [(dW, db) per layer], dW_head, db_head). With backbone=False
-    (a frozen backbone) the backbone backward is skipped and the layer
-    list is empty.
+    (loss, [(dW, db) per layer], dW_head, db_head); with an empty
+    backbone (``MlpParams([])``) ``x`` is the features and the layer list
+    is empty.
 
     ``out``, if given, is the list of arrays to write the gradients into,
-    in the order [dW_0, db_0, dW_1, db_1, ..., dW_head, db_head] (head
-    only when backbone=False); the returned gradients are those arrays.
-    Without it the gradients are freshly allocated.
+    in the order [dW_0, db_0, dW_1, db_1, ..., dW_head, db_head]; the
+    returned gradients are those arrays. Without it the gradients are
+    freshly allocated.
     """
     n = x.shape[0]
     acts = [x, *_relu_layers(x, mlp.layers)]
@@ -260,7 +269,7 @@ def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_W
     losses, d_evidence = batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight)
     loss = float(losses.mean())
     if out is None:
-        out = [None] * (2 * len(mlp.layers) * backbone + 2)
+        out = [None] * (2 * len(mlp.layers) + 2)
 
     # each mask comes from the activation (see the module docstring);
     # every dz is this step's own array, so it is masked in place
@@ -272,7 +281,7 @@ def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_W
 
     grads = []
     w_above = head.weight.T
-    for i in reversed(range(len(mlp.layers) if backbone else 0)):
+    for i in reversed(range(len(mlp.layers))):
         dz = dz @ w_above
         dz *= acts[i + 1] > 0.0
         grads.append((np.matmul(dz.T, acts[i], out=out[2 * i]),
@@ -295,9 +304,8 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float
     return out
 
 
-def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbone):
-    trainable = [p for layer in mlp.layers for p in layer] if update_backbone else []
-    trainable += [head.weight, head.bias]
+def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight):
+    trainable = [p for layer in mlp.layers for p in layer] + [head.weight, head.bias]
     theta = np.concatenate([p.ravel() for p in trainable], dtype=np.float64)
     g = np.empty_like(theta)
     views, grad_views, offset = [], [], 0
@@ -306,8 +314,7 @@ def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbo
         grad_views.append(g[offset:offset + p.size].reshape(p.shape))
         offset += p.size
     head = EvidenceHeadParams(*views[-2:])
-    if update_backbone:
-        mlp = MlpParams(list(zip(views[:-2:2], views[1:-2:2])))
+    mlp = MlpParams(list(zip(views[:-2:2], views[1:-2:2])))
 
     n = x.shape[0]
     epoch_losses = []
@@ -320,7 +327,7 @@ def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbo
             stop = min(start + config.batch_size, n)
             loss = batch_loss_grads(
                 mlp, head, xs[start:stop], ys[start:stop], a_pos, a_neg, prior_weight,
-                backbone=update_backbone, out=grad_views,
+                out=grad_views,
             )[0]
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
@@ -330,8 +337,7 @@ def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbo
                 raise TrainingDiverged(epoch, batch_idx, loss, parameters=True)
         epoch_losses.append(total / n)
 
-    if update_backbone:
-        mlp = MlpParams([(w.copy(), b.copy()) for w, b in mlp.layers])
+    mlp = MlpParams([(w.copy(), b.copy()) for w, b in mlp.layers])
     return mlp, EvidenceHeadParams(head.weight.copy(), head.bias.copy()), epoch_losses
 
 
@@ -366,9 +372,7 @@ def train_model(
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     mlp, head = init_model(x.shape[1], len(ciw), hidden, feature_dim, rng)
-    mlp, head, losses = _fit(
-        mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbone=True
-    )
+    mlp, head, losses = _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight)
     return TrainResult(mlp, head, tuple(losses))
 
 
@@ -382,16 +386,32 @@ def finetune_head(
     *,
     prior_weight: float = DEFAULT_PRIOR_WEIGHT,
 ) -> TrainResult:
-    """Update only the evidence head; the backbone is frozen (not touched)."""
+    """Update only the evidence head; the backbone is frozen (not touched).
+
+    Each row's backbone features are computed once, before the first
+    epoch; the head is then fitted on them with an empty backbone.
+    """
     x, y = _validate_training_data(features, labels, len(ciw))
     if head.num_classes != len(ciw):
         raise ValueError(f"head has {head.num_classes} classes but the CIW table has {len(ciw)}")
+    # the head's input-width check, before the forward pass and for any epoch count
+    evidence_from_features(np.empty((0, mlp.dim_out)), head)
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     _, new_head, losses = _fit(
-        mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbone=False
+        MlpParams([]), head, _blocked_features(x, mlp), y, a_pos, a_neg, config, rng,
+        prior_weight,
     )
     return TrainResult(mlp, new_head, tuple(losses))
+
+
+def _blocked_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
+    """``extract_features`` of every row, run on ``_FEATURE_BLOCK_ROWS`` rows at a time."""
+    features = np.empty((x.shape[0], mlp.dim_out))
+    for start in range(0, x.shape[0], _FEATURE_BLOCK_ROWS):
+        block = slice(start, start + _FEATURE_BLOCK_ROWS)
+        features[block] = extract_features(x[block], mlp)
+    return features
 
 
 def _format_row(row) -> str:

@@ -202,6 +202,27 @@ class TestTrain:
             config = yaml.safe_load((run / TRAIN_LOG_FILENAME).read_text())["config"]
             assert config["hidden"] == [8, 5] and config["feature_dim"] == 4
 
+    @pytest.mark.parametrize("flags", [
+        ["--hidden", "8"],
+        ["--feature-dim", "4"],
+        ["--hidden", "3,3,3", "--feature-dim", "9"],
+        ["--hidden", ""],
+    ])
+    def test_frozen_refit_rejects_backbone_size_flags(self, tmp_path, capsys, flags):
+        """The backbone comes from --init-from, so sizes given for it are an error,
+        even ones that match the checkpoint."""
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "base")
+        tuned = tmp_path / "tuned"
+        capsys.readouterr()
+        code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                     "--out", str(tuned), "--freeze-backbone", "--init-from", str(ckpt),
+                     "--epochs", "1", *flags])
+        assert code == 2
+        assert f"error: {flags[0]} cannot be combined with --freeze-backbone" in (
+            capsys.readouterr().err)
+        assert not tuned.exists()
+
     def test_divergence_exits_4(self, tmp_path, capsys):
         d = _generate(tmp_path / "data")
         # a backbone with alternating +-1e308 columns overflows on the first

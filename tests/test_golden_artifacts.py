@@ -39,8 +39,8 @@ GOLDEN = {
     "run/eval_report.yaml": "fc53e85a3ff878ed96f48b884263d5b96f856b8b3394df10cf30061915c466bb",
     "run/ood_report.yaml": "c65708fe15038f7e40999d7d39c61ad1079ba2f4a79406fe20ffbaff36ebfd5e",
     "run/ood_scores.csv": "d1bb1de03322bba23572cc637bf312bfe9b57d8b44de4ff2903ca3ec0f017efb",
-    "run2/model.ckpt": "9640b2394f81de638354aa465526303cab5e5860490a17fd63e0c75d5b267653",
-    "run2/train_log.yaml": "e866df19623f3509b7de6f37555485f31bf0a7255476e5e510c36e481cd20bdb",
+    "run2/model.ckpt": "4c60cead33333643e69a4806f8de42cf6ff8cb8bae29739e5a8841303f12ad3f",
+    "run2/train_log.yaml": "1c63fc2b78fdb21696465226a498d6a87549d097066c94f2a6685c945d3a64a7",
 }
 
 WALKTHROUGH = [

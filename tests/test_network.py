@@ -1,10 +1,12 @@
 """Tests for the MLP backbone, evidence head, trainer, and checkpoints."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from evidkit import network
 from evidkit.base_rates import CIWTable
 from evidkit.errors import ConfigError, DataFormatError, TrainingDiverged
 from evidkit.network import (
@@ -223,8 +225,10 @@ class TestGradients:
         x = rng.normal(size=(11, 6))
         y = (rng.random((11, 3)) < 0.4).astype(float)
         a_pos = rng.uniform(0.2, 0.8, size=3)
+        if not backbone:  # the head alone, trained on the backbone's features
+            mlp, x = MlpParams([]), extract_features(x, mlp)
         args = (mlp, head, x, y, a_pos, 1.0 - a_pos)
-        loss, grads, g_head_w, g_head_b = batch_loss_grads(*args, backbone=backbone)
+        loss, grads, g_head_w, g_head_b = batch_loss_grads(*args)
         expected = [d for layer in grads for d in layer] + [g_head_w, g_head_b]
 
         flat = np.full(sum(d.size for d in expected), np.nan)
@@ -232,7 +236,7 @@ class TestGradients:
         for d in expected:
             views.append(flat[offset:offset + d.size].reshape(d.shape))
             offset += d.size
-        out_loss, out_grads, out_w, out_b = batch_loss_grads(*args, backbone=backbone, out=views)
+        out_loss, out_grads, out_w, out_b = batch_loss_grads(*args, out=views)
         got = [d for layer in out_grads for d in layer] + [out_w, out_b]
         assert out_loss == loss
         assert len(got) == len(views) and all(g is v for g, v in zip(got, views))
@@ -378,6 +382,61 @@ class TestFreeze:
         before = batch_loss(pre.mlp, head, x_val, y_val, a, a)
         after = batch_loss(pre.mlp, tuned.head, x_val, y_val, a, a)
         assert after < before
+
+    @pytest.mark.parametrize("epochs", [0, 1, 3])
+    def test_backbone_runs_once_per_block_of_rows(self, monkeypatch, epochs):
+        """Every row goes through the frozen backbone once, whatever the epoch count."""
+        block = network._FEATURE_BLOCK_ROWS
+        n = 2 * block + 100
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(n, 8))
+        y = (rng.random((n, 2)) < 0.4).astype(float)
+        mlp, head = init_model(8, 2, hidden=(6,), feature_dim=4, seed=8)
+        forwards = []
+        relu_layers = network._relu_layers
+
+        def counting(h, layers):
+            if layers is mlp.layers:
+                forwards.append(h.copy())
+            return relu_layers(h, layers)
+
+        monkeypatch.setattr(network, "_relu_layers", counting)
+        cfg = TrainConfig(epochs=epochs, batch_size=256, seed=8)
+        finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
+        assert [len(h) for h in forwards] == [block, block, 100]
+        assert np.concatenate(forwards).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_input_of_the_wrong_width_is_rejected(self, epochs):
+        x, y, pre = self._pretrained()
+        cfg = TrainConfig(epochs=epochs, seed=3)
+        with pytest.raises(ValueError, match="does not match backbone input dim 8"):
+            finetune_head(pre.mlp, init_head(4, 2, seed=3), x[:, :5], y, cfg, UNIFORM_CIW)
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_head_of_the_wrong_width_is_rejected(self, epochs):
+        x, y, pre = self._pretrained()
+        cfg = TrainConfig(epochs=epochs, seed=3)
+        with pytest.raises(ValueError, match="does not match head input dim 5"):
+            finetune_head(pre.mlp, init_head(5, 2, seed=3), x, y, cfg, UNIFORM_CIW)
+
+    def test_features_are_computed_in_row_blocks(self):
+        # 50k rows through the default 64-64-32 backbone. The refit holds
+        # its 50k x 32 features, their shuffled copy in an epoch and the
+        # shuffled labels; a quarter of one 50k x 64 array covers the rest.
+        # One forward over all rows would hold two 50k x 64 layer outputs
+        n, width, feature_dim = 50000, 64, 32
+        mlp, head = init_model(8, 2, seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.normal(size=(n, 8))
+        y = (rng.random((n, 2)) < 0.4).astype(float)
+        tracemalloc.start()
+        try:
+            finetune_head(mlp, head, x, y, TrainConfig(epochs=1), UNIFORM_CIW)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * feature_dim * 8 + y.nbytes + n * width * 8 // 4
 
 
 class TestCheckpoints:

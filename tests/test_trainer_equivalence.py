@@ -8,6 +8,11 @@ gradient column by column. Its forward pass kept every pre-activation z
 and masked the backward pass with z > 0, where the trainer takes the
 mask from the activation relu(z). Every returned array must match it bit
 for bit, and every epoch loss exactly.
+
+The head-only refit oracle computes the backbone features of all rows
+once, with its own forward pass, and fits the head on them as a model
+with no backbone layers, as ``finetune_head`` does. The trainer computes
+them in row blocks; every drawn problem fits in one block.
 """
 
 import math
@@ -137,7 +142,9 @@ def _retired_finetune_head(mlp, head, x, y, config, ciw, prior_weight):
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     head = EvidenceHeadParams(head.weight.copy(), head.bias.copy())
-    return _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, False)
+    features = _forward_cached(mlp, head, x)[0][-1]
+    return _retired_fit(MlpParams([]), head, features, y, a_pos, a_neg, config, rng,
+                        prior_weight, False)
 
 
 # -- helpers -------------------------------------------------------------
@@ -278,11 +285,13 @@ def test_activation_masks_match_the_z_masks(backbone, hidden, seed):
     y = (rng.random((17, 3)) < 0.4).astype(np.float64)
     a_pos = rng.uniform(0.2, 0.8, size=3)
 
-    _, zs, z_head, _ = _forward_cached(mlp, head, x)
+    acts, zs, z_head, _ = _forward_cached(mlp, head, x)
     assert all((z == 0.0).any() for z in [*zs, z_head])
 
+    # without the backbone, the head is trained on the backbone's features
+    trained, inputs = (mlp, x) if backbone else (MlpParams([]), acts[-1])
     got_loss, got_grads, got_w, got_b = batch_loss_grads(
-        mlp, head, x, y, a_pos, 1.0 - a_pos, backbone=backbone
+        trained, head, inputs, y, a_pos, 1.0 - a_pos
     )
     loss, grads, g_head_w, g_head_b = _retired_batch_loss_grads(
         mlp, head, x, y, a_pos, 1.0 - a_pos, DEFAULT_PRIOR_WEIGHT

@@ -187,7 +187,7 @@ def cmd_train(args) -> int:
             "data": args.data,
             "ciw": args.ciw,
             **asdict(config),
-            "hidden": [w.shape[0] for w, _ in result.mlp.layers[:-1]],
+            "hidden": result.mlp.hidden,
             "feature_dim": result.mlp.dim_out,
             "prior_weight": args.prior_weight,
             "freeze_backbone": bool(args.freeze_backbone),

@@ -29,21 +29,30 @@ into one preallocated array, so at most one block's layer outputs are
 live at a time. It then fits the head on those features as a model with
 an empty backbone, so scratch training and the refit run one fit path.
 
-The trainer keeps the parameters it updates in one private float64
-vector: the backbone layers and the head (the head alone when the
-backbone is empty). Each weight and bias it hands to the step functions
-is a reshaped view into that vector, wrapped in ``MlpParams`` /
-``EvidenceHeadParams`` once, so the shape and finiteness checks run at
-entry, not per step. Beside it sits
-one gradient vector of the same layout: ``batch_loss_grads`` writes each
-weight and bias gradient straight into its reshaped view of that buffer
-(``out=``), so no per-step gradient arrays are allocated or
-concatenated. A step is then one in-place ``sgd_step`` over the whole
-vector (``out=theta``; the step has one arithmetic path, with or without
-``out``), then one finiteness check that raises ``TrainingDiverged``
-with the epoch and batch. Each epoch gathers its shuffled rows once, so
-every batch is a contiguous slice. The trainer returns validated copies,
-never views of its vector.
+The trainer keeps every parameter it updates in one private float64
+vector, in ``_param_layout`` order, with one gradient vector of the same
+layout beside it. The models it steps are reshaped views of the first,
+validated once at entry; ``batch_loss_grads`` writes each gradient into
+its view of the second (``out=``), so no per-step gradient arrays are
+allocated. A step is one in-place ``sgd_step`` over the whole vector,
+then one finiteness check that raises ``TrainingDiverged`` with the epoch
+and batch. Each epoch gathers its shuffled rows once, so every batch is a
+contiguous slice. The trainer returns validated copies, never views.
+
+Checkpoints are UTF-8 text. Five header lines give the architecture:
+
+    #evidkit-model v1
+    input <D>
+    hidden <h1,h2,...>      ("-" when there is no hidden layer)
+    features <F>
+    classes <K>
+
+Then each parameter follows in ``_param_layout`` order (backbone.0.weight,
+backbone.0.bias, ..., head.weight, head.bias) as a ``param NAME ROWS COLS``
+line and ROWS lines of COLS space-separated repr decimals, so round trips
+are bit-exact. A backbone weight is (out, in), the head weight (F, 2K),
+and a bias is one row (1, out). Blank lines after the last parameter are
+accepted; anything else there is an error.
 """
 
 from __future__ import annotations
@@ -88,13 +97,23 @@ class MlpParams:
                 raise ValueError(f"layer {i}: non-finite parameters")
             prev_out = w.shape[0]
 
+    def _nonempty(self):
+        if not self.layers:
+            raise ValueError("the backbone is empty (MlpParams([])): it has no layer sizes")
+        return self.layers
+
     @property
     def dim_in(self) -> int:
-        return self.layers[0][0].shape[1]
+        return self._nonempty()[0][0].shape[1]
 
     @property
     def dim_out(self) -> int:
-        return self.layers[-1][0].shape[0]
+        return self._nonempty()[-1][0].shape[0]
+
+    @property
+    def hidden(self) -> list[int]:
+        """Output widths of every layer but the last."""
+        return [w.shape[0] for w, _ in self._nonempty()[:-1]]
 
 
 @dataclass
@@ -198,9 +217,36 @@ def batch_evidence(mlp: MlpParams, head: EvidenceHeadParams, x: np.ndarray) -> n
     return evidence_from_features(extract_features(x, mlp), head)
 
 
-def _uniform_init(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
-    bound = 1.0 / math.sqrt(fan_in)
-    return rng.uniform(-bound, bound, size=shape)
+def _param_layout(dims, num_classes):
+    """(name, shape, fan_in) of each parameter of backbone dims[0] -> ... -> dims[-1]
+    and its head, in the one order that init draws, the trainer's vector holds
+    and the checkpoint stores. ``dims=[feature_dim]`` gives the head alone."""
+    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
+        yield f"backbone.{i}.weight", (d_out, d_in), d_in
+        yield f"backbone.{i}.bias", (d_out,), d_in
+    yield "head.weight", (dims[-1], 2 * num_classes), dims[-1]
+    yield "head.bias", (2 * num_classes,), dims[-1]
+
+
+def _param_arrays(mlp: MlpParams, head: EvidenceHeadParams) -> list[np.ndarray]:
+    """The model's arrays in ``_param_layout`` order."""
+    return [p for layer in mlp.layers for p in layer] + [head.weight, head.bias]
+
+
+def _model_from_arrays(arrays) -> tuple[MlpParams, EvidenceHeadParams]:
+    """The inverse of ``_param_arrays``; the arrays are used, not copied."""
+    return MlpParams(list(zip(arrays[:-2:2], arrays[1:-2:2]))), EvidenceHeadParams(*arrays[-2:])
+
+
+def _init_params(dims, num_classes, seed) -> tuple[MlpParams, EvidenceHeadParams]:
+    """Seeded uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] draws, in layout order."""
+    if min(*dims, num_classes) < 1:
+        raise ConfigError("all model dimensions must be >= 1")
+    rng = np.random.default_rng(seed)
+    return _model_from_arrays([
+        rng.uniform(-1.0 / math.sqrt(fan_in), 1.0 / math.sqrt(fan_in), size=shape)
+        for _, shape, fan_in in _param_layout(dims, num_classes)
+    ])
 
 
 def init_model(
@@ -211,29 +257,14 @@ def init_model(
     seed: int | np.random.Generator = 0,
 ) -> tuple[MlpParams, EvidenceHeadParams]:
     """Seeded uniform [-1/sqrt(fan_in), 1/sqrt(fan_in)] initialization."""
-    if dim_in < 1 or num_classes < 1 or feature_dim < 1 or any(h < 1 for h in hidden):
-        raise ConfigError("all model dimensions must be >= 1")
-    rng = np.random.default_rng(seed)
-    dims = [dim_in, *hidden, feature_dim]
-    layers = []
-    for d_in, d_out in zip(dims[:-1], dims[1:]):
-        w = _uniform_init(rng, (d_out, d_in), d_in)
-        b = _uniform_init(rng, (d_out,), d_in)
-        layers.append((w, b))
-    return MlpParams(layers), init_head(feature_dim, num_classes, rng)
+    return _init_params([dim_in, *hidden, feature_dim], num_classes, seed)
 
 
 def init_head(
     feature_dim: int, num_classes: int, seed: int | np.random.Generator = 0
 ) -> EvidenceHeadParams:
     """Fresh seeded evidence head, e.g. for backbone-frozen fine-tuning."""
-    if feature_dim < 1 or num_classes < 1:
-        raise ConfigError("all model dimensions must be >= 1")
-    rng = np.random.default_rng(seed)
-    return EvidenceHeadParams(
-        _uniform_init(rng, (feature_dim, 2 * num_classes), feature_dim),
-        _uniform_init(rng, (2 * num_classes,), feature_dim),
-    )
+    return _init_params([feature_dim], num_classes, seed)[1]
 
 
 def batch_loss(
@@ -259,7 +290,7 @@ def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_W
     is empty.
 
     ``out``, if given, is the list of arrays to write the gradients into,
-    in the order [dW_0, db_0, dW_1, db_1, ..., dW_head, db_head]; the
+    in ``_param_layout`` order [dW_0, db_0, ..., dW_head, db_head]; the
     returned gradients are those arrays. Without it the gradients are
     freshly allocated.
     """
@@ -305,16 +336,13 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float
 
 
 def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight):
-    trainable = [p for layer in mlp.layers for p in layer] + [head.weight, head.bias]
-    theta = np.concatenate([p.ravel() for p in trainable], dtype=np.float64)
+    params = _param_arrays(mlp, head)
+    theta = np.concatenate([p.ravel() for p in params], dtype=np.float64)
     g = np.empty_like(theta)
-    views, grad_views, offset = [], [], 0
-    for p in trainable:
-        views.append(theta[offset:offset + p.size].reshape(p.shape))
-        grad_views.append(g[offset:offset + p.size].reshape(p.shape))
-        offset += p.size
-    head = EvidenceHeadParams(*views[-2:])
-    mlp = MlpParams(list(zip(views[:-2:2], views[1:-2:2])))
+    ends = np.cumsum([p.size for p in params])[:-1]
+    views = [v.reshape(p.shape) for v, p in zip(np.split(theta, ends), params)]
+    grad_views = [v.reshape(p.shape) for v, p in zip(np.split(g, ends), params)]
+    mlp, head = _model_from_arrays(views)
 
     n = x.shape[0]
     epoch_losses = []
@@ -337,8 +365,8 @@ def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight):
                 raise TrainingDiverged(epoch, batch_idx, loss, parameters=True)
         epoch_losses.append(total / n)
 
-    mlp = MlpParams([(w.copy(), b.copy()) for w, b in mlp.layers])
-    return mlp, EvidenceHeadParams(head.weight.copy(), head.bias.copy()), epoch_losses
+    mlp, head = _model_from_arrays([v.copy() for v in views])
+    return mlp, head, epoch_losses
 
 
 def _validate_training_data(x, y, k):
@@ -414,123 +442,93 @@ def _blocked_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
     return features
 
 
-def _format_row(row) -> str:
-    return " ".join(repr(float(v)) for v in row)
-
-
 def save_checkpoint(path, mlp: MlpParams, head: EvidenceHeadParams) -> None:
     """Write a versioned text checkpoint with round-trip-exact decimals."""
-    hidden = [w.shape[0] for w, _ in mlp.layers[:-1]]
     lines = [
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
         f"input {mlp.dim_in}",
-        "hidden " + (",".join(str(h) for h in hidden) if hidden else "-"),
+        "hidden " + (",".join(map(str, mlp.hidden)) or "-"),
         f"features {mlp.dim_out}",
         f"classes {head.num_classes}",
     ]
-    tensors = []
-    for i, (w, b) in enumerate(mlp.layers):
-        tensors.append((f"backbone.{i}.weight", w))
-        tensors.append((f"backbone.{i}.bias", b[None, :]))
-    tensors.append(("head.weight", head.weight))
-    tensors.append(("head.bias", head.bias[None, :]))
-    for name, t in tensors:
-        lines.append(f"param {name} {t.shape[0]} {t.shape[1]}")
-        for row in t:
-            lines.append(_format_row(row))
+    layout = _param_layout([mlp.dim_in, *mlp.hidden, mlp.dim_out], head.num_classes)
+    for (name, shape, _), p in zip(layout, _param_arrays(mlp, head)):
+        if p.shape != shape:
+            raise ValueError(f"parameter {name!r} has shape {p.shape}, expected {shape}")
+        rows, cols = (1, *shape)[-2:]
+        lines.append(f"param {name} {rows} {cols}")
+        lines.extend(" ".join(map(repr, row)) for row in p.reshape(rows, cols).tolist())
     write_text(path, "\n".join(lines) + "\n")
 
 
 def load_checkpoint(path) -> tuple[MlpParams, EvidenceHeadParams]:
     """Read a checkpoint written by save_checkpoint; rejects unknown versions."""
     lines = read_lines(path)
+
+    def error(message, index):
+        """A DataFormatError naming 0-based line ``index`` as line index + 1."""
+        return DataFormatError(message, path=path, line=index + 1)
+
     if not lines:
-        raise DataFormatError("empty checkpoint file", path=path, line=1)
+        raise error("empty checkpoint file", 0)
     magic = lines[0].split()
     if len(magic) != 2 or magic[0] != CHECKPOINT_MAGIC:
-        raise DataFormatError("not an evidkit checkpoint", path=path, line=1)
+        raise error("not an evidkit checkpoint", 0)
     if magic[1] != CHECKPOINT_VERSION:
-        raise DataFormatError(
-            f"unsupported checkpoint version {magic[1]!r} (expected {CHECKPOINT_VERSION})",
-            path=path, line=1,
-        )
+        raise error(f"unsupported checkpoint version {magic[1]!r} (expected "
+                    f"{CHECKPOINT_VERSION})", 0)
 
-    def header_value(lineno, key):
-        if lineno >= len(lines):
-            raise DataFormatError(f"missing {key!r} header", path=path, line=lineno + 1)
-        parts = lines[lineno].split(None, 1)
+    sizes = {}
+    for i, key in enumerate(("input", "hidden", "features", "classes"), start=1):
+        if i >= len(lines):
+            raise error(f"missing {key!r} header", i)
+        parts = lines[i].split(None, 1)
         if len(parts) != 2 or parts[0] != key:
-            raise DataFormatError(f"expected {key!r} header", path=path, line=lineno + 1)
-        return parts[1]
+            raise error(f"expected {key!r} header", i)
+        try:
+            if key != "hidden":
+                sizes[key] = [int(parts[1])]
+            else:
+                sizes[key] = [] if parts[1] == "-" else [int(h) for h in parts[1].split(",")]
+        except ValueError as exc:
+            raise error(f"bad header value: {exc}", i) from exc
+        if min(sizes[key], default=1) < 1:
+            raise error("layer sizes in the header must be >= 1", i)
+    dims = sizes["input"] + sizes["hidden"] + sizes["features"]
+    (num_classes,) = sizes["classes"]
 
-    try:
-        dim_in = int(header_value(1, "input"))
-        hidden_raw = header_value(2, "hidden")
-        hidden = [] if hidden_raw == "-" else [int(h) for h in hidden_raw.split(",")]
-        feature_dim = int(header_value(3, "features"))
-        num_classes = int(header_value(4, "classes"))
-    except ValueError as exc:
-        raise DataFormatError(f"bad header value: {exc}", path=path) from exc
-    if min(dim_in, feature_dim, num_classes, *hidden) < 1:
-        raise DataFormatError("layer sizes in the header must be >= 1", path=path)
-
-    dims = [dim_in, *hidden, feature_dim]
-    expected = []
-    for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
-        expected.append((f"backbone.{i}.weight", (d_out, d_in)))
-        expected.append((f"backbone.{i}.bias", (1, d_out)))
-    expected.append(("head.weight", (feature_dim, 2 * num_classes)))
-    expected.append(("head.bias", (1, 2 * num_classes)))
-
-    tensors = {}
-    lineno = 5
-    for name, shape in expected:
-        if lineno >= len(lines):
-            raise DataFormatError(f"missing parameter {name!r}", path=path, line=lineno + 1)
-        parts = lines[lineno].split()
+    arrays = []
+    i = 5
+    for name, shape, _ in _param_layout(dims, num_classes):
+        stored = (1, *shape)[-2:]
+        if i >= len(lines):
+            raise error(f"missing parameter {name!r}", i)
+        parts = lines[i].split()
         if len(parts) != 4 or parts[0] != "param" or parts[1] != name:
-            raise DataFormatError(f"expected parameter {name!r}", path=path, line=lineno + 1)
+            raise error(f"expected parameter {name!r}", i)
         try:
             found = (int(parts[2]), int(parts[3]))
         except ValueError as exc:
-            raise DataFormatError(f"bad shape: {exc}", path=path, line=lineno + 1) from exc
-        if found != shape:
-            raise DataFormatError(
-                f"parameter {name!r} has shape {(parts[2], parts[3])}, expected {shape}",
-                path=path, line=lineno + 1,
-            )
-        lineno += 1
+            raise error(f"bad shape: {exc}", i) from exc
+        if found != stored:
+            raise error(f"parameter {name!r} has shape {(parts[2], parts[3])}, "
+                        f"expected {stored}", i)
         rows = []
-        for _ in range(shape[0]):
-            if lineno >= len(lines):
-                raise DataFormatError(
-                    f"truncated parameter {name!r}", path=path, line=lineno + 1
-                )
+        for i in range(i + 1, i + 1 + stored[0]):
+            if i >= len(lines):
+                raise error(f"truncated parameter {name!r}", i)
             try:
-                row = [float(v) for v in lines[lineno].split()]
+                rows.append([float(v) for v in lines[i].split()])
             except ValueError as exc:
-                raise DataFormatError(f"bad value: {exc}", path=path, line=lineno + 1) from exc
-            if len(row) != shape[1]:
-                raise DataFormatError(
-                    f"parameter {name!r} row has {len(row)} values, expected {shape[1]}",
-                    path=path, line=lineno + 1,
-                )
-            if not all(map(math.isfinite, row)):
-                raise DataFormatError(
-                    f"parameter {name!r} has a non-finite value", path=path, line=lineno + 1
-                )
-            rows.append(row)
-            lineno += 1
-        tensors[name] = np.array(rows, dtype=np.float64)
-    for extra in range(lineno, len(lines)):
-        if lines[extra].strip():
-            raise DataFormatError(
-                "unexpected content after the last parameter", path=path, line=extra + 1
-            )
-
-    layers = []
-    for i in range(len(dims) - 1):
-        layers.append((tensors[f"backbone.{i}.weight"], tensors[f"backbone.{i}.bias"][0]))
-    mlp = MlpParams(layers)
-    head = EvidenceHeadParams(tensors["head.weight"], tensors["head.bias"][0])
-    return mlp, head
+                raise error(f"bad value: {exc}", i) from exc
+            if len(rows[-1]) != stored[1]:
+                raise error(f"parameter {name!r} row has {len(rows[-1])} values, expected "
+                            f"{stored[1]}", i)
+            if not all(map(math.isfinite, rows[-1])):
+                raise error(f"parameter {name!r} has a non-finite value", i)
+        arrays.append(np.array(rows, dtype=np.float64).reshape(shape))
+        i += 1  # the line after the block's last row
+    for i in range(i, len(lines)):
+        if lines[i].strip():
+            raise error("unexpected content after the last parameter", i)
+    return _model_from_arrays(arrays)

@@ -565,3 +565,63 @@ class TestCheckpoints:
         )
         with pytest.raises(DataFormatError, match="layer sizes"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("header, value, line, message", [
+        ("input", "four", 2, "bad header value"),
+        ("hidden", "3,", 3, "bad header value"),
+        ("features", "x", 4, "bad header value"),
+        ("classes", "2.5", 5, "bad header value"),
+        ("input", "0", 2, "layer sizes"),
+        ("hidden", "3,0", 3, "layer sizes"),
+        ("features", "0", 4, "layer sizes"),
+        ("classes", "-1", 5, "layer sizes"),
+    ])
+    def test_bad_header_value_names_the_line(self, tmp_path, header, value, line, message):
+        mlp, head = init_model(4, 2, hidden=(3,), feature_dim=3, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, head)
+        rows = [f"{header} {value}" if row.split()[0] == header else row
+                for row in path.read_text().splitlines()]
+        path.write_text("\n".join(rows) + "\n")
+        with pytest.raises(DataFormatError, match=f"line {line}: {message}"):
+            load_checkpoint(path)
+
+    def test_head_that_does_not_fit_the_backbone_is_refused(self, tmp_path):
+        mlp, _ = init_model(4, 2, hidden=(3,), feature_dim=3, seed=3)
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="head.weight"):
+            save_checkpoint(path, mlp, init_head(5, 2, seed=3))
+        assert not path.exists()
+
+
+class TestEmptyBackbone:
+    """``MlpParams([])`` is valid (the head-only fit builds one) but has no sizes."""
+
+    def test_batch_evidence(self):
+        with pytest.raises(ValueError, match="backbone is empty"):
+            batch_evidence(MlpParams([]), init_head(3, 2), np.ones((2, 3)))
+
+    def test_extract_features(self):
+        with pytest.raises(ValueError, match="backbone is empty"):
+            extract_features(np.ones((2, 3)), MlpParams([]))
+
+    def test_finetune_head(self):
+        x, y = _separable_data(n=20)
+        with pytest.raises(ValueError, match="backbone is empty"):
+            finetune_head(MlpParams([]), init_head(8, 2), x, y, TrainConfig(epochs=1),
+                          UNIFORM_CIW)
+
+    def test_save_checkpoint(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        with pytest.raises(ValueError, match="backbone is empty"):
+            save_checkpoint(path, MlpParams([]), init_head(3, 2))
+        assert not path.exists()
+
+    def test_hidden(self):
+        with pytest.raises(ValueError, match="backbone is empty"):
+            MlpParams([]).hidden
+
+    @pytest.mark.parametrize("hidden", [(), (1,), (5, 2)])
+    def test_hidden_lists_the_hidden_widths(self, hidden):
+        mlp, _ = init_model(4, 2, hidden=hidden, feature_dim=3, seed=0)
+        assert mlp.hidden == list(hidden)

@@ -4,9 +4,9 @@ Domain experts rank defect classes by severity with a class-importance
 weight (CIW). Those weights reshape the prior of each binary head: the
 defective base rate is shifted up by sigmoid(CIW) - 1/2 and the
 non-defective base rate down by the same amount, so a more important
-class needs less evidence before the model leans defective. With the
-uniform (1/2, 1/2) prior this makes the defective base rate exactly
-sigmoid(CIW).
+class needs less evidence before the model leans defective. The pair
+being shifted is always the uniform (1/2, 1/2), so the defective base
+rate is exactly sigmoid(CIW).
 """
 
 from __future__ import annotations
@@ -63,36 +63,31 @@ class CIWTable:
         return len(self.entries)
 
 
-def adjust_base_rates(
-    ciw: CIWTable,
-    a0: BaseRatePair | None = None,
-) -> tuple[BaseRatePair, ...]:
-    """Shift per-class base rates by the expert importance weights.
+def adjust_base_rates(ciw: CIWTable) -> tuple[BaseRatePair, ...]:
+    """Shift the uniform (1/2, 1/2) base rates by the expert importance weights.
 
-    For class k: a_pos = a0_pos + (sigmoid(ciw_k) - 1/2) and
-    a_neg = a0_neg - (sigmoid(ciw_k) - 1/2). The shifted pair must land
+    For class k: a_pos = 1/2 + (sigmoid(ciw_k) - 1/2) and
+    a_neg = 1/2 - (sigmoid(ciw_k) - 1/2). The shifted pair must land
     strictly inside (0, 1); a weight extreme enough to saturate either
     side is a configuration error.
     """
-    if a0 is None:
-        a0 = BaseRatePair.uniform()
     adjusted = []
     for name, weight in ciw.entries:
         shift = sigmoid(weight) - 0.5
-        a_pos = a0.a_pos + shift
-        a_neg = a0.a_neg - shift
+        a_pos = 0.5 + shift
+        a_neg = 0.5 - shift
         if not (0.0 < a_pos < 1.0 and 0.0 < a_neg < 1.0):
             raise ConfigError(
                 f"adjusted base rate for class {name!r} falls outside (0, 1): "
                 f"({a_pos!r}, {a_neg!r}); CIW {weight!r} is too extreme for prior "
-                f"({a0.a_pos!r}, {a0.a_neg!r})"
+                "(0.5, 0.5)"
             )
         adjusted.append(BaseRatePair(a_pos, a_neg))
     return tuple(adjusted)
 
 
 def base_rate_arrays(ciw: CIWTable) -> tuple[np.ndarray, np.ndarray]:
-    """adjust_base_rates on the uniform prior, as float64 (a_pos, a_neg) arrays."""
+    """adjust_base_rates as float64 (a_pos, a_neg) arrays."""
     bases = adjust_base_rates(ciw)
     return (
         np.array([p.a_pos for p in bases], dtype=np.float64),

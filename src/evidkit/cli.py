@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import re
 import sys
 from dataclasses import asdict, fields
@@ -118,14 +117,6 @@ def _check_model_matches(mlp, head, dim, k_known):
         )
 
 
-def _check_prediction_flags(args) -> None:
-    if not (args.prior_weight > 0 and math.isfinite(args.prior_weight)):
-        raise ConfigError(f"--prior-weight must be finite and > 0, got {args.prior_weight}")
-    threshold = getattr(args, "threshold", None)
-    if threshold is not None and not 0.0 <= threshold <= 1.0:
-        raise ConfigError(f"--threshold must be in [0, 1], got {threshold}")
-
-
 def cmd_generate(args) -> int:
     cfg = GenConfig(**_config_values(GenConfig, args))
     split = generate_dataset(cfg)
@@ -143,7 +134,6 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    _check_prediction_flags(args)
     split = load_dataset(args.data)
     ciw = _align_ciw(load_ciw_config(args.ciw), split.known_classes)
     if not split.train:
@@ -169,14 +159,11 @@ def cmd_train(args) -> int:
         mlp, old_head = load_checkpoint(args.init_from)
         _check_model_matches(mlp, old_head, split.dim, split.k_known)
         head = init_head(mlp.dim_out, split.k_known, config.seed)
-        result = finetune_head(mlp, head, x, y, config, ciw, prior_weight=args.prior_weight)
+        result = finetune_head(mlp, head, x, y, config, ciw)
     else:
         hidden = DEFAULT_HIDDEN if args.hidden is None else _parse_hidden(args.hidden)
         feature_dim = DEFAULT_FEATURE_DIM if args.feature_dim is None else args.feature_dim
-        result = train_model(
-            x, y, config, ciw,
-            hidden=hidden, feature_dim=feature_dim, prior_weight=args.prior_weight,
-        )
+        result = train_model(x, y, config, ciw, hidden=hidden, feature_dim=feature_dim)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -189,7 +176,7 @@ def cmd_train(args) -> int:
             **asdict(config),
             "hidden": result.mlp.hidden,
             "feature_dim": result.mlp.dim_out,
-            "prior_weight": args.prior_weight,
+            "prior_weight": DEFAULT_PRIOR_WEIGHT,
             "freeze_backbone": bool(args.freeze_backbone),
             "init_from": args.init_from,
         },
@@ -208,7 +195,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    _check_prediction_flags(args)
+    if not 0.0 <= args.threshold <= 1.0:
+        raise ConfigError(f"--threshold must be in [0, 1], got {args.threshold}")
     mlp, head = load_checkpoint(args.checkpoint)
     known_classes, validation = load_validation(args.data)
     k_known, dim = len(known_classes), validation.x.shape[1]
@@ -223,9 +211,7 @@ def cmd_eval(args) -> int:
 
     a_pos, a_neg = base_rate_arrays(ciw)
     evidence = batch_evidence(mlp, head, x)
-    batch = predict_batch(
-        evidence, a_pos, a_neg, prior_weight=args.prior_weight, threshold=args.threshold
-    )
+    batch = predict_batch(evidence, a_pos, a_neg, threshold=args.threshold)
     f1 = f1_normal(batch.labels, y)
     f2 = f2_ciw(batch.labels, y, ciw)
     rows = per_class_f2(batch.labels, y)
@@ -240,8 +226,8 @@ def cmd_eval(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = {name: getattr(args, name)
-              for name in ("checkpoint", "data", "ciw", "threshold", "prior_weight")}
+    config = {name: getattr(args, name) for name in ("checkpoint", "data", "ciw", "threshold")}
+    config["prior_weight"] = DEFAULT_PRIOR_WEIGHT
     write_text(out / EVAL_REPORT_FILENAME, render_report(report, "msdc", config))
     print(f"known-class evaluation on {len(known)} samples "
           f"({n_unknown} unknown samples excluded)")
@@ -252,7 +238,6 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ood(args) -> int:
-    _check_prediction_flags(args)
     mlp, head = load_checkpoint(args.checkpoint)
     known_classes, validation = load_validation(args.data)
     k_known, dim = len(known_classes), validation.x.shape[1]
@@ -269,7 +254,7 @@ def cmd_ood(args) -> int:
     # base rates do not enter the vacuity u = W / S, so uniform ones suffice
     uniform = np.full(k_known, 0.5)
     evidence = batch_evidence(mlp, head, x)
-    batch = predict_batch(evidence, uniform, uniform, prior_weight=args.prior_weight, agg=agg)
+    batch = predict_batch(evidence, uniform, uniform, agg=agg)
     scores = batch.uncertainty
 
     report = MetricsReport(
@@ -285,7 +270,7 @@ def cmd_ood(args) -> int:
         "checkpoint": args.checkpoint,
         "data": args.data,
         "aggregation": str(agg),
-        "prior_weight": args.prior_weight,
+        "prior_weight": DEFAULT_PRIOR_WEIGHT,
     }
     write_text(out / OOD_REPORT_FILENAME, render_report(report, "ood", config))
     write_scores_csv(out / OOD_SCORES_FILENAME, ids, scores, flags)
@@ -353,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     # None until given, so that a frozen refit can reject them
     tr.add_argument("--hidden", help="comma-separated hidden layer sizes")
     tr.add_argument("--feature-dim", type=int)
-    tr.add_argument("--prior-weight", type=float, default=DEFAULT_PRIOR_WEIGHT)
     tr.add_argument("--freeze-backbone", action="store_true",
                     help="keep backbone weights fixed and fit a fresh evidence head")
     tr.add_argument("--init-from", default=None,
@@ -366,7 +350,6 @@ def build_parser() -> argparse.ArgumentParser:
     ev.add_argument("--ciw", required=True)
     ev.add_argument("--out", required=True)
     ev.add_argument("--threshold", type=float, default=DEFAULT_THRESHOLD)
-    ev.add_argument("--prior-weight", type=float, default=DEFAULT_PRIOR_WEIGHT)
     ev.set_defaults(func=cmd_eval)
 
     ood = sub.add_parser("ood", help="rank unknown validation samples by uncertainty")
@@ -375,7 +358,6 @@ def build_parser() -> argparse.ArgumentParser:
     ood.add_argument("--out", required=True)
     ood.add_argument("--agg", default=str(MAX_AGGREGATION),
                      help="uncertainty aggregation: max, sum, or topN")
-    ood.add_argument("--prior-weight", type=float, default=DEFAULT_PRIOR_WEIGHT)
     ood.set_defaults(func=cmd_ood)
 
     # argparse reads only "-" plus digits and dots as a negative number and has

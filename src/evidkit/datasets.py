@@ -406,6 +406,8 @@ def _parse_header(line: str, path):
     classes = tuple(m.group("classes").split(","))
     if dim < 1:
         raise DataFormatError("D must be >= 1", path=path, line=1)
+    if k_known < 1:
+        raise DataFormatError("K must be >= 1", path=path, line=1)
     if any(not _NAME_RE.match(c) for c in classes):
         raise DataFormatError("empty or malformed class name", path=path, line=1)
     if len(set(classes)) != len(classes):

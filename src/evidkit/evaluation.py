@@ -87,15 +87,15 @@ def predict_batch(
     evidence: np.ndarray,
     a_pos: np.ndarray,
     a_neg: np.ndarray,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
     threshold: float = DEFAULT_THRESHOLD,
     agg: AggregationMode = MAX_AGGREGATION,
 ) -> BatchPrediction:
     """Per-class expected probability and vacuity for (N, K, 2) evidence.
 
-    With W = prior_weight and S = e_pos + e_neg + W, p = (e_pos + a_pos * W) / S
-    and u = W / S; a class is labeled present iff p exceeds the threshold,
-    and each row's uncertainties collapse to one score by agg.
+    With the fixed prior weight W = DEFAULT_PRIOR_WEIGHT (2) and
+    S = e_pos + e_neg + W, p = (e_pos + a_pos * W) / S and u = W / S; a
+    class is labeled present iff p exceeds the threshold, and each row's
+    uncertainties collapse to one score by agg.
     """
     ev = np.asarray(evidence, dtype=np.float64)
     a_pos = np.asarray(a_pos, dtype=np.float64)
@@ -108,10 +108,10 @@ def predict_batch(
     # the same operations in the same order as S = e_pos + e_neg + W and
     # p = (e_pos + a_pos * W) / S, written into the fresh sums
     strength = ev[:, :, 0] + ev[:, :, 1]
-    strength += prior_weight
-    probs = ev[:, :, 0] + a_pos * prior_weight
+    strength += DEFAULT_PRIOR_WEIGHT
+    probs = ev[:, :, 0] + a_pos * DEFAULT_PRIOR_WEIGHT
     probs /= strength
-    uncs = prior_weight / strength
+    uncs = DEFAULT_PRIOR_WEIGHT / strength
     return BatchPrediction(
         probabilities=probs,
         uncertainties=uncs,
@@ -296,6 +296,9 @@ def baseline_ood_scores(logits, method: str) -> np.ndarray:
     raise ValueError(f"unknown baseline method {method!r}")
 
 
+_METRIC_FIELDS = ("f1_normal", "f2_ciw", "auroc", "aupr", "fpr95")
+
+
 @dataclass(frozen=True)
 class MetricsReport:
     """Metric values for one evaluation; fields not computed stay None."""
@@ -310,15 +313,12 @@ class MetricsReport:
     per_class: tuple[tuple[str, float, float, float, float], ...] = ()
 
     def __post_init__(self):
-        for name in ("f1_normal", "f2_ciw", "auroc", "aupr", "fpr95"):
+        for name in _METRIC_FIELDS:
             v = getattr(self, name)
             if v is not None and not (0.0 <= v <= 1.0 and math.isfinite(v)):
                 raise ValueError(f"{name} must be in [0, 1], got {v}")
         if self.num_known < 0 or self.num_unknown < 0:
             raise ValueError("sample counts must be >= 0")
-
-
-_METRIC_FIELDS = ("f1_normal", "f2_ciw", "auroc", "aupr", "fpr95")
 
 
 def render_report(report: MetricsReport, task: str, config: dict | None = None) -> str:

@@ -6,16 +6,19 @@ over that Beta gives the closed-form loss
 
     L = sum_i y_i * (log(S) - log(alpha_i)),     S = alpha_pos + alpha_neg,
 
-i.e. the negative log of the expected probability on the labeled side.
-Driving the labeled side's evidence up is the only way to push L to zero;
-evidence on the wrong side inflates S and strictly increases the loss.
+with alpha_i = e_i + a_i * W: the negative log of the expected
+probability on the labeled side. The prior weight W is fixed at
+``DEFAULT_PRIOR_WEIGHT`` = 2, the number of outcomes of a binary head;
+the base rates a_i shift the prior, never its weight. Driving the
+labeled side's evidence up is the only way to push L to zero; evidence
+on the wrong side inflates S and strictly increases the loss.
 
-The functions work on whole batches: evidence (N, K, 2), multi-hot
+``batch_nll_grad`` works on whole batches: evidence (N, K, 2), multi-hot
 labels (N, K) and per-class base rates (K,); other shapes raise
 ValueError rather than broadcast. Reductions have a fixed order, so
 results are run-to-run identical. The scalar ``opinions`` API
-states the same maths one head at a time; the tests use it as the
-independent oracle for these kernels.
+states the same maths one head at a time, for any W; the tests use it
+as the independent oracle for this kernel.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ def _check_shapes(evidence, y, a_pos, a_neg) -> None:
         )
 
 
-def _alphas(evidence: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray,
-            prior_weight: float) -> np.ndarray:
+def _alphas(evidence: np.ndarray, a_pos: np.ndarray, a_neg: np.ndarray) -> np.ndarray:
     """Evidence (..., K, 2) plus per-class base rates -> alpha (..., K, 2)."""
     prior = np.empty((len(a_pos), 2))
-    np.multiply(a_pos, prior_weight, out=prior[:, 0])
-    np.multiply(a_neg, prior_weight, out=prior[:, 1])
+    np.multiply(a_pos, DEFAULT_PRIOR_WEIGHT, out=prior[:, 0])
+    np.multiply(a_neg, DEFAULT_PRIOR_WEIGHT, out=prior[:, 1])
     return evidence + prior
 
 
@@ -53,24 +55,11 @@ def _nll(alpha: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (np.log(s) - log_labeled).sum(axis=-1), s
 
 
-def batch_nll(
-    evidence: np.ndarray,
-    y: np.ndarray,
-    a_pos: np.ndarray,
-    a_neg: np.ndarray,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
-) -> np.ndarray:
-    """Per-sample total loss for evidence (N, K, 2) and multi-hot y (N, K)."""
-    _check_shapes(evidence, y, a_pos, a_neg)
-    return _nll(_alphas(evidence, a_pos, a_neg, prior_weight), y)[0]
-
-
 def batch_nll_grad(
     evidence: np.ndarray,
     y: np.ndarray,
     a_pos: np.ndarray,
     a_neg: np.ndarray,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample losses (N,) and loss gradient w.r.t. evidence (N, K, 2).
 
@@ -78,7 +67,7 @@ def batch_nll_grad(
     correct evidence always helps), positive on the other.
     """
     _check_shapes(evidence, y, a_pos, a_neg)
-    alpha = _alphas(evidence, a_pos, a_neg, prior_weight)
+    alpha = _alphas(evidence, a_pos, a_neg)
     losses, s = _nll(alpha, y)
     # the labeled-side indicator [y, 1 - y], divided by alpha, then 1/S minus it
     grad = np.empty_like(alpha)

@@ -4,7 +4,9 @@ The desk-scale backbone is a fully connected ReLU network on vector
 inputs. The evidence head is a single affine layer from the
 C-dimensional feature vector to 2K outputs, passed through ReLU so
 evidence is non-negative by construction; outputs are laid out as
-[e_1_pos, e_1_neg, e_2_pos, e_2_neg, ...].
+[e_1_pos, e_1_neg, e_2_pos, e_2_neg, ...]. The trainer descends the mean
+of ``losses.batch_nll_grad``'s per-sample losses, whose Beta prior has
+the fixed weight W = 2; only the base rates come from the CIW table.
 
 Everything runs in float64 and is deterministic given the seed: parameter
 init and minibatch shuffling come from one seeded generator, and all
@@ -65,8 +67,7 @@ import numpy as np
 from .base_rates import CIWTable, base_rate_arrays
 from .errors import ConfigError, DataFormatError, TrainingDiverged
 from .fileio import read_lines, write_text
-from .losses import batch_nll, batch_nll_grad
-from .opinions import DEFAULT_PRIOR_WEIGHT
+from .losses import batch_nll_grad
 
 CHECKPOINT_MAGIC = "#evidkit-model"
 CHECKPOINT_VERSION = "v1"
@@ -267,21 +268,7 @@ def init_head(
     return _init_params([feature_dim], num_classes, seed)[1]
 
 
-def batch_loss(
-    mlp: MlpParams,
-    head: EvidenceHeadParams,
-    x: np.ndarray,
-    y: np.ndarray,
-    a_pos: np.ndarray,
-    a_neg: np.ndarray,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
-) -> float:
-    """Mean per-sample loss over a batch; the quantity the trainer descends."""
-    return float(batch_nll(batch_evidence(mlp, head, x), y, a_pos, a_neg, prior_weight).mean())
-
-
-def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_WEIGHT,
-                     out=None):
+def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, out=None):
     """Mean loss plus its gradients for every backbone and head parameter.
 
     ReLU uses subgradient 0 at exactly 0. Returns
@@ -297,7 +284,7 @@ def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_W
     n = x.shape[0]
     acts = [x, *_relu_layers(x, mlp.layers)]
     evidence = evidence_from_features(acts[-1], head)
-    losses, d_evidence = batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight)
+    losses, d_evidence = batch_nll_grad(evidence, y, a_pos, a_neg)
     loss = float(losses.mean())
     if out is None:
         out = [None] * (2 * len(mlp.layers) + 2)
@@ -335,7 +322,7 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float
     return out
 
 
-def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight):
+def _fit(mlp, head, x, y, a_pos, a_neg, config, rng):
     params = _param_arrays(mlp, head)
     theta = np.concatenate([p.ravel() for p in params], dtype=np.float64)
     g = np.empty_like(theta)
@@ -354,8 +341,7 @@ def _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight):
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             stop = min(start + config.batch_size, n)
             loss = batch_loss_grads(
-                mlp, head, xs[start:stop], ys[start:stop], a_pos, a_neg, prior_weight,
-                out=grad_views,
+                mlp, head, xs[start:stop], ys[start:stop], a_pos, a_neg, out=grad_views,
             )[0]
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
@@ -389,7 +375,6 @@ def train_model(
     *,
     hidden=DEFAULT_HIDDEN,
     feature_dim: int = DEFAULT_FEATURE_DIM,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
 ) -> TrainResult:
     """Train the backbone and evidence head from scratch with minibatch SGD.
 
@@ -400,7 +385,7 @@ def train_model(
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     mlp, head = init_model(x.shape[1], len(ciw), hidden, feature_dim, rng)
-    mlp, head, losses = _fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight)
+    mlp, head, losses = _fit(mlp, head, x, y, a_pos, a_neg, config, rng)
     return TrainResult(mlp, head, tuple(losses))
 
 
@@ -411,8 +396,6 @@ def finetune_head(
     labels: np.ndarray,
     config: TrainConfig,
     ciw: CIWTable,
-    *,
-    prior_weight: float = DEFAULT_PRIOR_WEIGHT,
 ) -> TrainResult:
     """Update only the evidence head; the backbone is frozen (not touched).
 
@@ -427,8 +410,7 @@ def finetune_head(
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     _, new_head, losses = _fit(
-        MlpParams([]), head, _blocked_features(x, mlp), y, a_pos, a_neg, config, rng,
-        prior_weight,
+        MlpParams([]), head, _blocked_features(x, mlp), y, a_pos, a_neg, config, rng
     )
     return TrainResult(mlp, new_head, tuple(losses))
 

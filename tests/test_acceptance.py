@@ -41,10 +41,10 @@ from evidkit.evaluation import (
     fpr_at_95_tpr,
     predict_batch,
 )
+from evidkit.losses import batch_nll_grad
 from evidkit.network import (
     TrainConfig,
     batch_evidence,
-    batch_loss,
     batch_loss_grads,
     init_model,
     train_model,
@@ -127,6 +127,10 @@ def test_criterion_2_base_rate_assignment():
     )
 
 
+def _mean_loss(mlp, head, x, y, a_pos, a_neg):
+    return float(batch_nll_grad(batch_evidence(mlp, head, x), y, a_pos, a_neg)[0].mean())
+
+
 def test_criterion_3_end_to_end_gradients():
     """Analytic loss gradients match central differences through the full
     backbone + head on 100 random small configurations, worst relative
@@ -142,11 +146,9 @@ def test_criterion_3_end_to_end_gradients():
         y = rng.integers(0, 2, size=(3, 2)).astype(np.float64)
         a_pos = rng.uniform(0.1, 0.9, size=2)
         a_neg = 1.0 - a_pos
-        w = float(rng.uniform(0.5, 5.0))
+        rng.uniform(0.5, 5.0)  # unused; kept so that the draws after it are unchanged
 
-        _, layer_grads, d_head_w, d_head_b = batch_loss_grads(
-            mlp, head, x, y, a_pos, a_neg, w
-        )
+        _, layer_grads, d_head_w, d_head_b = batch_loss_grads(mlp, head, x, y, a_pos, a_neg)
         analytic = [g for pair in layer_grads for g in pair] + [d_head_w, d_head_b]
         params = [p for layer in mlp.layers for p in layer] + [head.weight, head.bias]
 
@@ -155,9 +157,9 @@ def test_criterion_3_end_to_end_gradients():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = batch_loss(mlp, head, x, y, a_pos, a_neg, w)
+                up = _mean_loss(mlp, head, x, y, a_pos, a_neg)
                 flat[i] = orig - h
-                down = batch_loss(mlp, head, x, y, a_pos, a_neg, w)
+                down = _mean_loss(mlp, head, x, y, a_pos, a_neg)
                 flat[i] = orig
                 numeric = (up - down) / (2.0 * h)
                 g = grad.reshape(-1)[i]

@@ -7,7 +7,6 @@ import pytest
 
 from evidkit.base_rates import CIWTable, adjust_base_rates, sigmoid
 from evidkit.errors import ConfigError
-from evidkit.opinions import BaseRatePair
 
 
 class TestSigmoid:
@@ -96,22 +95,8 @@ class TestAdjustBaseRates:
 
     def test_fully_saturated_weight_rejected(self):
         # sigmoid(40) rounds to 1.0 in float64, leaving no room for a_neg
-        with pytest.raises(ConfigError):
+        with pytest.raises(ConfigError, match=r"too extreme for prior \(0\.5, 0\.5\)$"):
             adjust_base_rates(CIWTable.from_pairs([("c", 40.0)]))
-
-    def test_shift_outside_unit_interval_rejected_for_skewed_prior(self):
-        with pytest.raises(ConfigError):
-            adjust_base_rates(
-                CIWTable.from_pairs([("c", 1.0)]), a0=BaseRatePair(0.9, 0.1)
-            )
-
-    def test_skewed_prior_with_mild_weight(self):
-        (pair,) = adjust_base_rates(
-            CIWTable.from_pairs([("c", 0.1)]), a0=BaseRatePair(0.4, 0.6)
-        )
-        shift = sigmoid(0.1) - 0.5
-        assert pair.a_pos == pytest.approx(0.4 + shift, abs=1e-12)
-        assert pair.a_neg == pytest.approx(0.6 - shift, abs=1e-12)
 
     def test_negative_weight_lowers_defective_prior(self):
         (pair,) = adjust_base_rates(CIWTable.from_pairs([("c", -2.0)]))

@@ -153,7 +153,7 @@ class TestTrain:
     @pytest.mark.parametrize(
         "flags",
         [["--hidden", "8,x"], ["--epochs", "-1"], ["--lr", "-0.5"],
-         ["--batch-size", "0"], ["--prior-weight", "0"], ["--prior-weight", "inf"]],
+         ["--batch-size", "0"]],
     )
     def test_invalid_flags_exit_2(self, tmp_path, flags):
         d = _generate(tmp_path / "data")
@@ -353,14 +353,6 @@ class TestEval:
                      "--threshold", "1.5"])
         assert code == 2
 
-    def test_non_finite_prior_weight_exits_2(self, tmp_path, capsys):
-        data, ckpt = _oracle_fixture(tmp_path)
-        code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
-                     "--ciw", str(data / CIW_FILENAME), "--out", str(tmp_path / "e"),
-                     "--prior-weight", "inf"])
-        assert code == 2
-        assert "--prior-weight" in capsys.readouterr().err
-
     def test_no_known_validation_samples_exits_3(self, tmp_path):
         split = DatasetSplit(
             train=SampleTable(("t0",), [[0.0, 0.0]], [[True, False]], [False]),
@@ -433,14 +425,6 @@ class TestOod:
         code = main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
                      "--out", str(tmp_path / "o"), "--agg", "median"])
         assert code == 2
-
-    def test_non_finite_prior_weight_exits_2(self, tmp_path, capsys):
-        d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
-        code = main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
-                     "--out", str(tmp_path / "o"), "--prior-weight", "inf"])
-        assert code == 2
-        assert "--prior-weight" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_3(self, tmp_path):
         d = _generate(tmp_path / "data")
@@ -603,6 +587,41 @@ class TestCorruptInputsExit3:
 def _eval_or_ood(command, d, ckpt, out):
     extra = ["--ciw", str(d / CIW_FILENAME)] if command == "eval" else []
     return [command, "--checkpoint", str(ckpt), "--data", str(d), *extra, "--out", str(out)]
+
+
+def _command(command, d, ckpt, out):
+    if command == "train":
+        return ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME), "--out", str(out)]
+    return _eval_or_ood(command, d, ckpt, out)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ood"])
+def test_prior_weight_flag_is_rejected(tmp_path, capsys, command):
+    """The prior weight is fixed at 2: no command takes it, not even as 2."""
+    d = _generate(tmp_path / "data")
+    ckpt = _train(d, tmp_path / "run")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main([*_command(command, d, ckpt, out), "--prior-weight", "2"])
+    assert err.value.code == 2
+    assert "unrecognized arguments: --prior-weight 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ood"])
+def test_no_known_classes_in_the_header_exits_3(tmp_path, capsys, command):
+    """K=0 is a data error at line 1 of train.edlset, the first file each command reads."""
+    d = _generate(tmp_path / "data", ["--normal-rate", "1.0"])
+    ckpt = _train(d, tmp_path / "run")
+    for name in (TRAIN_FILENAME, VAL_FILENAME):
+        path = d / name
+        path.write_text(path.read_text().replace(" K=3 ", " K=0 ", 1))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert main(_command(command, d, ckpt, out)) == 3
+    assert capsys.readouterr().err == f"error: {d / TRAIN_FILENAME}: line 1: K must be >= 1\n"
+    assert not out.exists()
 
 
 class TestTrainFileForEvalAndOod:

@@ -22,6 +22,7 @@ from evidkit.cli import (
     EVAL_REPORT_FILENAME,
     FINETUNE_EPOCHS,
     FINETUNE_LR,
+    OOD_REPORT_FILENAME,
     TRAIN_LOG_FILENAME,
     main,
 )
@@ -47,9 +48,9 @@ HELP_PYTHON = (3, 11)
 HELP_SHA256 = {
     "": "469ccec2eff129e366ff5c48a43b6866cc10aa9e2d75f56e2e824556dc33148b",
     "generate": "caba75a8f1bee87f0220332a31c14d8333aaa8f5b1f2e1970384cc2cbf8345f0",
-    "train": "5f27a31e58e5760b03705b68c0606f603cf7b3adda4437e6c259935d4da1386c",
-    "eval": "5976ce05b8f404774b0a5b284c8856e92786cab270467532b7a2b1be83c7a9c6",
-    "ood": "9c1d6f5b369e58dd6194a825f30f9ed23d030ddaafc5aee21dc15781c0d4cf00",
+    "train": "84cde9331247fd9fa683604bd0be145338dbb087eb8418774fc1c5e49e016196",
+    "eval": "1dc6e87ff9390dbca64e0baf19c1a718ef3d953ac6afffd09c1f719d01c63c5f",
+    "ood": "8798f140f4833fa389dc81aa335243435c10a601e72e4d41a88b906fe7ed0844",
 }
 
 
@@ -86,6 +87,11 @@ def test_default_train_logs_the_default_configs(tmp_path):
                  "--ciw", str(data / CIW_FILENAME), "--out", str(out)]) == 0
     report = yaml.safe_load((out / EVAL_REPORT_FILENAME).read_text())
     assert report["config"]["threshold"] == DEFAULT_THRESHOLD
+    assert report["config"]["prior_weight"] == DEFAULT_PRIOR_WEIGHT
+
+    assert main(["ood", "--checkpoint", str(out / "model.ckpt"), "--data", str(data),
+                 "--out", str(out)]) == 0
+    report = yaml.safe_load((out / OOD_REPORT_FILENAME).read_text())
     assert report["config"]["prior_weight"] == DEFAULT_PRIOR_WEIGHT
 
 

@@ -157,7 +157,6 @@ def test_train_flags(pristine, data):
         "--seed": st.integers(min_value=-2, max_value=2**40),
         "--hidden": st.sampled_from(["", " ", ",", "0", "-1", "3", "4,2", "8,x"]),
         "--feature-dim": st.integers(min_value=-1, max_value=4),
-        "--prior-weight": floats,
     })
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
@@ -170,12 +169,11 @@ def test_train_flags(pristine, data):
 @given(data=st.data())
 def test_eval_and_ood_flags(pristine, data):
     command = data.draw(st.sampled_from(["eval", "ood"]))
-    spec = {"--prior-weight": floats}
     if command == "eval":
-        spec["--threshold"] = floats
+        spec = {"--threshold": floats}
     else:
-        spec["--agg"] = st.sampled_from(
-            ["max", "sum", "top1", "top3", "top0", "top99", "top-1", "topx", "", "mean"])
+        spec = {"--agg": st.sampled_from(
+            ["max", "sum", "top1", "top3", "top0", "top99", "top-1", "topx", "", "mean"])}
     flags = _flags(data.draw, spec)
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)

@@ -214,6 +214,13 @@ class TestDatasetFiles:
         with pytest.raises(DataFormatError, match="line 1"):
             load_dataset(d)
 
+    def test_zero_known_classes_rejected(self, tmp_path):
+        d = self._saved(tmp_path)
+        header = (d / VAL_FILENAME).read_text().splitlines()[0]
+        self._corrupt(d, 1, header.replace(" K=3 ", " K=0 "))
+        with pytest.raises(DataFormatError, match="line 1: K must be >= 1$"):
+            load_dataset(d)
+
     def test_unsupported_version(self, tmp_path):
         d = self._saved(tmp_path)
         header = (d / VAL_FILENAME).read_text().splitlines()[0]

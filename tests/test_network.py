@@ -9,12 +9,12 @@ import pytest
 from evidkit import network
 from evidkit.base_rates import CIWTable
 from evidkit.errors import ConfigError, DataFormatError, TrainingDiverged
+from evidkit.losses import batch_nll_grad
 from evidkit.network import (
     EvidenceHeadParams,
     MlpParams,
     TrainConfig,
     batch_evidence,
-    batch_loss,
     batch_loss_grads,
     evidence_from_features,
     extract_features,
@@ -28,6 +28,11 @@ from evidkit.network import (
 )
 
 UNIFORM_CIW = CIWTable.uniform(["a", "b"], weight=0.0)
+
+
+def _mean_loss(mlp, head, x, y, a_pos, a_neg):
+    """The mean per-sample loss over a batch; the quantity the trainer descends."""
+    return float(batch_nll_grad(batch_evidence(mlp, head, x), y, a_pos, a_neg)[0].mean())
 
 
 def _separable_data(n=160, dim=8, gap=6.0, seed=0):
@@ -192,9 +197,9 @@ class TestGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = batch_loss(mlp, head, x, y, a_pos, a_neg)
+                up = _mean_loss(mlp, head, x, y, a_pos, a_neg)
                 flat[i] = orig - h
-                down = batch_loss(mlp, head, x, y, a_pos, a_neg)
+                down = _mean_loss(mlp, head, x, y, a_pos, a_neg)
                 flat[i] = orig
                 numeric = (up - down) / (2 * h)
                 scale = max(abs(numeric), abs(analytic.ravel()[i]), 1e-8)
@@ -379,8 +384,8 @@ class TestFreeze:
         cfg = TrainConfig(epochs=15, learning_rate=1e-2, seed=7)
         tuned = finetune_head(pre.mlp, head, x, y, cfg, UNIFORM_CIW)
         a = np.full(2, 0.5)
-        before = batch_loss(pre.mlp, head, x_val, y_val, a, a)
-        after = batch_loss(pre.mlp, tuned.head, x_val, y_val, a, a)
+        before = _mean_loss(pre.mlp, head, x_val, y_val, a, a)
+        after = _mean_loss(pre.mlp, tuned.head, x_val, y_val, a, a)
         assert after < before
 
     @pytest.mark.parametrize("epochs", [0, 1, 3])

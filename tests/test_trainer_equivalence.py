@@ -62,10 +62,10 @@ def _sgd_step(param, grad, lr, weight_decay):
     return param * (1.0 - lr * weight_decay) - lr * grad
 
 
-def _retired_batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight=DEFAULT_PRIOR_WEIGHT):
+def _retired_batch_nll_grad(evidence, y, a_pos, a_neg):
     alpha = np.empty_like(evidence)
-    alpha[..., 0] = evidence[..., 0] + a_pos * prior_weight
-    alpha[..., 1] = evidence[..., 1] + a_neg * prior_weight
+    alpha[..., 0] = evidence[..., 0] + a_pos * DEFAULT_PRIOR_WEIGHT
+    alpha[..., 1] = evidence[..., 1] + a_neg * DEFAULT_PRIOR_WEIGHT
     s = alpha.sum(axis=-1)
     log_labeled = np.where(y == 1, np.log(alpha[..., 0]), np.log(alpha[..., 1]))
     losses = (np.log(s) - log_labeled).sum(axis=-1)
@@ -77,11 +77,11 @@ def _retired_batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight=DEFAULT_PRIO
     return losses, grad
 
 
-def _retired_batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight):
+def _retired_batch_loss_grads(mlp, head, x, y, a_pos, a_neg):
     n = x.shape[0]
     acts, zs, z_head, evidence = _forward_cached(mlp, head, x)
     losses, d_evidence = _retired_batch_nll_grad(
-        evidence.reshape(n, head.num_classes, 2), y, a_pos, a_neg, prior_weight
+        evidence.reshape(n, head.num_classes, 2), y, a_pos, a_neg
     )
     loss = float(losses.mean())
 
@@ -100,7 +100,7 @@ def _retired_batch_loss_grads(mlp, head, x, y, a_pos, a_neg, prior_weight):
     return loss, grads, g_head_w, g_head_b
 
 
-def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, update_backbone):
+def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, update_backbone):
     n = x.shape[0]
     epoch_losses = []
     for epoch in range(config.epochs):
@@ -110,7 +110,7 @@ def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, updat
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             idx = order[start:start + config.batch_size]
             loss, grads, g_head_w, g_head_b = _retired_batch_loss_grads(
-                mlp, head, x[idx], y[idx], a_pos, a_neg, prior_weight
+                mlp, head, x[idx], y[idx], a_pos, a_neg
             )
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
@@ -131,20 +131,19 @@ def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, updat
     return mlp, head, epoch_losses
 
 
-def _retired_train_model(x, y, config, ciw, hidden, feature_dim, prior_weight):
+def _retired_train_model(x, y, config, ciw, hidden, feature_dim):
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     mlp, head = init_model(x.shape[1], len(ciw), hidden, feature_dim, rng)
-    return _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, prior_weight, True)
+    return _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, True)
 
 
-def _retired_finetune_head(mlp, head, x, y, config, ciw, prior_weight):
+def _retired_finetune_head(mlp, head, x, y, config, ciw):
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     head = EvidenceHeadParams(head.weight.copy(), head.bias.copy())
     features = _forward_cached(mlp, head, x)[0][-1]
-    return _retired_fit(MlpParams([]), head, features, y, a_pos, a_neg, config, rng,
-                        prior_weight, False)
+    return _retired_fit(MlpParams([]), head, features, y, a_pos, a_neg, config, rng, False)
 
 
 # -- helpers -------------------------------------------------------------
@@ -183,7 +182,6 @@ fits = st.fixed_dictionaries({
     "dim": st.integers(1, 6),
     "k": st.integers(1, 3),
     "seed": st.integers(0, 2**16),
-    "prior_weight": st.sampled_from([DEFAULT_PRIOR_WEIGHT, 0.5]),
 })
 
 
@@ -203,11 +201,8 @@ class TestSameBitsAsTheRetiredTrainer:
     def test_train_model(self, p):
         x, y, ciw = _problem(p["n"], p["dim"], p["k"], p["seed"])
         cfg = _config(p)
-        got = train_model(x, y, cfg, ciw, hidden=p["hidden"], feature_dim=p["feature_dim"],
-                          prior_weight=p["prior_weight"])
-        mlp, head, losses = _retired_train_model(
-            x, y, cfg, ciw, p["hidden"], p["feature_dim"], p["prior_weight"]
-        )
+        got = train_model(x, y, cfg, ciw, hidden=p["hidden"], feature_dim=p["feature_dim"])
+        mlp, head, losses = _retired_train_model(x, y, cfg, ciw, p["hidden"], p["feature_dim"])
         _assert_bytes_equal(_arrays(got.mlp, got.head), _arrays(mlp, head))
         assert got.epoch_losses == tuple(losses)
 
@@ -218,10 +213,8 @@ class TestSameBitsAsTheRetiredTrainer:
         cfg = _config(p)
         mlp, _ = init_model(p["dim"], p["k"], p["hidden"], p["feature_dim"], p["seed"] + 1)
         head = init_head(p["feature_dim"], p["k"], p["seed"] + 2)
-        got = finetune_head(mlp, head, x, y, cfg, ciw, prior_weight=p["prior_weight"])
-        _, want_head, losses = _retired_finetune_head(
-            mlp, head, x, y, cfg, ciw, p["prior_weight"]
-        )
+        got = finetune_head(mlp, head, x, y, cfg, ciw)
+        _, want_head, losses = _retired_finetune_head(mlp, head, x, y, cfg, ciw)
         assert got.mlp is mlp
         _assert_bytes_equal([got.head.weight, got.head.bias],
                             [want_head.weight, want_head.bias])
@@ -232,18 +225,17 @@ class TestSameBitsAsTheRetiredTrainer:
         st.integers(1, 12),
         st.integers(1, 4),
         st.sampled_from([0.0, 1e-300, 1.0, 1e150, 3e150]),
-        st.sampled_from([DEFAULT_PRIOR_WEIGHT, 0.5, 1e-3]),
         st.integers(0, 2**16),
     )
-    def test_batch_nll_grad(self, n, k, scale, prior_weight, seed):
+    def test_batch_nll_grad(self, n, k, scale, seed):
         rng = np.random.default_rng(seed)
         evidence = rng.random((n, k, 2)) * scale
         evidence[rng.random((n, k, 2)) < 0.3] = 0.0  # exact zeros, as ReLU emits
         y = (rng.random((n, k)) < 0.5).astype(np.float64)
         a_pos = rng.uniform(0.05, 0.95, size=k)
         a_neg = 1.0 - a_pos
-        got = batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight)
-        want = _retired_batch_nll_grad(evidence, y, a_pos, a_neg, prior_weight)
+        got = batch_nll_grad(evidence, y, a_pos, a_neg)
+        want = _retired_batch_nll_grad(evidence, y, a_pos, a_neg)
         _assert_bytes_equal(list(got), list(want))
 
 
@@ -294,7 +286,7 @@ def test_activation_masks_match_the_z_masks(backbone, hidden, seed):
         trained, head, inputs, y, a_pos, 1.0 - a_pos
     )
     loss, grads, g_head_w, g_head_b = _retired_batch_loss_grads(
-        mlp, head, x, y, a_pos, 1.0 - a_pos, DEFAULT_PRIOR_WEIGHT
+        mlp, head, x, y, a_pos, 1.0 - a_pos
     )
     assert got_loss == loss
     want = [g for pair in grads for g in pair] if backbone else []

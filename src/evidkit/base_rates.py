@@ -52,10 +52,6 @@ class CIWTable:
         return cls(tuple((str(n), float(weight)) for n in class_names))
 
     @property
-    def names(self) -> tuple[str, ...]:
-        return tuple(name for name, _ in self.entries)
-
-    @property
     def weights(self) -> tuple[float, ...]:
         return tuple(weight for _, weight in self.entries)
 
@@ -66,16 +62,17 @@ class CIWTable:
 def adjust_base_rates(ciw: CIWTable) -> tuple[BaseRatePair, ...]:
     """Shift the uniform (1/2, 1/2) base rates by the expert importance weights.
 
-    For class k: a_pos = 1/2 + (sigmoid(ciw_k) - 1/2) and
-    a_neg = 1/2 - (sigmoid(ciw_k) - 1/2). The shifted pair must land
-    strictly inside (0, 1); a weight extreme enough to saturate either
-    side is a configuration error.
+    For class k the shift sigmoid(ciw_k) - 1/2 gives a_pos = sigmoid(ciw_k)
+    and a_neg = 1 - a_pos, computed as such: adding the shift back to 1/2
+    would cancel digits for weights below ln(1/3). The pair must lie
+    strictly inside (0, 1); a weight extreme enough to round either rate
+    to 0 or 1 (above about 36.7 or below about -37.4) is a configuration
+    error.
     """
     adjusted = []
     for name, weight in ciw.entries:
-        shift = sigmoid(weight) - 0.5
-        a_pos = 0.5 + shift
-        a_neg = 0.5 - shift
+        a_pos = sigmoid(weight)
+        a_neg = 1.0 - a_pos
         if not (0.0 < a_pos < 1.0 and 0.0 < a_neg < 1.0):
             raise ConfigError(
                 f"adjusted base rate for class {name!r} falls outside (0, 1): "

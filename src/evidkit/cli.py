@@ -16,7 +16,6 @@ from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
-import yaml
 
 from .base_rates import CIWTable, base_rate_arrays
 from .datasets import (
@@ -34,7 +33,6 @@ from .errors import ConfigError, DataFormatError, TrainingDiverged
 from .evaluation import (
     DEFAULT_THRESHOLD,
     MAX_AGGREGATION,
-    MetricsReport,
     auroc,
     aupr,
     f1_normal,
@@ -117,6 +115,20 @@ def _check_model_matches(mlp, head, dim, k_known):
         )
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _evidence(mlp, head, x, ids, checkpoint) -> np.ndarray:
+    """``batch_evidence``; evidence that is not finite (weights that overflow
+    float64) is a data error naming the checkpoint and the first such sample."""
+    evidence = batch_evidence(mlp, head, x)
+    finite = np.isfinite(evidence).all(axis=(1, 2))
+    if not finite.all():
+        raise DataFormatError(
+            f"the model's evidence for sample {ids[finite.argmin()]} is not finite "
+            "(its weights overflow float64)", path=checkpoint,
+        )
+    return evidence
+
+
 def cmd_generate(args) -> int:
     cfg = GenConfig(**_config_values(GenConfig, args))
     split = generate_dataset(cfg)
@@ -183,8 +195,7 @@ def cmd_train(args) -> int:
         "epoch_losses": [float(v) for v in result.epoch_losses],
         "final_loss": float(result.epoch_losses[-1]) if result.epoch_losses else None,
     }
-    write_text(out / TRAIN_LOG_FILENAME,
-               yaml.safe_dump(log, sort_keys=True, default_flow_style=False))
+    write_text(out / TRAIN_LOG_FILENAME, render_report(log))
     if result.epoch_losses:
         print(f"trained {config.epochs} epochs; final mean loss {result.epoch_losses[-1]:.6f}")
     else:
@@ -207,28 +218,28 @@ def cmd_eval(args) -> int:
     n_unknown = len(validation) - len(known)
     if not known:
         raise DataFormatError("validation split has no known samples to score")
-    _, x, y, _ = samples_to_arrays(known, k_known, dim)
+    ids, x, y, _ = samples_to_arrays(known, k_known, dim)
 
     a_pos, a_neg = base_rate_arrays(ciw)
-    evidence = batch_evidence(mlp, head, x)
+    evidence = _evidence(mlp, head, x, ids, args.checkpoint)
     batch = predict_batch(evidence, a_pos, a_neg, threshold=args.threshold)
     f1 = f1_normal(batch.labels, y)
     f2 = f2_ciw(batch.labels, y, ciw)
     rows = per_class_f2(batch.labels, y)
-    per_class = tuple(
-        (name, p, r, f2k, w)
-        for (name, w), (p, r, f2k) in zip(ciw.entries, rows)
-    )
-    report = MetricsReport(
-        f1_normal=f1, f2_ciw=f2,
-        num_known=len(known), num_unknown=n_unknown,
-        per_class=per_class,
-    )
+    config = {name: getattr(args, name) for name in ("checkpoint", "data", "ciw", "threshold")}
+    report = {
+        "task": "msdc",
+        "config": config | {"prior_weight": DEFAULT_PRIOR_WEIGHT},
+        "counts": {"known": len(known), "unknown": n_unknown},
+        "metrics": {"f1_normal": f1, "f2_ciw": f2},
+        "per_class": {
+            name: {"precision": p, "recall": r, "f2": f2k, "weight": w}
+            for (name, w), (p, r, f2k) in zip(ciw.entries, rows)
+        },
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = {name: getattr(args, name) for name in ("checkpoint", "data", "ciw", "threshold")}
-    config["prior_weight"] = DEFAULT_PRIOR_WEIGHT
-    write_text(out / EVAL_REPORT_FILENAME, render_report(report, "msdc", config))
+    write_text(out / EVAL_REPORT_FILENAME, render_report(report))
     print(f"known-class evaluation on {len(known)} samples "
           f"({n_unknown} unknown samples excluded)")
     print(f"F1_Normal: {f1:.4f}")
@@ -253,32 +264,36 @@ def cmd_ood(args) -> int:
 
     # base rates do not enter the vacuity u = W / S, so uniform ones suffice
     uniform = np.full(k_known, 0.5)
-    evidence = batch_evidence(mlp, head, x)
+    evidence = _evidence(mlp, head, x, ids, args.checkpoint)
     batch = predict_batch(evidence, uniform, uniform, agg=agg)
     scores = batch.uncertainty
 
-    report = MetricsReport(
-        auroc=auroc(scores, flags),
-        aupr=aupr(scores, flags),
-        fpr95=fpr_at_95_tpr(scores, flags),
-        num_known=int((~flags).sum()),
-        num_unknown=int(flags.sum()),
-    )
+    metrics = {
+        "auroc": auroc(scores, flags),
+        "aupr": aupr(scores, flags),
+        "fpr95": fpr_at_95_tpr(scores, flags),
+    }
+    counts = {"known": int((~flags).sum()), "unknown": int(flags.sum())}
+    report = {
+        "task": "ood",
+        "config": {
+            "checkpoint": args.checkpoint,
+            "data": args.data,
+            "aggregation": str(agg),
+            "prior_weight": DEFAULT_PRIOR_WEIGHT,
+        },
+        "counts": counts,
+        "metrics": metrics,
+    }
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    config = {
-        "checkpoint": args.checkpoint,
-        "data": args.data,
-        "aggregation": str(agg),
-        "prior_weight": DEFAULT_PRIOR_WEIGHT,
-    }
-    write_text(out / OOD_REPORT_FILENAME, render_report(report, "ood", config))
+    write_text(out / OOD_REPORT_FILENAME, render_report(report))
     write_scores_csv(out / OOD_SCORES_FILENAME, ids, scores, flags)
     print(f"unknown detection over {len(ids)} validation samples "
-          f"({report.num_unknown} unknown), aggregation {agg}")
-    print(f"AUROC: {report.auroc:.4f}")
-    print(f"AUPR:  {report.aupr:.4f}")
-    print(f"FPR95: {report.fpr95:.4f}")
+          f"({counts['unknown']} unknown), aggregation {agg}")
+    print(f"AUROC: {metrics['auroc']:.4f}")
+    print(f"AUPR:  {metrics['aupr']:.4f}")
+    print(f"FPR95: {metrics['fpr95']:.4f}")
     print(f"report: {args.out}/{OOD_REPORT_FILENAME}")
     print(f"scores: {args.out}/{OOD_SCORES_FILENAME}")
     return 0

@@ -203,11 +203,6 @@ class GenConfig:
     def __post_init__(self):
         if self.k_unknown < 0:
             raise ConfigError(f"k_unknown must be >= 0, got {self.k_unknown}")
-        if self.k_unknown > 0 and self.k_unknown >= self.k_known + self.k_unknown:
-            raise ConfigError(
-                f"k_unknown={self.k_unknown} must be less than the total class count "
-                f"{self.k_known + self.k_unknown} (at least one class must stay known)"
-            )
         if self.k_known < 1:
             raise ConfigError(f"k_known must be >= 1, got {self.k_known}")
         if self.k_unknown > 0 and self.k_known < 2:

@@ -11,6 +11,9 @@ is read at the operating points "flag every score >= d". The sweep reads
 its counts only at tie-group ends, so the sort need not be stable and
 numpy's default (introsort) argsort is used. All metric functions are
 pure and permutation-invariant over samples, bit for bit.
+
+Reports are plain dicts; ``render_report`` is the one writer of the YAML
+report format, used for the train log and the eval and ood reports.
 """
 
 from __future__ import annotations
@@ -95,11 +98,11 @@ def predict_batch(
     With the fixed prior weight W = DEFAULT_PRIOR_WEIGHT (2) and
     S = e_pos + e_neg + W, p = (e_pos + a_pos * W) / S and u = W / S; a
     class is labeled present iff p exceeds the threshold, and each row's
-    uncertainties collapse to one score by agg.
+    uncertainties collapse to one score by agg. ``a_neg`` is not read: p
+    needs only a_pos, and u no base rate at all.
     """
     ev = np.asarray(evidence, dtype=np.float64)
     a_pos = np.asarray(a_pos, dtype=np.float64)
-    a_neg = np.asarray(a_neg, dtype=np.float64)
     if ev.ndim != 3 or ev.shape[2] != 2 or ev.shape[1] != a_pos.shape[0]:
         raise ValueError(f"evidence shape {ev.shape} does not match {a_pos.shape[0]} classes")
     # NaN fails both comparisons; empty evidence has no extrema to check
@@ -296,49 +299,18 @@ def baseline_ood_scores(logits, method: str) -> np.ndarray:
     raise ValueError(f"unknown baseline method {method!r}")
 
 
-_METRIC_FIELDS = ("f1_normal", "f2_ciw", "auroc", "aupr", "fpr95")
+def render_report(doc: dict) -> str:
+    """Serialize a report as deterministic YAML: the one statement of the format.
 
-
-@dataclass(frozen=True)
-class MetricsReport:
-    """Metric values for one evaluation; fields not computed stay None."""
-
-    f1_normal: float | None = None
-    f2_ciw: float | None = None
-    auroc: float | None = None
-    aupr: float | None = None
-    fpr95: float | None = None
-    num_known: int = 0
-    num_unknown: int = 0
-    per_class: tuple[tuple[str, float, float, float, float], ...] = ()
-
-    def __post_init__(self):
-        for name in _METRIC_FIELDS:
-            v = getattr(self, name)
-            if v is not None and not (0.0 <= v <= 1.0 and math.isfinite(v)):
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.num_known < 0 or self.num_unknown < 0:
-            raise ValueError("sample counts must be >= 0")
-
-
-def render_report(report: MetricsReport, task: str, config: dict | None = None) -> str:
-    """Serialize a report (plus the run's resolved config) as YAML text."""
-    metrics = {
-        name: getattr(report, name)
-        for name in _METRIC_FIELDS
-        if getattr(report, name) is not None
-    }
-    doc = {
-        "task": task,
-        "config": dict(config or {}),
-        "counts": {"known": report.num_known, "unknown": report.num_unknown},
-        "metrics": metrics,
-    }
-    if report.per_class:
-        doc["per_class"] = {
-            name: {"precision": p, "recall": r, "f2": f2, "weight": w}
-            for name, p, r, f2, w in report.per_class
-        }
+    Every value under ``doc["metrics"]`` must be finite and in [0, 1], and
+    every value under ``doc["counts"]`` must be >= 0; either section may be
+    absent. Keys are sorted, so the text does not depend on insertion order.
+    """
+    for name, v in doc.get("metrics", {}).items():
+        if not (0.0 <= v <= 1.0 and math.isfinite(v)):
+            raise ValueError(f"{name} must be in [0, 1], got {v}")
+    if any(v < 0 for v in doc.get("counts", {}).values()):
+        raise ValueError("sample counts must be >= 0")
     return yaml.safe_dump(doc, sort_keys=True, default_flow_style=False)
 
 

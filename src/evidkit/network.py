@@ -379,13 +379,21 @@ def train_model(
     """Train the backbone and evidence head from scratch with minibatch SGD.
 
     Labels are multi-hot (N, K) over the known classes, in CIW-table
-    order; base rates come from the table via the expert assignment.
+    order; base rates come from the table via the expert assignment. A
+    model too large to allocate is a ConfigError.
     """
     x, y = _validate_training_data(features, labels, len(ciw))
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
-    mlp, head = init_model(x.shape[1], len(ciw), hidden, feature_dim, rng)
-    mlp, head, losses = _fit(mlp, head, x, y, a_pos, a_neg, config, rng)
+    try:
+        mlp, head = init_model(x.shape[1], len(ciw), hidden, feature_dim, rng)
+        mlp, head, losses = _fit(mlp, head, x, y, a_pos, a_neg, config, rng)
+    except MemoryError:
+        raise ConfigError(
+            f"a model with hidden sizes {tuple(hidden)} and feature dim {feature_dim} "
+            f"does not fit in memory for {x.shape[0]} training rows; lower hidden or "
+            "feature_dim"
+        ) from None
     return TrainResult(mlp, head, tuple(losses))
 
 

@@ -55,10 +55,6 @@ class BaseRatePair:
                 f"base rates must sum to 1, got {self.a_pos!r} + {self.a_neg!r}"
             )
 
-    @classmethod
-    def uniform(cls) -> "BaseRatePair":
-        return cls(0.5, 0.5)
-
 
 @dataclass(frozen=True)
 class EvidencePair:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import yaml
 
-from evidkit import datasets
+from evidkit import datasets, network
 from evidkit.cli import (
     CHECKPOINT_FILENAME,
     CIW_FILENAME,
@@ -160,6 +160,25 @@ class TestTrain:
         code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
                      "--out", str(tmp_path / "run"), *flags])
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--hidden", "--feature-dim"])
+    def test_unallocatable_model_exits_2_before_writing(
+        self, tmp_path, capsys, monkeypatch, flag
+    ):
+        # stands in for the multi-TiB weight draw of a huge layer
+        def no_memory(*args):
+            raise MemoryError
+
+        d = _generate(tmp_path / "data")
+        monkeypatch.setattr(network, "init_model", no_memory)
+        out = tmp_path / "run"
+        capsys.readouterr()
+        assert main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                     "--out", str(out), flag, "100000000000"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not fit in memory" in err
+        assert "hidden sizes" in err and "feature dim" in err and "100000000000" in err
+        assert not out.exists()
 
     def test_init_from_requires_freeze(self, tmp_path, capsys):
         d = _generate(tmp_path / "data")
@@ -521,6 +540,25 @@ class TestCorruptInputsExit3:
         assert main([command, "--checkpoint", str(ckpt), "--data", str(d), *extra,
                      "--out", str(tmp_path / "out")]) == 3
         assert "line 7: " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["eval", "ood"])
+    def test_checkpoint_weights_that_overflow(self, tmp_path, capsys, command):
+        """Finite weights whose forward pass overflows float64: exit 3, no output."""
+        d = _generate(tmp_path / "data")
+        ckpt = _train(d, tmp_path / "run")
+        mlp, head = load_checkpoint(ckpt)
+        # two backbone layers, so each is scaled past the square root of float64's max
+        save_checkpoint(ckpt, MlpParams([(w * 1e200, b) for w, b in mlp.layers]), head)
+        extra = ["--ciw", str(d / CIW_FILENAME)] if command == "eval" else []
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main([command, "--checkpoint", str(ckpt), "--data", str(d), *extra,
+                     "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: ") and "is not finite" in err
+        sample = err.split("for sample ")[1].split()[0]
+        assert sample in load_dataset(d).validation.ids
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "ood"])
     def test_trailing_checkpoint_content(self, tmp_path, capsys, command):

@@ -304,7 +304,7 @@ class TestCiwFiles:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "ciw.tsv"
         path.write_text("\ncrack\t0.9\n\n")
-        assert load_ciw_config(path).names == ("crack",)
+        assert load_ciw_config(path).entries == (("crack", 0.9),)
 
     def test_duplicate_class_rejected(self, tmp_path):
         path = tmp_path / "ciw.tsv"

@@ -15,7 +15,6 @@ from evidkit.base_rates import CIWTable
 from evidkit.errors import ConfigError
 from evidkit.evaluation import (
     AggregationMode,
-    MetricsReport,
     _aggregate_rows,
     _tie_groups,
     aupr,
@@ -599,25 +598,10 @@ class TestBaselines:
 
 
 class TestReports:
-    def _report(self):
-        return MetricsReport(
-            f1_normal=0.9375,
-            f2_ciw=0.88,
-            auroc=0.91,
-            aupr=0.52,
-            fpr95=0.28,
-            num_known=500,
-            num_unknown=100,
-            per_class=(("crack", 0.9, 0.8, 0.82, 0.75), ("root", 1.0, 1.0, 1.0, 0.25)),
-        )
-
-    def test_round_trip(self):
-        """The rendered YAML reads back to every field of the report."""
-        report = self._report()
-        text = render_report(report, task="msdc", config={"seed": 7, "epochs": 60})
-        assert yaml.safe_load(text) == {
+    def _report(self, config=None):
+        return {
             "task": "msdc",
-            "config": {"seed": 7, "epochs": 60},
+            "config": config or {"seed": 7, "epochs": 60},
             "counts": {"known": 500, "unknown": 100},
             "metrics": {"f1_normal": 0.9375, "f2_ciw": 0.88, "auroc": 0.91,
                         "aupr": 0.52, "fpr95": 0.28},
@@ -627,24 +611,31 @@ class TestReports:
             },
         }
 
-    def test_none_metrics_are_omitted(self):
-        text = render_report(MetricsReport(auroc=0.8, num_unknown=5), task="ood")
-        assert "f1_normal" not in text
-        assert yaml.safe_load(text)["metrics"] == {"auroc": 0.8}
+    def test_round_trip(self):
+        """The rendered YAML reads back to every entry of the report."""
+        report = self._report()
+        assert yaml.safe_load(render_report(report)) == report
+
+    def test_sections_are_optional(self):
+        """Only the sections given are written; a train log has neither guarded one."""
+        text = render_report({"task": "ood", "metrics": {"auroc": 0.8}})
+        assert "f1_normal" not in text and "counts" not in text
+        assert yaml.safe_load(text) == {"task": "ood", "metrics": {"auroc": 0.8}}
+        log = {"command": "train", "final_loss": None, "epoch_losses": []}
+        assert yaml.safe_load(render_report(log)) == log
 
     def test_render_is_deterministic(self):
-        report = self._report()
-        a = render_report(report, "msdc", {"b": 1, "a": 2})
-        b = render_report(report, "msdc", {"a": 2, "b": 1})
+        a = render_report(self._report({"b": 1, "a": 2}))
+        b = render_report(self._report({"a": 2, "b": 1}))
         assert a == b
 
     def test_out_of_range_metric_rejected(self):
-        with pytest.raises(ValueError):
-            MetricsReport(auroc=1.5)
-        with pytest.raises(ValueError):
-            MetricsReport(fpr95=float("nan"))
-        with pytest.raises(ValueError):
-            MetricsReport(num_known=-1)
+        with pytest.raises(ValueError, match="auroc must be in"):
+            render_report({"metrics": {"auroc": 1.5}})
+        with pytest.raises(ValueError, match="fpr95 must be in"):
+            render_report({"metrics": {"fpr95": float("nan")}})
+        with pytest.raises(ValueError, match="counts must be >= 0"):
+            render_report({"counts": {"known": -1}})
 
 
 class TestScoresCsv:

@@ -9,6 +9,7 @@ failure during training.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import re
 import sys
@@ -29,7 +30,7 @@ from .datasets import (
     save_ciw_config,
     save_dataset,
 )
-from .errors import ConfigError, DataFormatError, TrainingDiverged
+from .errors import ConfigError, DataFormatError, NonFiniteOutput, TrainingDiverged
 from .evaluation import (
     DEFAULT_THRESHOLD,
     MAX_AGGREGATION,
@@ -50,6 +51,7 @@ from .network import (
     DEFAULT_HIDDEN,
     TrainConfig,
     batch_evidence,
+    check_finite_rows,
     finetune_head,
     init_head,
     load_checkpoint,
@@ -115,18 +117,21 @@ def _check_model_matches(mlp, head, dim, k_known):
         )
 
 
+@contextlib.contextmanager
+def _naming_sample(ids, checkpoint):
+    """A NonFiniteOutput raised inside names the checkpoint and the sample id."""
+    try:
+        yield
+    except NonFiniteOutput as exc:
+        raise NonFiniteOutput(exc.what, exc.row, f"sample {ids[exc.row]}", checkpoint) from None
+
+
 @np.errstate(over="ignore", invalid="ignore")
 def _evidence(mlp, head, x, ids, checkpoint) -> np.ndarray:
     """``batch_evidence``; evidence that is not finite (weights that overflow
     float64) is a data error naming the checkpoint and the first such sample."""
-    evidence = batch_evidence(mlp, head, x)
-    finite = np.isfinite(evidence).all(axis=(1, 2))
-    if not finite.all():
-        raise DataFormatError(
-            f"the model's evidence for sample {ids[finite.argmin()]} is not finite "
-            "(its weights overflow float64)", path=checkpoint,
-        )
-    return evidence
+    with _naming_sample(ids, checkpoint):
+        return check_finite_rows(batch_evidence(mlp, head, x), "evidence")
 
 
 def cmd_generate(args) -> int:
@@ -150,7 +155,7 @@ def cmd_train(args) -> int:
     ciw = _align_ciw(load_ciw_config(args.ciw), split.known_classes)
     if not split.train:
         raise DataFormatError("train split has no samples to fit")
-    _, x, y, _ = samples_to_arrays(split.train, split.k_known, split.dim)
+    ids, x, y, _ = samples_to_arrays(split.train, split.k_known, split.dim)
 
     defaults = {}
     if args.freeze_backbone:
@@ -171,7 +176,8 @@ def cmd_train(args) -> int:
         mlp, old_head = load_checkpoint(args.init_from)
         _check_model_matches(mlp, old_head, split.dim, split.k_known)
         head = init_head(mlp.dim_out, split.k_known, config.seed)
-        result = finetune_head(mlp, head, x, y, config, ciw)
+        with _naming_sample(ids, args.init_from):
+            result = finetune_head(mlp, head, x, y, config, ciw)
     else:
         hidden = DEFAULT_HIDDEN if args.hidden is None else _parse_hidden(args.hidden)
         feature_dim = DEFAULT_FEATURE_DIM if args.feature_dim is None else args.feature_dim

@@ -27,6 +27,18 @@ class DataFormatError(EvidkitError):
         self.line = line
 
 
+class NonFiniteOutput(DataFormatError):
+    """A model whose finite weights overflow float64: its ``what`` for row
+    ``row``, the first such row, is not finite. ``sample`` names that row in
+    the message instead of its index."""
+
+    def __init__(self, what, row, sample=None, path=None):
+        super().__init__(f"the model's {what} for {sample or f'row {row}'} is not finite "
+                         "(its weights overflow float64)", path=path)
+        self.what = what
+        self.row = row
+
+
 class TrainingDiverged(EvidkitError):
     """Training produced a non-finite loss or non-finite parameters."""
 

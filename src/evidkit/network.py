@@ -5,8 +5,10 @@ inputs. The evidence head is a single affine layer from the
 C-dimensional feature vector to 2K outputs, passed through ReLU so
 evidence is non-negative by construction; outputs are laid out as
 [e_1_pos, e_1_neg, e_2_pos, e_2_neg, ...]. The trainer descends the mean
-of ``losses.batch_nll_grad``'s per-sample losses, whose Beta prior has
-the fixed weight W = 2; only the base rates come from the CIW table.
+of ``losses.batch_nll_grad``'s per-sample losses. Its Beta prior, the
+(K, 2) pseudo-counts W * (a_pos, a_neg) with the fixed weight W = 2 and
+base rates from the CIW table, is built once per fit and passed to every
+step.
 
 Everything runs in float64 and is deterministic given the seed: parameter
 init and minibatch shuffling come from one seeded generator, and all
@@ -65,9 +67,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base_rates import CIWTable, base_rate_arrays
-from .errors import ConfigError, DataFormatError, TrainingDiverged
+from .errors import ConfigError, DataFormatError, NonFiniteOutput, TrainingDiverged
 from .fileio import read_lines, write_text
 from .losses import batch_nll_grad
+from .opinions import DEFAULT_PRIOR_WEIGHT
 
 CHECKPOINT_MAGIC = "#evidkit-model"
 CHECKPOINT_VERSION = "v1"
@@ -268,8 +271,10 @@ def init_head(
     return _init_params([feature_dim], num_classes, seed)[1]
 
 
-def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, out=None):
+def batch_loss_grads(mlp, head, x, y, prior, out=None):
     """Mean loss plus its gradients for every backbone and head parameter.
+
+    ``prior`` is the (K, 2) Beta prior that ``batch_nll_grad`` takes.
 
     ReLU uses subgradient 0 at exactly 0. Returns
     (loss, [(dW, db) per layer], dW_head, db_head); with an empty
@@ -284,7 +289,7 @@ def batch_loss_grads(mlp, head, x, y, a_pos, a_neg, out=None):
     n = x.shape[0]
     acts = [x, *_relu_layers(x, mlp.layers)]
     evidence = evidence_from_features(acts[-1], head)
-    losses, d_evidence = batch_nll_grad(evidence, y, a_pos, a_neg)
+    losses, d_evidence = batch_nll_grad(evidence, y, prior)
     loss = float(losses.mean())
     if out is None:
         out = [None] * (2 * len(mlp.layers) + 2)
@@ -322,7 +327,9 @@ def sgd_step(param: np.ndarray, grad: np.ndarray, lr: float, weight_decay: float
     return out
 
 
-def _fit(mlp, head, x, y, a_pos, a_neg, config, rng):
+@np.errstate(over="ignore", invalid="ignore")  # divergence is TrainingDiverged
+def _fit(mlp, head, x, y, ciw, config, rng):
+    prior = DEFAULT_PRIOR_WEIGHT * np.column_stack(base_rate_arrays(ciw))
     params = _param_arrays(mlp, head)
     theta = np.concatenate([p.ravel() for p in params], dtype=np.float64)
     g = np.empty_like(theta)
@@ -341,7 +348,7 @@ def _fit(mlp, head, x, y, a_pos, a_neg, config, rng):
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             stop = min(start + config.batch_size, n)
             loss = batch_loss_grads(
-                mlp, head, xs[start:stop], ys[start:stop], a_pos, a_neg, out=grad_views,
+                mlp, head, xs[start:stop], ys[start:stop], prior, out=grad_views,
             )[0]
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
@@ -383,11 +390,10 @@ def train_model(
     model too large to allocate is a ConfigError.
     """
     x, y = _validate_training_data(features, labels, len(ciw))
-    a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     try:
         mlp, head = init_model(x.shape[1], len(ciw), hidden, feature_dim, rng)
-        mlp, head, losses = _fit(mlp, head, x, y, a_pos, a_neg, config, rng)
+        mlp, head, losses = _fit(mlp, head, x, y, ciw, config, rng)
     except MemoryError:
         raise ConfigError(
             f"a model with hidden sizes {tuple(hidden)} and feature dim {feature_dim} "
@@ -408,28 +414,37 @@ def finetune_head(
     """Update only the evidence head; the backbone is frozen (not touched).
 
     Each row's backbone features are computed once, before the first
-    epoch; the head is then fitted on them with an empty backbone.
+    epoch; the head is then fitted on them with an empty backbone. A
+    backbone whose finite weights overflow float64 on a row raises
+    NonFiniteOutput naming that row, before the first step.
     """
     x, y = _validate_training_data(features, labels, len(ciw))
     if head.num_classes != len(ciw):
         raise ValueError(f"head has {head.num_classes} classes but the CIW table has {len(ciw)}")
     # the head's input-width check, before the forward pass and for any epoch count
     evidence_from_features(np.empty((0, mlp.dim_out)), head)
-    a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
-    _, new_head, losses = _fit(
-        MlpParams([]), head, _blocked_features(x, mlp), y, a_pos, a_neg, config, rng
-    )
+    _, new_head, losses = _fit(MlpParams([]), head, _blocked_features(x, mlp), y, ciw, config, rng)
     return TrainResult(mlp, new_head, tuple(losses))
 
 
+@np.errstate(over="ignore", invalid="ignore")  # overflow is NonFiniteOutput
 def _blocked_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
     """``extract_features`` of every row, run on ``_FEATURE_BLOCK_ROWS`` rows at a time."""
     features = np.empty((x.shape[0], mlp.dim_out))
     for start in range(0, x.shape[0], _FEATURE_BLOCK_ROWS):
         block = slice(start, start + _FEATURE_BLOCK_ROWS)
         features[block] = extract_features(x[block], mlp)
-    return features
+    return check_finite_rows(features, "backbone output")
+
+
+def check_finite_rows(values: np.ndarray, what: str) -> np.ndarray:
+    """``values`` (N, ...) as given, or NonFiniteOutput naming its first row
+    that holds a non-finite value; ``what`` names the values in the error."""
+    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
+    if not finite.all():
+        raise NonFiniteOutput(what, int(finite.argmin()))
+    return values
 
 
 def save_checkpoint(path, mlp: MlpParams, head: EvidenceHeadParams) -> None:

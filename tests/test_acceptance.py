@@ -127,8 +127,8 @@ def test_criterion_2_base_rate_assignment():
     )
 
 
-def _mean_loss(mlp, head, x, y, a_pos, a_neg):
-    return float(batch_nll_grad(batch_evidence(mlp, head, x), y, a_pos, a_neg)[0].mean())
+def _mean_loss(mlp, head, x, y, prior):
+    return float(batch_nll_grad(batch_evidence(mlp, head, x), y, prior)[0].mean())
 
 
 def test_criterion_3_end_to_end_gradients():
@@ -145,10 +145,10 @@ def test_criterion_3_end_to_end_gradients():
         x = rng.normal(size=(3, 4))
         y = rng.integers(0, 2, size=(3, 2)).astype(np.float64)
         a_pos = rng.uniform(0.1, 0.9, size=2)
-        a_neg = 1.0 - a_pos
+        prior = 2.0 * np.column_stack([a_pos, 1.0 - a_pos])
         rng.uniform(0.5, 5.0)  # unused; kept so that the draws after it are unchanged
 
-        _, layer_grads, d_head_w, d_head_b = batch_loss_grads(mlp, head, x, y, a_pos, a_neg)
+        _, layer_grads, d_head_w, d_head_b = batch_loss_grads(mlp, head, x, y, prior)
         analytic = [g for pair in layer_grads for g in pair] + [d_head_w, d_head_b]
         params = [p for layer in mlp.layers for p in layer] + [head.weight, head.bias]
 
@@ -157,9 +157,9 @@ def test_criterion_3_end_to_end_gradients():
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = _mean_loss(mlp, head, x, y, a_pos, a_neg)
+                up = _mean_loss(mlp, head, x, y, prior)
                 flat[i] = orig - h
-                down = _mean_loss(mlp, head, x, y, a_pos, a_neg)
+                down = _mean_loss(mlp, head, x, y, prior)
                 flat[i] = orig
                 numeric = (up - down) / (2.0 * h)
                 g = grad.reshape(-1)[i]

@@ -243,19 +243,19 @@ class TestTrain:
         assert not tuned.exists()
 
     def test_divergence_exits_4(self, tmp_path, capsys):
+        """The first step overshoots to huge weights and the second step's loss
+        is NaN. Not under np.errstate: the overflow the fit reports as an error
+        prints no numpy warning, so stderr holds the error line alone."""
         d = _generate(tmp_path / "data")
-        # a backbone with alternating +-1e308 columns overflows on the first
-        # batch: products hit +-inf with mixed signs, so the loss goes NaN
-        w = np.empty((4, 4))
-        w[:, ::2], w[:, 1::2] = 1e308, -1e308
-        ckpt = tmp_path / "poison.ckpt"
-        save_checkpoint(ckpt, MlpParams([(w, np.zeros(4))]), init_head(4, 3, 0))
-        with np.errstate(all="ignore"):
-            code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
-                         "--out", str(tmp_path / "run"), "--freeze-backbone",
-                         "--init-from", str(ckpt), "--epochs", "1"])
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                     "--out", str(out), *TINY_TRAIN, "--lr", "1e300"])
         assert code == 4
-        assert "non-finite loss" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss nan at epoch 0, batch 1; ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_diverged_parameters_exit_4(self, tmp_path, capsys):
         d = _generate(tmp_path / "data")
@@ -558,6 +558,36 @@ class TestCorruptInputsExit3:
         assert err.startswith(f"error: {ckpt}: ") and "is not finite" in err
         sample = err.split("for sample ")[1].split()[0]
         assert sample in load_dataset(d).validation.ids
+        assert not out.exists()
+
+    @pytest.mark.parametrize("epochs", ["0", "1"])
+    @pytest.mark.parametrize("backbone", ["scaled", "alternating"])
+    def test_refit_on_checkpoint_weights_that_overflow(self, tmp_path, capsys, backbone,
+                                                       epochs):
+        """The frozen refit on a backbone whose finite weights overflow float64:
+        exit 3 naming the checkpoint and a training sample, no warning, no output."""
+        d = _generate(tmp_path / "data")
+        ckpt = tmp_path / "poison.ckpt"
+        if backbone == "scaled":
+            # three backbone layers, so each is scaled past the cube root of float64's max
+            mlp, head = load_checkpoint(_train(d, tmp_path / "run", ["--hidden", "8,8"]))
+            mlp = MlpParams([(w * 1e120, b) for w, b in mlp.layers])
+        else:
+            # alternating +-1e308 columns: products hit +-inf with mixed signs, so NaN
+            w = np.empty((4, 4))
+            w[:, ::2], w[:, 1::2] = 1e308, -1e308
+            mlp, head = MlpParams([(w, np.zeros(4))]), init_head(4, 3, 0)
+        save_checkpoint(ckpt, mlp, head)
+        out = tmp_path / "tuned"
+        capsys.readouterr()
+        assert main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                     "--out", str(out), "--freeze-backbone", "--init-from", str(ckpt),
+                     "--epochs", epochs]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt}: the model's backbone output for sample ")
+        assert "is not finite" in err and err.count("\n") == 1
+        sample = err.split("for sample ")[1].split()[0]
+        assert sample in load_dataset(d).train.ids
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["eval", "ood"])

@@ -1,5 +1,6 @@
 """Tests for synthetic dataset generation and the on-disk formats."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -292,6 +293,34 @@ class TestDatasetFiles:
             ours, theirs = getattr(rows, name), getattr(full.validation, name)
             assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
             assert ours.tobytes() == theirs.tobytes()
+
+
+# the field tab and every line break of str.splitlines: the readers split at each
+SPLITTING = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+             "\u2028", "\u2029"]
+
+
+class TestWritersRejectWhatReadersReject:
+    @pytest.mark.parametrize("char", SPLITTING, ids=[hex(ord(c)) for c in SPLITTING])
+    def test_sample_id(self, tmp_path, char):
+        split = generate_dataset(SMALL)
+        bad = f"v{char}0"
+        ids = split.validation.ids
+        split = replace(split, validation=replace(split.validation, ids=(*ids[:3], bad,
+                                                                          *ids[4:])))
+        with pytest.raises(ValueError, match=f"sample id {re.escape(repr(bad))} "):
+            save_dataset(split, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
+    @pytest.mark.parametrize("char", SPLITTING + [""],
+                             ids=[hex(ord(c)) for c in SPLITTING] + ["empty"])
+    def test_class_name(self, tmp_path, char):
+        bad = f"ro{char}ot" if char else ""
+        table = CIWTable.from_pairs([("crack", 0.5), (bad, 0.25), ("b\tc", 0.75)])
+        path = tmp_path / "ciw.tsv"
+        with pytest.raises(ValueError, match=f"class name {re.escape(repr(bad))} "):
+            save_ciw_config(table, path)
+        assert not path.exists()
 
 
 class TestCiwFiles:

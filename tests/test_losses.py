@@ -20,23 +20,27 @@ from evidkit.opinions import (
 )
 
 
+def _prior(a_pos, a_neg):
+    """The (K, 2) Beta prior W * (a_pos, a_neg) with W = 2, as the trainer builds it."""
+    return 2.0 * np.column_stack([a_pos, a_neg])
+
+
 def _arrays(e_pos, e_neg, y, a_pos):
-    """One sample, one class: (1, 1, 2) evidence, (1, 1) label, (1,) base rates."""
+    """One sample, one class: (1, 1, 2) evidence, (1, 1) label, (1, 2) prior."""
     return (
         np.array([[[e_pos, e_neg]]], dtype=np.float64),
         np.array([[y]], dtype=np.float64),
-        np.array([a_pos]),
-        np.array([1.0 - a_pos]),
+        _prior([a_pos], [1.0 - a_pos]),
     )
 
 
 def _losses(evidence, y, a_pos, a_neg):
     """Per-sample losses (N,): the first output of batch_nll_grad."""
-    return batch_nll_grad(evidence, y, a_pos, a_neg)[0]
+    return batch_nll_grad(evidence, y, _prior(a_pos, a_neg))[0]
 
 
 def _nll(e_pos, e_neg, y, a_pos=0.5):
-    return float(_losses(*_arrays(e_pos, e_neg, y, a_pos))[0])
+    return float(batch_nll_grad(*_arrays(e_pos, e_neg, y, a_pos))[0][0])
 
 
 def _grad(e_pos, e_neg, y, a_pos=0.5):
@@ -192,7 +196,7 @@ class TestBatchForms:
         """dL/de_j = 1/S - y_j / alpha_j per head."""
         rng = np.random.default_rng(9)
         evidence, y, a_pos, a_neg = _random_case(rng, n=8, k=3)
-        grads = batch_nll_grad(evidence, y, a_pos, a_neg)[1]
+        grads = batch_nll_grad(evidence, y, _prior(a_pos, a_neg))[1]
         for i in range(evidence.shape[0]):
             for k in range(evidence.shape[1]):
                 d = dirichlet_from_evidence(
@@ -206,27 +210,27 @@ class TestBatchForms:
 class TestShapes:
     """Mismatched shapes raise instead of broadcasting to a wrong loss."""
 
-    HALF = np.array([0.5])
-    HALVES = np.array([0.5, 0.5])
+    ONES = np.ones((2, 2))  # the uniform prior of two classes
 
     # a parameter rather than a direct call, so that each test id names the kernel
     @pytest.mark.parametrize("kernel", [batch_nll_grad])
-    @pytest.mark.parametrize("evidence, y, a_pos, a_neg", [
+    @pytest.mark.parametrize("evidence, y, prior", [
         # one-class evidence against a two-class label broadcast to 2 log 2
-        (np.zeros((1, 1, 2)), np.array([[1.0, 0.0]]), HALF, HALF),
-        (np.zeros((2, 2, 2)), np.array([[1.0, 0.0]]), HALVES, HALVES),
-        (np.zeros((1, 2, 1)), np.array([[1.0, 0.0]]), HALVES, HALVES),
-        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), HALF, HALVES),
-        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), HALVES, HALF),
-        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), HALVES[None], HALVES),
-        (np.zeros((2, 2)), np.array([1.0, 0.0]), HALVES, HALVES),
-    ], ids=["evidence-k", "evidence-n", "evidence-pair", "a_pos", "a_neg", "a_pos-2d",
-            "y-1d"])
-    def test_mismatched_shapes_raise(self, kernel, evidence, y, a_pos, a_neg):
+        (np.zeros((1, 1, 2)), np.array([[1.0, 0.0]]), ONES[:1]),
+        (np.zeros((2, 2, 2)), np.array([[1.0, 0.0]]), ONES),
+        (np.zeros((1, 2, 1)), np.array([[1.0, 0.0]]), ONES),
+        (np.zeros((2, 2)), np.array([1.0, 0.0]), ONES),
+        # the prior: wrong K, a last axis other than 2, 1-D, a leading axis
+        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), ONES[:1]),
+        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), np.ones((2, 1))),
+        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), np.ones(2)),
+        (np.zeros((1, 2, 2)), np.array([[1.0, 0.0]]), ONES[None]),
+    ], ids=["evidence-k", "evidence-n", "evidence-pair", "y-1d", "prior-k", "prior-pair",
+            "prior-1d", "prior-3d"])
+    def test_mismatched_shapes_raise(self, kernel, evidence, y, prior):
         with pytest.raises(ValueError, match=r"expected evidence \(N, K, 2\)"):
-            kernel(evidence, y, a_pos, a_neg)
+            kernel(evidence, y, prior)
 
     def test_empty_batch_is_accepted(self):
-        half = np.full(3, 0.5)
-        losses, grad = batch_nll_grad(np.zeros((0, 3, 2)), np.zeros((0, 3)), half, half)
+        losses, grad = batch_nll_grad(np.zeros((0, 3, 2)), np.zeros((0, 3)), np.ones((3, 2)))
         assert losses.shape == (0,) and grad.shape == (0, 3, 2)

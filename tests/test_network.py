@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from evidkit import network
-from evidkit.base_rates import CIWTable
-from evidkit.errors import ConfigError, DataFormatError, TrainingDiverged
+from evidkit.base_rates import CIWTable, base_rate_arrays
+from evidkit.errors import ConfigError, DataFormatError, NonFiniteOutput, TrainingDiverged
 from evidkit.losses import batch_nll_grad
 from evidkit.network import (
     EvidenceHeadParams,
@@ -30,9 +30,9 @@ from evidkit.network import (
 UNIFORM_CIW = CIWTable.uniform(["a", "b"], weight=0.0)
 
 
-def _mean_loss(mlp, head, x, y, a_pos, a_neg):
+def _mean_loss(mlp, head, x, y, prior):
     """The mean per-sample loss over a batch; the quantity the trainer descends."""
-    return float(batch_nll_grad(batch_evidence(mlp, head, x), y, a_pos, a_neg)[0].mean())
+    return float(batch_nll_grad(batch_evidence(mlp, head, x), y, prior)[0].mean())
 
 
 def _separable_data(n=160, dim=8, gap=6.0, seed=0):
@@ -185,8 +185,8 @@ class TestGradients:
         x = rng.normal(size=(3, 4))
         y = (rng.random((3, 2)) < 0.5).astype(float)
         a_pos = rng.uniform(0.2, 0.8, size=2)
-        a_neg = 1.0 - a_pos
-        _, grads, g_head_w, g_head_b = batch_loss_grads(mlp, head, x, y, a_pos, a_neg)
+        prior = 2.0 * np.column_stack([a_pos, 1.0 - a_pos])
+        _, grads, g_head_w, g_head_b = batch_loss_grads(mlp, head, x, y, prior)
 
         h = 1e-6
         worst = 0.0
@@ -197,9 +197,9 @@ class TestGradients:
             for i in range(flat.size):
                 orig = flat[i]
                 flat[i] = orig + h
-                up = _mean_loss(mlp, head, x, y, a_pos, a_neg)
+                up = _mean_loss(mlp, head, x, y, prior)
                 flat[i] = orig - h
-                down = _mean_loss(mlp, head, x, y, a_pos, a_neg)
+                down = _mean_loss(mlp, head, x, y, prior)
                 flat[i] = orig
                 numeric = (up - down) / (2 * h)
                 scale = max(abs(numeric), abs(analytic.ravel()[i]), 1e-8)
@@ -232,7 +232,7 @@ class TestGradients:
         a_pos = rng.uniform(0.2, 0.8, size=3)
         if not backbone:  # the head alone, trained on the backbone's features
             mlp, x = MlpParams([]), extract_features(x, mlp)
-        args = (mlp, head, x, y, a_pos, 1.0 - a_pos)
+        args = (mlp, head, x, y, 2.0 * np.column_stack([a_pos, 1.0 - a_pos]))
         loss, grads, g_head_w, g_head_b = batch_loss_grads(*args)
         expected = [d for layer in grads for d in layer] + [g_head_w, g_head_b]
 
@@ -324,6 +324,29 @@ class TestTrainer:
         assert "parameters became non-finite" in str(exc_info.value)
         assert "non-finite loss" not in str(exc_info.value)
 
+    @pytest.mark.parametrize("fit", ["train_model", "finetune_head"])
+    def test_prior_is_built_once_per_fit(self, monkeypatch, fit):
+        """Every step gets the same (K, 2) prior object: W * (a_pos, a_neg), W = 2."""
+        priors = []
+
+        def recording(evidence, y, prior):
+            priors.append(prior)
+            return batch_nll_grad(evidence, y, prior)
+
+        monkeypatch.setattr(network, "batch_nll_grad", recording)
+        x, y = _separable_data(n=40)
+        ciw = CIWTable.from_pairs([("a", 0.3), ("b", -1.5)])
+        cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
+        if fit == "train_model":
+            train_model(x, y, cfg, ciw, hidden=(8,), feature_dim=4)
+        else:
+            mlp, head = init_model(8, 2, hidden=(8,), feature_dim=4, seed=0)
+            finetune_head(mlp, head, x, y, cfg, ciw)
+        assert len(priors) == 2 * 3
+        assert all(p is priors[0] for p in priors)
+        expected = 2 * np.column_stack(base_rate_arrays(ciw))
+        assert priors[0].tobytes() == expected.tobytes() and priors[0].shape == (2, 2)
+
     def test_training_does_not_mutate_inputs(self):
         x, y = _separable_data(n=32)
         x_copy, y_copy = x.copy(), y.copy()
@@ -383,9 +406,9 @@ class TestFreeze:
         head = init_head(4, 2, seed=7)
         cfg = TrainConfig(epochs=15, learning_rate=1e-2, seed=7)
         tuned = finetune_head(pre.mlp, head, x, y, cfg, UNIFORM_CIW)
-        a = np.full(2, 0.5)
-        before = _mean_loss(pre.mlp, head, x_val, y_val, a, a)
-        after = _mean_loss(pre.mlp, tuned.head, x_val, y_val, a, a)
+        prior = np.ones((2, 2))  # W = 2 times the uniform base rates of UNIFORM_CIW
+        before = _mean_loss(pre.mlp, head, x_val, y_val, prior)
+        after = _mean_loss(pre.mlp, tuned.head, x_val, y_val, prior)
         assert after < before
 
     @pytest.mark.parametrize("epochs", [0, 1, 3])
@@ -410,6 +433,19 @@ class TestFreeze:
         finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
         assert [len(h) for h in forwards] == [block, block, 100]
         assert np.concatenate(forwards).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_backbone_that_overflows_names_the_row(self, epochs):
+        """Finite weights whose features overflow float64 fail before any step,
+        without a numpy warning, naming the first row whose features are not finite."""
+        x, y = _separable_data(n=40)
+        x[:7] = 0.0  # relu(0 @ W.T + 0) is 0 for these rows, whatever W is
+        mlp, head = init_model(8, 2, hidden=(6, 6), feature_dim=4, seed=1)
+        mlp = MlpParams([(np.abs(w) * 1e120, b * 0.0) for w, b in mlp.layers])
+        x[7:] = np.abs(x[7:])
+        cfg = TrainConfig(epochs=epochs, seed=3)
+        with pytest.raises(NonFiniteOutput, match="backbone output for row 7 is not finite"):
+            finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
 
     @pytest.mark.parametrize("epochs", [0, 2])
     def test_input_of_the_wrong_width_is_rejected(self, epochs):

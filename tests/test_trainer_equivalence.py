@@ -234,7 +234,7 @@ class TestSameBitsAsTheRetiredTrainer:
         y = (rng.random((n, k)) < 0.5).astype(np.float64)
         a_pos = rng.uniform(0.05, 0.95, size=k)
         a_neg = 1.0 - a_pos
-        got = batch_nll_grad(evidence, y, a_pos, a_neg)
+        got = batch_nll_grad(evidence, y, DEFAULT_PRIOR_WEIGHT * np.column_stack([a_pos, a_neg]))
         want = _retired_batch_nll_grad(evidence, y, a_pos, a_neg)
         _assert_bytes_equal(list(got), list(want))
 
@@ -283,7 +283,7 @@ def test_activation_masks_match_the_z_masks(backbone, hidden, seed):
     # without the backbone, the head is trained on the backbone's features
     trained, inputs = (mlp, x) if backbone else (MlpParams([]), acts[-1])
     got_loss, got_grads, got_w, got_b = batch_loss_grads(
-        trained, head, inputs, y, a_pos, 1.0 - a_pos
+        trained, head, inputs, y, DEFAULT_PRIOR_WEIGHT * np.column_stack([a_pos, 1.0 - a_pos])
     )
     loss, grads, g_head_w, g_head_b = _retired_batch_loss_grads(
         mlp, head, x, y, a_pos, 1.0 - a_pos

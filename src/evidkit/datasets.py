@@ -62,19 +62,22 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 # records parsed per block when loading; bounds the temporary strings
 _PARSE_BLOCK_ROWS = 4096
 
-# where the readers split a file: the field tab and the str.splitlines line breaks
-_SPLIT_RE = re.compile("[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029]")
+# what a written id or name may not hold: the field tab and the str.splitlines
+# line breaks, where the readers split a file, and the surrogate code points,
+# which UTF-8 cannot encode
+_UNWRITABLE_RE = re.compile("[\t\n\r\x0b\x0c\x1c-\x1e\x85\u2028\u2029\ud800-\udfff]")
 
 
 def _check_writable(values, what: str) -> None:
     """Raise ValueError naming the first of ``values`` that is empty or holds a
-    tab or a line break, which the file's reader would reject. One regex pass
-    over the joined values, when every one is fine."""
-    if all(values) and not _SPLIT_RE.search("".join(values)):
+    tab or a line break, which the file's reader would reject, or a surrogate
+    code point, which the UTF-8 writer would fail on. One regex pass over the
+    joined values, when every one is fine."""
+    if all(values) and not _UNWRITABLE_RE.search("".join(values)):
         return
-    bad = next(v for v in values if not v or _SPLIT_RE.search(v))
-    raise ValueError(f"{what} {bad!r} is empty or holds a tab or a line break; "
-                     "the file could not be read back")
+    bad = next(v for v in values if not v or _UNWRITABLE_RE.search(v))
+    raise ValueError(f"{what} {bad!r} is empty or holds a tab, a line break or a "
+                     "surrogate; the file could not be written as UTF-8 and read back")
 
 
 def _frozen(values, dtype, ndim: int, name: str) -> np.ndarray:
@@ -390,8 +393,8 @@ def _write_split_file(path: Path, rows: SampleTable, split: DatasetSplit) -> Non
 def save_dataset(split: DatasetSplit, path) -> None:
     """Write a dataset directory containing train.edlset and val.edlset.
 
-    A sample id with a tab or a line break is a ValueError, raised before
-    anything is written.
+    A sample id with a tab, a line break or a surrogate code point is a
+    ValueError, raised before anything is written.
     """
     _check_writable(split.train.ids + split.validation.ids, "sample id")
     directory = Path(path)
@@ -624,7 +627,8 @@ def load_ciw_config(path) -> CIWTable:
 
 def save_ciw_config(table: CIWTable, path) -> None:
     """Write one `name<TAB>weight` line per class; a class name that is empty
-    or holds a tab or a line break is a ValueError, raised before writing."""
+    or holds a tab, a line break or a surrogate code point is a ValueError,
+    raised before writing."""
     _check_writable([name for name, _ in table.entries], "class name")
     lines = [f"{name}\t{repr(weight)}" for name, weight in table.entries]
     write_text(path, "\n".join(lines) + "\n")

@@ -27,12 +27,11 @@ import numpy as np
 
 def _check_shapes(evidence, y, prior) -> None:
     """Raise ValueError unless evidence is (N, K, 2), y (N, K) and prior (K, 2)."""
-    nk = np.shape(y)
-    shapes = (np.shape(evidence), nk, np.shape(prior))
-    if len(nk) != 2 or shapes != (nk + (2,), nk, nk[1:] + (2,)):
+    nk = y.shape
+    if len(nk) != 2 or evidence.shape != nk + (2,) or prior.shape != nk[1:] + (2,):
         raise ValueError(
             "expected evidence (N, K, 2), y (N, K) and prior (K, 2); "
-            f"got {shapes[0]}, {shapes[1]} and {shapes[2]}"
+            f"got {evidence.shape}, {nk} and {prior.shape}"
         )
 
 
@@ -47,14 +46,15 @@ def batch_nll_grad(
     """
     _check_shapes(evidence, y, prior)
     alpha = evidence + prior
-    s = alpha[..., 0] + alpha[..., 1]
-    log_alpha = np.log(alpha)
-    log_labeled = np.where(y == 1, log_alpha[..., 0], log_alpha[..., 1])
-    losses = (np.log(s) - log_labeled).sum(axis=-1)
+    alpha_pos, alpha_neg = alpha[..., 0], alpha[..., 1]
+    s = alpha_pos + alpha_neg
+    nll = np.log(s)  # per head: log(S) - log(alpha on the labeled side)
+    nll -= np.log(np.where(y == 1, alpha_pos, alpha_neg))
+    losses = np.add.reduce(nll, axis=-1)
     # the labeled-side indicator [y, 1 - y], divided by alpha, then 1/S minus it
     grad = np.empty_like(alpha)
     grad[..., 0] = y
     np.subtract(1.0, y, out=grad[..., 1])
     grad /= alpha
-    np.subtract((1.0 / s)[..., None], grad, out=grad)
+    np.subtract(np.divide(1.0, s, out=s)[..., None], grad, out=grad)
     return losses, grad

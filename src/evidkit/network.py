@@ -35,13 +35,23 @@ an empty backbone, so scratch training and the refit run one fit path.
 
 The trainer keeps every parameter it updates in one private float64
 vector, in ``_param_layout`` order, with one gradient vector of the same
-layout beside it. The models it steps are reshaped views of the first,
-validated once at entry; ``batch_loss_grads`` writes each gradient into
-its view of the second (``out=``), so no per-step gradient arrays are
-allocated. A step is one in-place ``sgd_step`` over the whole vector,
-then one finiteness check that raises ``TrainingDiverged`` with the epoch
-and batch. Each epoch gathers its shuffled rows once, so every batch is a
-contiguous slice. The trainer returns validated copies, never views.
+layout beside it. The models it steps are reshaped views of the first;
+``batch_loss_grads`` writes each gradient into its view of the second
+(``out=``), so no per-step gradient arrays are allocated. A step is one
+in-place ``sgd_step`` over the whole vector. Each epoch gathers its
+shuffled rows once, so every batch is a contiguous slice. The trainer
+returns validated copies, never views.
+
+A fit checks once, at entry: the data's shapes and its label count
+against the CIW table, and the parameters' shapes and finiteness (the
+model dataclasses, built once over the views). It builds the Beta prior
+and the batch bounds once too. A step re-checks only what the step can
+change: that its loss is finite and, after the update, that every
+parameter is; either failure raises ``TrainingDiverged`` with the epoch
+and batch. The step's two kernels keep their own shape checks, which read
+``.shape`` and ``.ndim`` alone, and the step runs the head through
+``_relu_layers`` itself rather than through ``evidence_from_features``,
+whose input conversion and checks serve the scoring path.
 
 Checkpoints are UTF-8 text. Five header lines give the architecture:
 
@@ -173,6 +183,23 @@ class TrainConfig:
             raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        # a ratio above 1 raises the rate, most at the last epoch
+        if self.epochs and self.lr_decay_ratio > 1:
+            try:
+                peak = self.learning_rate_at(self.epochs - 1)
+            except OverflowError:
+                peak = math.inf
+            if not math.isfinite(peak):
+                raise ConfigError(
+                    f"the learning rate overflows float64: --lr {self.learning_rate!r} "
+                    f"multiplied by --lr-decay-ratio {self.lr_decay_ratio!r} every "
+                    f"--lr-decay-every {self.lr_decay_every} epochs over --epochs "
+                    f"{self.epochs}; lower the ratio or the epochs"
+                )
+
+    def learning_rate_at(self, epoch: int) -> float:
+        """The step size of ``epoch``: times lr_decay_ratio every lr_decay_every epochs."""
+        return self.learning_rate * self.lr_decay_ratio ** (epoch // self.lr_decay_every)
 
 
 @dataclass(frozen=True)
@@ -285,12 +312,19 @@ def batch_loss_grads(mlp, head, x, y, prior, out=None):
     in ``_param_layout`` order [dW_0, db_0, ..., dW_head, db_head]; the
     returned gradients are those arrays. Without it the gradients are
     freshly allocated.
+
+    ``x`` must be a non-empty 2-D array as wide as the first layer (the
+    head, without a backbone); any other ``x``, and a ``y`` or ``prior``
+    that ``batch_nll_grad`` rejects, raises ValueError.
     """
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise ValueError(f"x must be (N, D) with N >= 1, got shape {x.shape}")
     n = x.shape[0]
-    acts = [x, *_relu_layers(x, mlp.layers)]
-    evidence = evidence_from_features(acts[-1], head)
-    losses, d_evidence = batch_nll_grad(evidence, y, prior)
-    loss = float(losses.mean())
+    # the head runs as the last layer, as in evidence_from_features
+    acts = [x, *_relu_layers(x, [*mlp.layers, (head.weight.T, head.bias)])]
+    ev = acts.pop()
+    losses, d_evidence = batch_nll_grad(ev.reshape(n, -1, 2), y, prior)
+    loss = float(np.add.reduce(losses)) / n  # the bits of losses.mean()
     if out is None:
         out = [None] * (2 * len(mlp.layers) + 2)
 
@@ -298,9 +332,9 @@ def batch_loss_grads(mlp, head, x, y, prior, out=None):
     # every dz is this step's own array, so it is masked in place
     dz = d_evidence.reshape(n, -1)
     dz /= n
-    dz *= evidence.reshape(n, -1) > 0.0
+    dz *= ev > 0.0
     g_head_w = np.matmul(acts[-1].T, dz, out=out[-2])
-    g_head_b = dz.sum(axis=0, out=out[-1])
+    g_head_b = np.add.reduce(dz, axis=0, out=out[-1])
 
     grads = []
     w_above = head.weight.T
@@ -308,7 +342,7 @@ def batch_loss_grads(mlp, head, x, y, prior, out=None):
         dz = dz @ w_above
         dz *= acts[i + 1] > 0.0
         grads.append((np.matmul(dz.T, acts[i], out=out[2 * i]),
-                      dz.sum(axis=0, out=out[2 * i + 1])))
+                      np.add.reduce(dz, axis=0, out=out[2 * i + 1])))
         w_above = mlp.layers[i][0]
     grads.reverse()
     return loss, grads, g_head_w, g_head_b
@@ -339,22 +373,24 @@ def _fit(mlp, head, x, y, ciw, config, rng):
     mlp, head = _model_from_arrays(views)
 
     n = x.shape[0]
+    batches = [(slice(start, start + config.batch_size), min(config.batch_size, n - start))
+               for start in range(0, n, config.batch_size)]
     epoch_losses = []
     for epoch in range(config.epochs):
-        lr = config.learning_rate * config.lr_decay_ratio ** (epoch // config.lr_decay_every)
+        lr = config.learning_rate_at(epoch)
         order = rng.permutation(n)
         xs, ys = x[order], y[order]
         total = 0.0
-        for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            stop = min(start + config.batch_size, n)
-            loss = batch_loss_grads(
-                mlp, head, xs[start:stop], ys[start:stop], prior, out=grad_views,
-            )[0]
+        for batch_idx, (rows, size) in enumerate(batches):
+            loss = batch_loss_grads(mlp, head, xs[rows], ys[rows], prior, out=grad_views)[0]
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
-            total += loss * (stop - start)
+            total += loss * size
             sgd_step(theta, g, lr, config.weight_decay, out=theta)
-            if not np.isfinite(theta).all():
+            # theta @ theta is finite only if every parameter is (the squares
+            # cannot cancel), and costs one BLAS call; a large but finite
+            # parameter overflows it, so the exact test decides
+            if not math.isfinite(theta @ theta) and not np.isfinite(theta).all():
                 raise TrainingDiverged(epoch, batch_idx, loss, parameters=True)
         epoch_losses.append(total / n)
 

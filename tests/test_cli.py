@@ -281,6 +281,26 @@ class TestTrain:
         assert "parameters became non-finite" in err and "epoch 0, batch 0" in err
         assert "non-finite loss" not in err
 
+    @pytest.mark.parametrize("freeze", [False, True], ids=["scratch", "refit"])
+    def test_lr_schedule_that_overflows_exits_2_before_writing(self, tmp_path, capsys, freeze):
+        """A ratio of 1e200 every epoch makes the third epoch's rate 0.1 * 1e400,
+        which Python's float power raises OverflowError on."""
+        d = _generate(tmp_path / "data")
+        model = (["--freeze-backbone", "--init-from", str(_train(d, tmp_path / "base"))]
+                 if freeze else ["--hidden", "8", "--feature-dim", "4"])
+        out = tmp_path / "run"
+        capsys.readouterr()
+        code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
+                     "--out", str(out), *model, "--epochs", "3",
+                     "--lr-decay-ratio", "1e200", "--lr-decay-every", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the learning rate overflows float64: ")
+        assert err.count("\n") == 1
+        for flag in ("--lr-decay-ratio 1e+200", "--lr-decay-every 1", "--epochs 3"):
+            assert flag in err
+        assert not out.exists()
+
 
 def _oracle_fixture(tmp_path):
     """Dataset plus a handcrafted checkpoint that classifies it perfectly.

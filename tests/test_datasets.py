@@ -298,10 +298,13 @@ class TestDatasetFiles:
 # the field tab and every line break of str.splitlines: the readers split at each
 SPLITTING = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
              "\u2028", "\u2029"]
+# surrogate code points, which UTF-8 cannot encode
+SURROGATES = ["\ud800", "\udbff", "\udc00", "\udfff"]
 
 
 class TestWritersRejectWhatReadersReject:
-    @pytest.mark.parametrize("char", SPLITTING, ids=[hex(ord(c)) for c in SPLITTING])
+    @pytest.mark.parametrize("char", SPLITTING + SURROGATES,
+                             ids=[hex(ord(c)) for c in SPLITTING + SURROGATES])
     def test_sample_id(self, tmp_path, char):
         split = generate_dataset(SMALL)
         bad = f"v{char}0"
@@ -312,8 +315,8 @@ class TestWritersRejectWhatReadersReject:
             save_dataset(split, tmp_path / "d")
         assert not (tmp_path / "d").exists()
 
-    @pytest.mark.parametrize("char", SPLITTING + [""],
-                             ids=[hex(ord(c)) for c in SPLITTING] + ["empty"])
+    @pytest.mark.parametrize("char", SPLITTING + SURROGATES + [""],
+                             ids=[hex(ord(c)) for c in SPLITTING + SURROGATES] + ["empty"])
     def test_class_name(self, tmp_path, char):
         bad = f"ro{char}ot" if char else ""
         table = CIWTable.from_pairs([("crack", 0.5), (bad, 0.25), ("b\tc", 0.75)])

@@ -176,6 +176,35 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # ratio ** 2 overflows: Python raises OverflowError
+            {"epochs": 3, "lr_decay_ratio": 1e200, "lr_decay_every": 1},
+            # ratio ** 1 is finite, times the rate it is not
+            {"epochs": 2, "learning_rate": 10.0, "lr_decay_ratio": 1e308, "lr_decay_every": 1},
+        ],
+    )
+    def test_schedule_that_overflows_is_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="--lr-decay-ratio .* --lr-decay-every .* --epochs"):
+            TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            {},
+            {"epochs": 3, "lr_decay_ratio": 1e150, "lr_decay_every": 1},
+            {"epochs": 2, "learning_rate": 0.0, "lr_decay_ratio": 1e308, "lr_decay_every": 1},
+            {"epochs": 5, "lr_decay_ratio": 1e-200, "lr_decay_every": 2},
+            {"epochs": 0, "lr_decay_ratio": 1e300, "lr_decay_every": 1},
+        ],
+    )
+    def test_schedule_rates_are_the_formula(self, kwargs):
+        cfg = TrainConfig(**kwargs)
+        for epoch in range(cfg.epochs):
+            rate = cfg.learning_rate * cfg.lr_decay_ratio ** (epoch // cfg.lr_decay_every)
+            assert cfg.learning_rate_at(epoch) == rate and math.isfinite(rate)
+
 
 class TestGradients:
     def test_end_to_end_gradcheck(self):
@@ -262,6 +291,53 @@ class TestGradients:
         assert param.tobytes() == expected.tobytes()
 
 
+class TestLossGradsContract:
+    """What ``batch_loss_grads`` checks and returns, with and without a backbone."""
+
+    @staticmethod
+    def _case(backbone, n=9, seed=0):
+        rng = np.random.default_rng(seed)
+        mlp, head = init_model(5, 3, hidden=(6,), feature_dim=4, seed=rng)
+        x = rng.normal(size=(n, 5))
+        if not backbone:
+            mlp, x = MlpParams([]), extract_features(x, mlp)
+        y = (rng.random((n, 3)) < 0.4).astype(float)
+        a_pos = rng.uniform(0.2, 0.8, size=3)
+        return mlp, head, x, y, 2.0 * np.column_stack([a_pos, 1.0 - a_pos])
+
+    @pytest.mark.parametrize("backbone", [True, False])
+    @pytest.mark.parametrize("n", [1, 5, 8, 9, 64, 130])
+    def test_loss_is_the_mean_of_the_per_sample_losses(self, backbone, n):
+        mlp, head, x, y, prior = self._case(backbone, n, seed=n)
+        features = extract_features(x, mlp) if mlp.layers else x
+        losses = batch_nll_grad(evidence_from_features(features, head), y, prior)[0]
+        assert batch_loss_grads(mlp, head, x, y, prior)[0] == float(losses.mean())
+
+    @pytest.mark.parametrize("backbone", [True, False])
+    @pytest.mark.parametrize("fault", ["narrow", "wide", "1d", "empty", "3d"])
+    def test_x_of_the_wrong_shape_raises(self, backbone, fault):
+        mlp, head, x, y, prior = self._case(backbone)
+        n, d = x.shape
+        shape = {"narrow": (n, d - 1), "wide": (n, d + 1), "1d": (d,), "empty": (0, d),
+                 "3d": (n, 1, d)}[fault]
+        with pytest.raises(ValueError):
+            batch_loss_grads(mlp, head, np.zeros(shape), y, prior)
+
+    @pytest.mark.parametrize("backbone", [True, False])
+    @pytest.mark.parametrize("shape", [(9, 2), (9, 4), (8, 3), (9,), (9, 3, 1)])
+    def test_y_of_the_wrong_shape_raises(self, backbone, shape):
+        mlp, head, x, _, prior = self._case(backbone)
+        with pytest.raises(ValueError, match=r"expected evidence \(N, K, 2\)"):
+            batch_loss_grads(mlp, head, x, np.zeros(shape), prior)
+
+    @pytest.mark.parametrize("backbone", [True, False])
+    @pytest.mark.parametrize("shape", [(2, 2), (3, 1), (3,), (1, 3, 2)])
+    def test_prior_of_the_wrong_shape_raises(self, backbone, shape):
+        mlp, head, x, y, _ = self._case(backbone)
+        with pytest.raises(ValueError, match=r"expected evidence \(N, K, 2\)"):
+            batch_loss_grads(mlp, head, x, y, np.ones(shape))
+
+
 class TestTrainer:
     def test_zero_learning_rate_keeps_initialization(self):
         x, y = _separable_data(n=40)
@@ -323,6 +399,18 @@ class TestTrainer:
         assert math.isfinite(exc_info.value.loss)
         assert "parameters became non-finite" in str(exc_info.value)
         assert "non-finite loss" not in str(exc_info.value)
+
+    def test_parameters_too_large_to_square_are_finite(self):
+        """A head of 1e200 weights overflows theta @ theta; the fit does not
+        call that divergence, and a zero rate leaves the head as it was."""
+        x, y = _separable_data(n=40)
+        mlp, head = init_model(8, 2, hidden=(8,), feature_dim=4, seed=0)
+        head = EvidenceHeadParams(head.weight * 1e200, head.bias * 1e200)
+        cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.0)
+        result = finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
+        assert all(math.isfinite(v) for v in result.epoch_losses)
+        assert result.head.weight.tobytes() == head.weight.tobytes()
+        assert result.head.bias.tobytes() == head.bias.tobytes()
 
     @pytest.mark.parametrize("fit", ["train_model", "finetune_head"])
     def test_prior_is_built_once_per_fit(self, monkeypatch, fit):

@@ -178,6 +178,7 @@ fits = st.fixed_dictionaries({
     "epochs": st.integers(0, 3),
     "learning_rate": st.sampled_from([0.0, 1e-3, 0.1, 0.5]),
     "weight_decay": st.sampled_from([0.0, 1e-4, 0.05]),
+    "lr_decay_ratio": st.sampled_from([0.1, 0.5, 1.0, 2.0]),
     "lr_decay_every": st.sampled_from([1, 2, 30]),
     "dim": st.integers(1, 6),
     "k": st.integers(1, 3),
@@ -188,7 +189,8 @@ fits = st.fixed_dictionaries({
 def _config(p):
     return TrainConfig(
         epochs=p["epochs"], batch_size=p["batch_size"], learning_rate=p["learning_rate"],
-        lr_decay_every=p["lr_decay_every"], weight_decay=p["weight_decay"], seed=p["seed"],
+        lr_decay_ratio=p["lr_decay_ratio"], lr_decay_every=p["lr_decay_every"],
+        weight_decay=p["weight_decay"], seed=p["seed"],
     )
 
 

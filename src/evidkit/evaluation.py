@@ -67,10 +67,27 @@ def parse_aggregation(text: str) -> AggregationMode:
     raise ConfigError(f"unknown aggregation {text!r} (expected max, sum, or topN)")
 
 
+def _fold_columns(op: np.ufunc, a: np.ndarray) -> np.ndarray:
+    """``op.reduce(a, axis=1)`` as a left-to-right fold over the K columns.
+
+    numpy reduces a short last axis slowly, while K column-wise calls
+    each stream over all N rows. For an exact ``op`` (maximum,
+    logical_or) the fold gives the reduction's bits. With K = 1 the
+    result is a copy of the column; with K = 0 it is the reduction's own
+    result or error.
+    """
+    if a.shape[1] == 0:
+        return op.reduce(a, axis=1)
+    out = a[:, 0].copy()
+    for k in range(1, a.shape[1]):
+        op(out, a[:, k], out=out)
+    return out
+
+
 def _aggregate_rows(u: np.ndarray, mode: AggregationMode) -> np.ndarray:
     """Collapse (N, K) per-class uncertainties to one score per row."""
     if mode.kind == "max":
-        return u.max(axis=1)
+        return _fold_columns(np.maximum, u)
     if mode.kind == "sum":
         return u.sum(axis=1)
     m = min(mode.m, u.shape[1])
@@ -139,8 +156,8 @@ def f1_normal(pred_labels, true_labels) -> float:
     true = _as_label_matrix(true_labels)
     if pred.shape != true.shape or pred.shape[0] == 0:
         raise ValueError("prediction and truth must be non-empty and the same shape")
-    pred_normal = ~pred.any(axis=1)
-    true_normal = ~true.any(axis=1)
+    pred_normal = ~_fold_columns(np.logical_or, pred)
+    true_normal = ~_fold_columns(np.logical_or, true)
     tp = int(np.sum(pred_normal & true_normal))
     fp = int(np.sum(pred_normal & ~true_normal))
     fn = int(np.sum(~pred_normal & true_normal))

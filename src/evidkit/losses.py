@@ -43,6 +43,11 @@ def batch_nll_grad(
     ``prior`` is the (K, 2) array W * (a_pos, a_neg), so alpha = evidence
     + prior. dL/de_j = 1/S - y_j / alpha_j: negative on the labeled side
     (more correct evidence always helps), positive on the other.
+
+    Labels must be exactly 0 or 1; they are not checked here. The loss
+    takes the positive side only where y == 1, while the gradient weights
+    the sides by y and 1 - y, so any other label gives a gradient that is
+    not the loss's. The trainer rejects such labels once per fit.
     """
     _check_shapes(evidence, y, prior)
     alpha = evidence + prior

@@ -20,18 +20,31 @@ backbone layer, and the head as one more layer whose weight is stored
 transposed. It adds the bias and applies the ReLU in place on the fresh
 matmul output, so a layer costs one N x width array, and it never writes
 into the caller's input or parameters. Inference (``extract_features``,
-``evidence_from_features``) and training run that same loop, so the
-function the trainer descends is the function that is scored.
+``evidence_from_features``, ``batch_evidence``) and training run that
+same loop, so the function the trainer descends is the function that is
+scored.
 ``batch_loss_grads`` keeps the activations the loop yields and takes
 each ReLU mask from them: relu(z) > 0 exactly where z > 0, for NaN,
 signed zeros and infinities too, so no pre-activation is kept. Its
 backward pass is one loop that carries dz down through the weight above.
 
+``extract_features`` and ``batch_evidence`` run the loop over blocks of
+rows and copy each block's last output into one preallocated (N, width)
+array, so a forward holds its output plus one block's layer outputs, and
+its memory does not grow with N beyond the output. A block has at least
+``_MIN_BLOCK_ROWS`` (4096) rows, and enough that every layer does at
+least ``_MIN_BLOCK_MACS`` (2**20) multiply-adds; the last block also takes
+the remainder, so no block is shorter unless the whole input is. An
+input of one block is returned as the loop leaves it, with no copy. The
+block bound keeps the bits of the whole-matrix forward: on OpenBLAS with
+the SkylakeX kernels, a dgemm with M * N * K <= 10**6 takes a
+small-matrix kernel that rounds differently, and every block of a split
+input is above that size, as the whole matrix is.
+
 The frozen refit computes each training row's backbone features once,
-before its first epoch, in blocks of ``_FEATURE_BLOCK_ROWS`` rows written
-into one preallocated array, so at most one block's layer outputs are
-live at a time. It then fits the head on those features as a model with
-an empty backbone, so scratch training and the refit run one fit path.
+before its first epoch, with ``extract_features``, so in the same blocks.
+It then fits the head on those features as a model with an empty
+backbone, so scratch training and the refit run one fit path.
 
 The trainer keeps every parameter it updates in one private float64
 vector, in ``_param_layout`` order, with one gradient vector of the same
@@ -88,8 +101,10 @@ CHECKPOINT_VERSION = "v1"
 DEFAULT_HIDDEN = (64, 64)
 DEFAULT_FEATURE_DIM = 32
 
-# rows per backbone forward when the frozen refit computes its features
-_FEATURE_BLOCK_ROWS = 1024
+# an inference forward runs in blocks of at least this many rows, and of
+# at least this many multiply-adds in every layer (see the module docstring)
+_MIN_BLOCK_ROWS = 4096
+_MIN_BLOCK_MACS = 2**20
 
 
 @dataclass
@@ -218,26 +233,54 @@ def _relu_layers(h: np.ndarray, layers):
         yield h
 
 
+def _block_rows(layers) -> int:
+    """Rows per block of a blocked forward through ``layers``."""
+    smallest = min(w.size for w, _ in layers)
+    return max(_MIN_BLOCK_ROWS, -(-_MIN_BLOCK_MACS // smallest))
+
+
+def _blocked_forward(x: np.ndarray, layers) -> np.ndarray:
+    """The last output of ``_relu_layers(x, layers)``, run over row blocks.
+
+    Every block but the last has ``_block_rows(layers)`` rows; the last
+    also takes the remainder. Each block's output is copied into one
+    preallocated array; an input of one block is returned as the loop
+    leaves it.
+    """
+    n = x.shape[0]
+    size = _block_rows(layers)
+    blocks = max(1, n // size)
+    if blocks == 1:
+        for h in _relu_layers(x, layers):
+            pass
+        return h
+    out = np.empty((n, layers[-1][0].shape[0]))
+    for i in range(blocks):
+        rows = slice(i * size, n if i == blocks - 1 else (i + 1) * size)
+        for h in _relu_layers(x[rows], layers):
+            pass
+        out[rows] = h
+    return out
+
+
+def _as_rows(a, width: int, what: str, layer: str) -> np.ndarray:
+    """``a`` as a float64 (N, width) array, or ValueError naming ``what`` and ``layer``."""
+    h = np.asarray(a, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != width:
+        raise ValueError(
+            f"{what} shape {np.asarray(a).shape} does not match {layer} input dim {width}"
+        )
+    return h
+
+
 def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
     """Forward pass of the backbone: (N, D) inputs -> (N, width) features."""
-    h = np.asarray(x, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != mlp.dim_in:
-        raise ValueError(
-            f"input shape {np.asarray(x).shape} does not match backbone input dim {mlp.dim_in}"
-        )
-    for h in _relu_layers(h, mlp.layers):
-        pass
-    return h
+    return _blocked_forward(_as_rows(x, mlp.dim_in, "input", "backbone"), mlp.layers)
 
 
 def evidence_from_features(features: np.ndarray, head: EvidenceHeadParams) -> np.ndarray:
     """Evidence pairs from (N, F) backbone features: relu(f @ W + b) as (N, K, 2)."""
-    f = np.asarray(features, dtype=np.float64)
-    if f.ndim != 2 or f.shape[1] != head.dim_in:
-        raise ValueError(
-            f"feature shape {np.asarray(features).shape} does not match head input dim "
-            f"{head.dim_in}"
-        )
+    f = _as_rows(features, head.dim_in, "feature", "head")
     # the head is one more ReLU layer whose weight is stored transposed
     (ev,) = _relu_layers(f, [(head.weight.T, head.bias)])
     return ev.reshape(f.shape[0], head.num_classes, 2)
@@ -245,7 +288,11 @@ def evidence_from_features(features: np.ndarray, head: EvidenceHeadParams) -> np
 
 def batch_evidence(mlp: MlpParams, head: EvidenceHeadParams, x: np.ndarray) -> np.ndarray:
     """Backbone + head in one call: (N, D) inputs -> (N, K, 2) evidence."""
-    return evidence_from_features(extract_features(x, mlp), head)
+    h = _as_rows(x, mlp.dim_in, "input", "backbone")
+    # the head's input-width check, on a stand-in for the features
+    _as_rows(np.broadcast_to(0.0, (h.shape[0], mlp.dim_out)), head.dim_in, "feature", "head")
+    ev = _blocked_forward(h, [*mlp.layers, (head.weight.T, head.bias)])
+    return ev.reshape(h.shape[0], head.num_classes, 2)
 
 
 def _param_layout(dims, num_classes):
@@ -407,6 +454,12 @@ def _validate_training_data(x, y, k):
         raise ValueError("training data is empty")
     if y.shape[1] != k:
         raise ValueError(f"labels have {y.shape[1]} classes but the CIW table has {k}")
+    # the loss reads a label as its side, the gradient as a weight: they agree on 0 and 1
+    hard = (y == 0.0) | (y == 1.0)
+    if not hard.all():
+        row, col = np.argwhere(~hard)[0]
+        raise ValueError(f"labels must be 0 or 1, but row {row}, class {col} is "
+                         f"{float(y[row, col])!r}")
     return x, y
 
 
@@ -459,19 +512,11 @@ def finetune_head(
         raise ValueError(f"head has {head.num_classes} classes but the CIW table has {len(ciw)}")
     # the head's input-width check, before the forward pass and for any epoch count
     evidence_from_features(np.empty((0, mlp.dim_out)), head)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is NonFiniteOutput
+        features = check_finite_rows(extract_features(x, mlp), "backbone output")
     rng = np.random.default_rng(config.seed)
-    _, new_head, losses = _fit(MlpParams([]), head, _blocked_features(x, mlp), y, ciw, config, rng)
+    _, new_head, losses = _fit(MlpParams([]), head, features, y, ciw, config, rng)
     return TrainResult(mlp, new_head, tuple(losses))
-
-
-@np.errstate(over="ignore", invalid="ignore")  # overflow is NonFiniteOutput
-def _blocked_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
-    """``extract_features`` of every row, run on ``_FEATURE_BLOCK_ROWS`` rows at a time."""
-    features = np.empty((x.shape[0], mlp.dim_out))
-    for start in range(0, x.shape[0], _FEATURE_BLOCK_ROWS):
-        block = slice(start, start + _FEATURE_BLOCK_ROWS)
-        features[block] = extract_features(x[block], mlp)
-    return check_finite_rows(features, "backbone output")
 
 
 def check_finite_rows(values: np.ndarray, what: str) -> np.ndarray:

@@ -148,7 +148,7 @@ def test_generate_flags(data):
 @given(data=st.data())
 def test_train_flags(pristine, data):
     flags = _flags(data.draw, {
-        "--epochs": st.integers(min_value=-1, max_value=2),
+        "--epochs": st.integers(min_value=-1, max_value=5),  # decay powers up to 4
         "--batch-size": st.integers(min_value=-1, max_value=50),
         "--lr": floats,
         "--lr-decay-ratio": floats,

@@ -452,6 +452,21 @@ class TestTrainer:
         with pytest.raises(ValueError):
             train_model(np.zeros((4, 4)), np.zeros((5, 2)), cfg, UNIFORM_CIW)
 
+    @pytest.mark.parametrize("label", [0.5, 0.9, -1.0, 2.0, np.nan])
+    @pytest.mark.parametrize("fit", ["train_model", "finetune_head"])
+    def test_labels_other_than_0_and_1_are_rejected(self, fit, label):
+        """The loss takes the positive side only where y == 1, while its
+        gradient weights the sides by y and 1 - y, so a fit takes hard
+        labels alone; it checks them once, before any step."""
+        x, y = _separable_data(n=40)
+        y[5, 1] = label
+        cfg = TrainConfig(epochs=0)
+        with pytest.raises(ValueError, match=r"labels must be 0 or 1, but row 5, class 1 is"):
+            if fit == "train_model":
+                train_model(x, y, cfg, UNIFORM_CIW, hidden=(8,), feature_dim=4)
+            else:
+                finetune_head(*init_model(8, 2, (8,), 4, seed=0), x, y, cfg, UNIFORM_CIW)
+
 
 class TestFreeze:
     def _pretrained(self):
@@ -501,13 +516,14 @@ class TestFreeze:
 
     @pytest.mark.parametrize("epochs", [0, 1, 3])
     def test_backbone_runs_once_per_block_of_rows(self, monkeypatch, epochs):
-        """Every row goes through the frozen backbone once, whatever the epoch count."""
-        block = network._FEATURE_BLOCK_ROWS
+        """Every row goes through the frozen backbone once, whatever the epoch
+        count, in blocks of the inference forward: the last takes the remainder."""
+        mlp, head = init_model(8, 2, hidden=(64,), feature_dim=32, seed=8)
+        block = network._block_rows(mlp.layers)
         n = 2 * block + 100
         rng = np.random.default_rng(8)
         x = rng.normal(size=(n, 8))
         y = (rng.random((n, 2)) < 0.4).astype(float)
-        mlp, head = init_model(8, 2, hidden=(6,), feature_dim=4, seed=8)
         forwards = []
         relu_layers = network._relu_layers
 
@@ -519,7 +535,7 @@ class TestFreeze:
         monkeypatch.setattr(network, "_relu_layers", counting)
         cfg = TrainConfig(epochs=epochs, batch_size=256, seed=8)
         finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
-        assert [len(h) for h in forwards] == [block, block, 100]
+        assert [len(h) for h in forwards] == [block, block + 100]
         assert np.concatenate(forwards).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("epochs", [0, 2])

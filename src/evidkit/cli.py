@@ -155,7 +155,9 @@ def cmd_train(args) -> int:
     ciw = _align_ciw(load_ciw_config(args.ciw), split.known_classes)
     if not split.train:
         raise DataFormatError("train split has no samples to fit")
-    ids, x, y, _ = samples_to_arrays(split.train, split.k_known, split.dim)
+    dim, k_known = split.dim, split.k_known
+    ids, x, y, _ = samples_to_arrays(split.train, k_known, dim)
+    del split  # the fit needs only the arrays; the tables' memory goes before it
 
     defaults = {}
     if args.freeze_backbone:
@@ -174,8 +176,8 @@ def cmd_train(args) -> int:
                     "comes from the --init-from checkpoint"
                 )
         mlp, old_head = load_checkpoint(args.init_from)
-        _check_model_matches(mlp, old_head, split.dim, split.k_known)
-        head = init_head(mlp.dim_out, split.k_known, config.seed)
+        _check_model_matches(mlp, old_head, dim, k_known)
+        head = init_head(mlp.dim_out, k_known, config.seed)
         with _naming_sample(ids, args.init_from):
             result = finetune_head(mlp, head, x, y, config, ciw)
     else:

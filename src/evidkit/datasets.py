@@ -25,6 +25,12 @@ classes first, unknowns after. Records are tab-separated: id,
 comma-separated features (repr precision, so round trips are bit-exact),
 comma-separated label indices (empty allowed), unknown flag 0/1.
 
+Split files are written and read in blocks, so neither side holds a
+whole file's text: ``save_dataset`` formats and writes
+``_WRITE_BLOCK_ROWS`` (4096) records at a time, and the loader parses
+the blocks of lines that ``fileio.read_line_blocks`` yields (about 1 MiB
+of text each) as they arrive, growing the feature matrix in place.
+
 In memory a split is a SampleTable: one frozen row table of arrays, not a
 tuple of per-row objects. It holds `ids` (a tuple of N str), `x` (an
 (N, D) float64 feature matrix), `labels` (an (N, C) bool matrix over all
@@ -47,7 +53,7 @@ import numpy as np
 
 from .base_rates import CIWTable
 from .errors import ConfigError, DataFormatError
-from .fileio import read_first_line, read_lines, write_text
+from .fileio import atomic_open, read_first_line, read_line_blocks, read_lines, write_text
 
 DATASET_MAGIC = "#edlset"
 DATASET_VERSION = "v1"
@@ -59,8 +65,8 @@ NOISE_RADIUS = 2.0
 
 _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
-# records parsed per block when loading; bounds the temporary strings
-_PARSE_BLOCK_ROWS = 4096
+# records formatted per block when saving; bounds the temporary strings
+_WRITE_BLOCK_ROWS = 4096
 
 # what a written id or name may not hold: the field tab and the str.splitlines
 # line breaks, where the readers split a file, and the surrogate code points,
@@ -72,12 +78,13 @@ def _check_writable(values, what: str) -> None:
     """Raise ValueError naming the first of ``values`` that is empty or holds a
     tab or a line break, which the file's reader would reject, or a surrogate
     code point, which the UTF-8 writer would fail on. One regex pass over the
-    joined values, when every one is fine."""
-    if all(values) and not _UNWRITABLE_RE.search("".join(values)):
-        return
-    bad = next(v for v in values if not v or _UNWRITABLE_RE.search(v))
-    raise ValueError(f"{what} {bad!r} is empty or holds a tab, a line break or a "
-                     "surrogate; the file could not be written as UTF-8 and read back")
+    joined values of each block of _WRITE_BLOCK_ROWS, when every one is fine."""
+    for start in range(0, len(values), _WRITE_BLOCK_ROWS):
+        block = values[start:start + _WRITE_BLOCK_ROWS]
+        if not all(block) or _UNWRITABLE_RE.search("".join(block)):
+            bad = next(v for v in block if not v or _UNWRITABLE_RE.search(v))
+            raise ValueError(f"{what} {bad!r} is empty or holds a tab, a line break or a "
+                             "surrogate; the file could not be written as UTF-8 and read back")
 
 
 def _frozen(values, dtype, ndim: int, name: str) -> np.ndarray:
@@ -371,23 +378,28 @@ def _generate_split(cfg: GenConfig) -> DatasetSplit:
 
 
 def _write_split_file(path: Path, rows: SampleTable, split: DatasetSplit) -> None:
+    """Write the header line, then the records in blocks of _WRITE_BLOCK_ROWS
+    rows, with one tolist of the block's features and one write of its lines."""
     header = (
         f"{DATASET_MAGIC} {DATASET_VERSION} D={split.dim} K={split.k_known} "
         f"classes={','.join(split.classes)}"
     )
-    # the label and flag fields, formatted once per distinct (labels, flag) row
-    flagged = np.column_stack((rows.labels, rows.unknown))
-    keys = flagged.view(np.dtype((np.void, flagged.shape[1]))).ravel().tolist()
+    # the label and flag fields, formatted once per distinct (labels, flag) row;
+    # a row's key is the bytes of its label row and flag as bools
     tails = {}
-    for i, key in enumerate(keys):
-        if key not in tails:
-            indices = ",".join(map(str, np.flatnonzero(rows.labels[i]).tolist()))
-            tails[key] = f"{indices}\t{'1' if rows.unknown[i] else '0'}"
-    lines = [header] + [
-        f"{sample_id}\t{','.join(map(repr, features))}\t{tails[key]}"
-        for sample_id, features, key in zip(rows.ids, rows.x.tolist(), keys)
-    ]
-    write_text(path, "\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(header + "\n")
+        for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
+            block = slice(start, start + _WRITE_BLOCK_ROWS)
+            flagged = np.column_stack((rows.labels[block], rows.unknown[block]))
+            keys = flagged.view(np.dtype((np.void, flagged.shape[1]))).ravel().tolist()
+            for key in dict.fromkeys(keys).keys() - tails.keys():
+                indices = np.flatnonzero(np.frombuffer(key[:-1], dtype=bool)).tolist()
+                tails[key] = f"{','.join(map(str, indices))}\t{key[-1]}"
+            fh.write("".join([
+                f"{sample_id}\t{','.join(map(repr, features))}\t{tails[key]}\n"
+                for sample_id, features, key in zip(rows.ids[block], rows.x[block].tolist(), keys)
+            ]))
 
 
 def save_dataset(split: DatasetSplit, path) -> None:
@@ -396,7 +408,8 @@ def save_dataset(split: DatasetSplit, path) -> None:
     A sample id with a tab, a line break or a surrogate code point is a
     ValueError, raised before anything is written.
     """
-    _check_writable(split.train.ids + split.validation.ids, "sample id")
+    for rows in (split.train, split.validation):
+        _check_writable(rows.ids, "sample id")
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
     _write_split_file(directory / TRAIN_FILENAME, split.train, split)
@@ -491,40 +504,49 @@ def _check_record(line: str, lineno: int, dim: int, k_known: int, k_total: int,
     _parse_labels(label_field, flag_field, k_known, k_total, forbid_unknown, path, lineno)
 
 
-def _parse_records(records, dim: int, k_known: int, k_total: int,
+def _parse_records(blocks, dim: int, k_known: int, k_total: int,
                    forbid_unknown: bool) -> SampleTable | None:
-    """All records as one table, or None if any record breaks a rule.
+    """The records of ``blocks`` (lists of lines) as one table, or None if any
+    record breaks a rule.
 
-    Each rule of _check_record is applied to many rows at once: per block
-    of rows, one split of the joined lines on tabs and one float() pass
-    over the joined feature fields; the label rules run once per distinct
-    (labels, flag) pair. Blocks bound the temporary strings held at once.
+    Each rule of _check_record is applied to a block at a time: one split of
+    the block's joined lines on tabs, and one float() pass over its joined
+    feature fields. The feature matrix and the (labels, flag) codes grow in
+    place by each block's rows, so no field string outlives its block and
+    no second copy of the features is made; the label rules run once per
+    distinct (labels, flag) pair.
     """
-    # a line with 3 tabs splits into the 4 fields of a record
-    if set(map(str.count, records, repeat("\t"))) - {3}:
-        return None
-    n = len(records)
-    blocks, ids, label_fields, flag_fields = [], [], [], []
-    for start in range(0, n, _PARSE_BLOCK_ROWS):
-        fields = "\t".join(records[start:start + _PARSE_BLOCK_ROWS]).split("\t")
+    ids = []
+    x = np.empty((0, dim))
+    codes = np.empty(0, dtype=np.intp)
+    distinct = {}  # (label field, flag field) -> code, by first use
+    for records in blocks:
+        # a line with 3 tabs splits into the 4 fields of a record
+        if set(map(str.count, records, repeat("\t"))) - {3}:
+            return None
+        fields = "\t".join(records).split("\t")
         feat_fields = fields[1::4]
         # a field with dim - 1 commas holds dim features
         if set(map(str.count, feat_fields, repeat(","))) - {dim - 1}:
             return None
+        n, m = len(x), len(feat_fields)
         try:
             values = np.fromiter(map(float, ",".join(feat_fields).split(",")),
-                                 dtype=np.float64, count=len(feat_fields) * dim)
+                                 dtype=np.float64, count=m * dim)
         except ValueError:
             return None
-        blocks.append(values.reshape(len(feat_fields), dim))
+        # resize reallocates, so the arrays grow without a copy held beside them
+        x.resize((n + m, dim), refcheck=False)
+        x[n:] = values.reshape(m, dim)
         ids += fields[0::4]
-        label_fields += fields[2::4]
-        flag_fields += fields[3::4]
-    x = np.concatenate(blocks) if blocks else np.zeros((0, dim))
+        pairs = list(zip(fields[2::4], fields[3::4]))
+        for pair in dict.fromkeys(pairs):
+            distinct.setdefault(pair, len(distinct))
+        codes.resize(n + m, refcheck=False)
+        codes[n:] = np.fromiter(map(distinct.__getitem__, pairs), dtype=np.intp, count=m)
+        del records, fields, feat_fields, values, pairs  # before the next block is read
     if not (all(ids) and np.isfinite(x).all()):
         return None
-    pairs = list(zip(label_fields, flag_fields))
-    distinct = {pair: code for code, pair in enumerate(dict.fromkeys(pairs))}
     code_labels = np.zeros((len(distinct), k_total), dtype=bool)
     code_unknown = np.zeros(len(distinct), dtype=bool)
     for (label_field, flag_field), code in distinct.items():
@@ -535,7 +557,6 @@ def _parse_records(records, dim: int, k_known: int, k_total: int,
             return None
         code_labels[code, list(labels)] = True
         code_unknown[code] = is_unknown
-    codes = np.fromiter(map(distinct.__getitem__, pairs), dtype=np.intp, count=n)
     return SampleTable(tuple(ids), x, code_labels[codes], code_unknown[codes])
 
 
@@ -551,11 +572,11 @@ def _read_split_header(path: Path):
 
 def _load_split_file(path: Path, forbid_unknown: bool):
     dim, k_known, classes = _read_split_header(path)
-    records = read_lines(path)[1:]
-    rows = _parse_records(records, dim, k_known, len(classes), forbid_unknown)
+    rows = _parse_records(read_line_blocks(path, skip=1), dim, k_known, len(classes),
+                          forbid_unknown)
     if rows is None:
         # some record breaks a rule: name the first such line
-        for lineno, line in enumerate(records, start=2):
+        for lineno, line in enumerate(read_lines(path)[1:], start=2):
             _check_record(line, lineno, dim, k_known, len(classes), forbid_unknown, path)
         raise AssertionError(f"{path}: the bulk parser rejected records the checker accepts")
     return dim, k_known, classes, rows

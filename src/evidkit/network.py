@@ -51,9 +51,11 @@ vector, in ``_param_layout`` order, with one gradient vector of the same
 layout beside it. The models it steps are reshaped views of the first;
 ``batch_loss_grads`` writes each gradient into its view of the second
 (``out=``), so no per-step gradient arrays are allocated. A step is one
-in-place ``sgd_step`` over the whole vector. Each epoch gathers its
-shuffled rows once, so every batch is a contiguous slice. The trainer
-returns validated copies, never views.
+in-place ``sgd_step`` over the whole vector. Each epoch draws one
+permutation of the rows, and each batch gathers its own rows of the
+inputs and labels from it with ``take``, so a fit holds no shuffled copy
+of the data beside the data. The trainer returns validated copies, never
+views.
 
 A fit checks once, at entry: the data's shapes and its label count
 against the CIW table, and the parameters' shapes and finiteness (the
@@ -426,10 +428,11 @@ def _fit(mlp, head, x, y, ciw, config, rng):
     for epoch in range(config.epochs):
         lr = config.learning_rate_at(epoch)
         order = rng.permutation(n)
-        xs, ys = x[order], y[order]
         total = 0.0
         for batch_idx, (rows, size) in enumerate(batches):
-            loss = batch_loss_grads(mlp, head, xs[rows], ys[rows], prior, out=grad_views)[0]
+            index = order[rows]
+            loss = batch_loss_grads(mlp, head, x.take(index, axis=0), y.take(index, axis=0),
+                                    prior, out=grad_views)[0]
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
             total += loss * size

@@ -1,11 +1,14 @@
 """Tests for synthetic dataset generation and the on-disk formats."""
 
+import gc
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from evidkit import fileio
 from evidkit.base_rates import CIWTable
 from evidkit.datasets import (
     TRAIN_FILENAME,
@@ -294,6 +297,85 @@ class TestDatasetFiles:
             assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
             assert ours.tobytes() == theirs.tobytes()
 
+
+
+def _random_split(n_train, n_val, dim, seed=0):
+    """Train and validation rows of ``dim`` full-precision features, over 6
+    known and 2 unknown classes as the generator's default, with mixed label rows."""
+    rng = np.random.default_rng(seed)
+    known, unknown = ("k1", "k2", "k3", "k4", "k5", "k6"), ("u1", "u2")
+
+    def table(prefix, n, with_unknown):
+        labels = np.zeros((n, 8), dtype=bool)
+        labels[:, :6] = rng.random((n, 6)) < 0.2
+        if with_unknown:
+            labels[rng.random(n) < 0.25, 6 + rng.integers(2)] = True
+        ids = tuple(f"{prefix}-{i:06d}" for i in range(n))
+        return SampleTable(ids, rng.standard_normal((n, dim)), labels,
+                           labels[:, 6:].any(axis=1))
+
+    return DatasetSplit(table("tr", n_train, False), table("va", n_val, True),
+                        known, unknown, dim)
+
+
+def _one_join_bytes(rows, split):
+    """A split file as the whole-file writer made it: one "\n".join of every line."""
+    header = f"#edlset v1 D={split.dim} K={split.k_known} classes={','.join(split.classes)}"
+    records = [
+        f"{i}\t{','.join(map(repr, x))}\t{','.join(map(str, np.flatnonzero(labels)))}"
+        f"\t{int(flag)}"
+        for i, x, labels, flag in zip(rows.ids, rows.x.tolist(), rows.labels, rows.unknown)
+    ]
+    return ("\n".join([header] + records) + "\n").encode("utf-8")
+
+
+def _transient_peak(fn):
+    """(the traced peak of ``fn()`` beyond what it leaves allocated, its result)."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = fn()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - current, result
+
+
+class TestBlockedFiles:
+    """The writer works in blocks of 4096 rows and the loader in the reader's
+    blocks of lines; neither holds a whole file's text."""
+
+    @pytest.fixture(scope="class")
+    def big(self):
+        return _random_split(8193, 8193, dim=8)
+
+    @pytest.mark.parametrize("n", [0, 1, 4095, 4096, 4097, 8193])
+    def test_bytes_match_one_join_and_round_trip(self, tmp_path, monkeypatch, big, n):
+        split = replace(big, train=big.train[:n], validation=big.validation[:n])
+        save_dataset(split, tmp_path)
+        for name, rows in ((TRAIN_FILENAME, split.train), (VAL_FILENAME, split.validation)):
+            assert (tmp_path / name).read_bytes() == _one_join_bytes(rows, split)
+        assert load_dataset(tmp_path) == split
+        # blocks that end mid-line and hold a few records each
+        monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", 1000)
+        assert load_dataset(tmp_path) == split
+
+    def test_memory_beyond_the_result_does_not_grow_with_rows(self, tmp_path):
+        # 60k more train rows are 5.6 MB more text, which a whole-file write or
+        # read holds several times over (24 and 18 MB more at 80k). The blocked
+        # ones hold one block's strings, about 1 MiB of text, at either size (a
+        # 20k-row file is two blocks); what a load adds per row is its id list
+        # and (labels, flag) codes, 16 bytes, or 1 MB over 60k rows. Four
+        # features a row keep the traced calls short.
+        transient = {}
+        for n in (20_000, 80_000):
+            split = _random_split(n, 1, dim=4)
+            save = _transient_peak(lambda: save_dataset(split, tmp_path / str(n)))[0]
+            load, loaded = _transient_peak(lambda: load_dataset(tmp_path / str(n)))
+            assert loaded == split
+            transient[n] = np.array([save, load])
+        growth = transient[80_000] - transient[20_000]
+        assert (growth < 1.5 * 2**20).all(), (transient, growth)
 
 # the field tab and every line break of str.splitlines: the readers split at each
 SPLITTING = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",

@@ -13,9 +13,17 @@ The head-only refit oracle computes the backbone features of all rows
 once, with its own forward pass, and fits the head on them as a model
 with no backbone layers, as ``finetune_head`` does. The trainer computes
 them in row blocks; every drawn problem fits in one block.
+
+The oracle's batches gather their rows by index, as the trainer's do. With
+``gather_per_epoch`` the oracle instead gathers each epoch's shuffled rows
+once and slices its batches from that copy, as the trainer did before; both
+feeds must give the same bits. The last tests bound the memory of a refit:
+it holds no shuffled copy of its features.
 """
 
+import gc
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +31,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evidkit.base_rates import CIWTable, base_rate_arrays
+from evidkit import network
 from evidkit.errors import TrainingDiverged
 from evidkit.losses import batch_nll_grad
 from evidkit.network import (
@@ -100,21 +109,31 @@ def _retired_batch_loss_grads(mlp, head, x, y, a_pos, a_neg):
     return loss, grads, g_head_w, g_head_b
 
 
-def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, update_backbone):
+def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, update_backbone,
+                 gather_per_epoch=False):
+    """The retired step loop. Each batch gathers its rows of x and y by index;
+    with ``gather_per_epoch`` each epoch gathers all of its shuffled rows
+    once and the batches are contiguous slices of that copy instead."""
     n = x.shape[0]
     epoch_losses = []
     for epoch in range(config.epochs):
         lr = config.learning_rate * config.lr_decay_ratio ** (epoch // config.lr_decay_every)
         order = rng.permutation(n)
+        if gather_per_epoch:
+            xs, ys = x[order], y[order]
         total = 0.0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            idx = order[start:start + config.batch_size]
+            rows = slice(start, start + config.batch_size)
+            if gather_per_epoch:
+                xb, yb = xs[rows], ys[rows]
+            else:
+                xb, yb = x[order[rows]], y[order[rows]]
             loss, grads, g_head_w, g_head_b = _retired_batch_loss_grads(
-                mlp, head, x[idx], y[idx], a_pos, a_neg
+                mlp, head, xb, yb, a_pos, a_neg
             )
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
-            total += loss * len(idx)
+            total += loss * len(xb)
             if update_backbone:
                 mlp = MlpParams([
                     (
@@ -131,19 +150,20 @@ def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, update_backbone):
     return mlp, head, epoch_losses
 
 
-def _retired_train_model(x, y, config, ciw, hidden, feature_dim):
+def _retired_train_model(x, y, config, ciw, hidden, feature_dim, gather_per_epoch=False):
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     mlp, head = init_model(x.shape[1], len(ciw), hidden, feature_dim, rng)
-    return _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, True)
+    return _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, True, gather_per_epoch)
 
 
-def _retired_finetune_head(mlp, head, x, y, config, ciw):
+def _retired_finetune_head(mlp, head, x, y, config, ciw, gather_per_epoch=False):
     a_pos, a_neg = base_rate_arrays(ciw)
     rng = np.random.default_rng(config.seed)
     head = EvidenceHeadParams(head.weight.copy(), head.bias.copy())
     features = _forward_cached(mlp, head, x)[0][-1]
-    return _retired_fit(MlpParams([]), head, features, y, a_pos, a_neg, config, rng, False)
+    return _retired_fit(MlpParams([]), head, features, y, a_pos, a_neg, config, rng, False,
+                        gather_per_epoch)
 
 
 # -- helpers -------------------------------------------------------------
@@ -199,24 +219,26 @@ def _config(p):
 
 class TestSameBitsAsTheRetiredTrainer:
     @settings(max_examples=60, deadline=None)
-    @given(fits)
-    def test_train_model(self, p):
+    @given(fits, st.booleans())
+    def test_train_model(self, p, gather_per_epoch):
         x, y, ciw = _problem(p["n"], p["dim"], p["k"], p["seed"])
         cfg = _config(p)
         got = train_model(x, y, cfg, ciw, hidden=p["hidden"], feature_dim=p["feature_dim"])
-        mlp, head, losses = _retired_train_model(x, y, cfg, ciw, p["hidden"], p["feature_dim"])
+        mlp, head, losses = _retired_train_model(x, y, cfg, ciw, p["hidden"], p["feature_dim"],
+                                                 gather_per_epoch)
         _assert_bytes_equal(_arrays(got.mlp, got.head), _arrays(mlp, head))
         assert got.epoch_losses == tuple(losses)
 
     @settings(max_examples=60, deadline=None)
-    @given(fits)
-    def test_finetune_head(self, p):
+    @given(fits, st.booleans())
+    def test_finetune_head(self, p, gather_per_epoch):
         x, y, ciw = _problem(p["n"], p["dim"], p["k"], p["seed"])
         cfg = _config(p)
         mlp, _ = init_model(p["dim"], p["k"], p["hidden"], p["feature_dim"], p["seed"] + 1)
         head = init_head(p["feature_dim"], p["k"], p["seed"] + 2)
         got = finetune_head(mlp, head, x, y, cfg, ciw)
-        _, want_head, losses = _retired_finetune_head(mlp, head, x, y, cfg, ciw)
+        _, want_head, losses = _retired_finetune_head(mlp, head, x, y, cfg, ciw,
+                                                      gather_per_epoch)
         assert got.mlp is mlp
         _assert_bytes_equal([got.head.weight, got.head.bias],
                             [want_head.weight, want_head.bias])
@@ -335,3 +357,45 @@ class TestNoAliasing:
         tuned = finetune_head(result.mlp, result.head, x, y, cfg, ciw)
         assert tuned.head.weight.base is None and tuned.head.bias.base is None
 
+
+
+# -- the feed: batches by index, no shuffled copy of the data ------------------
+
+
+@pytest.mark.parametrize("gather_per_epoch", [False, True])
+def test_a_default_sized_fit_matches_both_feeds(gather_per_epoch):
+    x, y, ciw = _problem(1000, 8, 6, seed=11)
+    cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.05, seed=2)
+    got = train_model(x, y, cfg, ciw)
+    mlp, head, losses = _retired_train_model(x, y, cfg, ciw, DEFAULT_HIDDEN, got.mlp.dim_out,
+                                             gather_per_epoch)
+    _assert_bytes_equal(_arrays(got.mlp, got.head), _arrays(mlp, head))
+    assert got.epoch_losses == tuple(losses)
+    fresh = init_head(got.mlp.dim_out, 6, seed=3)
+    tuned = finetune_head(got.mlp, fresh, x, y, cfg, ciw)
+    _, want_head, losses = _retired_finetune_head(got.mlp, fresh, x, y, cfg, ciw,
+                                                  gather_per_epoch)
+    _assert_bytes_equal([tuned.head.weight, tuned.head.bias], [want_head.weight, want_head.bias])
+    assert tuned.epoch_losses == tuple(losses)
+
+
+def test_a_refit_holds_no_second_copy_of_its_features():
+    # Beyond the features, a refit holds one block of the blocked forward (two
+    # 64-wide layer outputs of fewer than 2 * _MIN_BLOCK_ROWS rows, 8 MiB) and
+    # a few bytes a row of checks; a shuffled copy of the features would add
+    # features.nbytes, 15 MB at 60k rows.
+    bound = 2 * (2 * network._MIN_BLOCK_ROWS) * 64 * 8 + 2 * 2**20
+    mlp, head = init_model(8, 6, DEFAULT_HIDDEN, 32, seed=1)
+    cfg = TrainConfig(epochs=1, learning_rate=0.001, seed=2)
+    for n in (20_000, 60_000):
+        x, y, ciw = _problem(n, 8, 6, seed=4)
+        features_nbytes = n * mlp.dim_out * 8
+        gc.collect()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            finetune_head(mlp, head, x, y, cfg, ciw)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak - features_nbytes < bound, (n, peak, features_nbytes)

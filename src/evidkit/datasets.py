@@ -31,6 +31,13 @@ whole file's text: ``save_dataset`` formats and writes
 the blocks of lines that ``fileio.read_line_blocks`` yields (about 1 MiB
 of text each) as they arrive, growing the feature matrix in place.
 
+The record rules are stated once, in ``_Records._add``, which checks a
+whole block of records at a time. A block that breaks a rule is parsed
+again by the same code one line at a time, and the first bad line is
+named in the error. A file is read once on every path, a rejected one
+included: before that error is raised, the rest of the file is decoded,
+so a byte that is not UTF-8 anywhere in it is the error reported.
+
 In memory a split is a SampleTable: one frozen row table of arrays, not a
 tuple of per-row objects. It holds `ids` (a tuple of N str), `x` (an
 (N, D) float64 feature matrix), `labels` (an (N, C) bool matrix over all
@@ -46,7 +53,7 @@ import math
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations, compress, repeat
+from itertools import chain, combinations, compress, repeat
 from pathlib import Path
 
 import numpy as np
@@ -448,116 +455,116 @@ def _parse_header(line: str, path):
 
 
 def _parse_labels(label_field: str, flag_field: str, k_known: int, k_total: int,
-                  forbid_unknown: bool, path, lineno) -> tuple[tuple[int, ...], bool]:
-    """The sorted label indices and the unknown flag of one record."""
+                  forbid_unknown: bool) -> tuple[tuple[int, ...], bool]:
+    """The sorted label indices and the unknown flag of one record, or a
+    DataFormatError, with no location, for the first label rule it breaks."""
     if label_field:
         try:
             labels = tuple(int(v) for v in label_field.split(","))
         except ValueError as exc:
-            raise DataFormatError(f"bad label index: {exc}", path=path, line=lineno) from exc
+            raise DataFormatError(f"bad label index: {exc}") from exc
     else:
         labels = ()
     if len(set(labels)) != len(labels):
-        raise DataFormatError("duplicate label index", path=path, line=lineno)
+        raise DataFormatError("duplicate label index")
     labels = tuple(sorted(labels))
     if labels and (labels[0] < 0 or labels[-1] >= k_total):
-        raise DataFormatError("label index out of range", path=path, line=lineno)
+        raise DataFormatError("label index out of range")
     if flag_field not in ("0", "1"):
-        raise DataFormatError(
-            f"unknown flag must be 0 or 1, got {flag_field!r}", path=path, line=lineno
-        )
+        raise DataFormatError(f"unknown flag must be 0 or 1, got {flag_field!r}")
     is_unknown = flag_field == "1"
     if is_unknown != any(l >= k_known for l in labels):
-        raise DataFormatError("unknown flag does not match labels", path=path, line=lineno)
+        raise DataFormatError("unknown flag does not match labels")
     if forbid_unknown and is_unknown:
-        raise DataFormatError(
-            "train split must not contain unknown samples", path=path, line=lineno
-        )
+        raise DataFormatError("train split must not contain unknown samples")
     return labels, is_unknown
 
 
-def _check_record(line: str, lineno: int, dim: int, k_known: int, k_total: int,
-                  forbid_unknown: bool, path) -> None:
-    """Raise DataFormatError naming `lineno` if the record breaks a rule.
+class _Records:
+    """The records of one split file, parsed a block of lines at a time.
 
-    This is the one statement of the record rules; the bulk parser in
-    _parse_records accepts exactly the files in which every record passes.
+    ``_add`` is the one statement of the record rules. It checks a block in
+    the order a record is read: 4 tab-separated fields, a non-empty id,
+    float features, ``dim`` of them, all finite, and then the label rules,
+    once per (label field, flag field) pair not seen before. A block that
+    breaks a rule adds no row and raises a DataFormatError with no
+    location; for a block of one line, its message is that of the line's
+    first broken rule. The feature matrix and the pair codes grow in place
+    by each block's rows, so no field string outlives its block and no
+    second copy of the features is made.
     """
-    fields = line.split("\t")
-    if len(fields) != 4:
-        raise DataFormatError(
-            f"expected 4 tab-separated fields, got {len(fields)}", path=path, line=lineno
-        )
-    sample_id, feat_field, label_field, flag_field = fields
-    if not sample_id:
-        raise DataFormatError("empty sample id", path=path, line=lineno)
-    try:
-        features = [float(v) for v in feat_field.split(",")]
-    except ValueError as exc:
-        raise DataFormatError(f"bad feature value: {exc}", path=path, line=lineno) from exc
-    if len(features) != dim:
-        raise DataFormatError(
-            f"expected {dim} features, got {len(features)}", path=path, line=lineno
-        )
-    if not all(map(math.isfinite, features)):
-        raise DataFormatError("non-finite feature", path=path, line=lineno)
-    _parse_labels(label_field, flag_field, k_known, k_total, forbid_unknown, path, lineno)
 
+    def __init__(self, dim: int, k_known: int, k_total: int, forbid_unknown: bool):
+        self.dim, self.k_known, self.k_total = dim, k_known, k_total
+        self.forbid_unknown = forbid_unknown
+        self.ids = []
+        self.x = np.empty((0, dim))
+        self.codes = np.empty(0, dtype=np.intp)
+        self.pair_codes = {}  # (label field, flag field) -> code, by first use
+        self.pair_labels = []  # the (labels, is_unknown) of each code
 
-def _parse_records(blocks, dim: int, k_known: int, k_total: int,
-                   forbid_unknown: bool) -> SampleTable | None:
-    """The records of ``blocks`` (lists of lines) as one table, or None if any
-    record breaks a rule.
-
-    Each rule of _check_record is applied to a block at a time: one split of
-    the block's joined lines on tabs, and one float() pass over its joined
-    feature fields. The feature matrix and the (labels, flag) codes grow in
-    place by each block's rows, so no field string outlives its block and
-    no second copy of the features is made; the label rules run once per
-    distinct (labels, flag) pair.
-    """
-    ids = []
-    x = np.empty((0, dim))
-    codes = np.empty(0, dtype=np.intp)
-    distinct = {}  # (label field, flag field) -> code, by first use
-    for records in blocks:
-        # a line with 3 tabs splits into the 4 fields of a record
-        if set(map(str.count, records, repeat("\t"))) - {3}:
-            return None
-        fields = "\t".join(records).split("\t")
-        feat_fields = fields[1::4]
-        # a field with dim - 1 commas holds dim features
-        if set(map(str.count, feat_fields, repeat(","))) - {dim - 1}:
-            return None
-        n, m = len(x), len(feat_fields)
+    def add(self, lines: list[str]) -> tuple[int, str] | None:
+        """Add the records of ``lines`` and return None, or return the index of
+        the first line that breaks a rule and the rule's message, with the
+        lines before it added. A block that breaks a rule is added again one
+        line at a time, by the same code, to find that line."""
         try:
-            values = np.fromiter(map(float, ",".join(feat_fields).split(",")),
-                                 dtype=np.float64, count=m * dim)
-        except ValueError:
+            self._add(lines)
             return None
-        # resize reallocates, so the arrays grow without a copy held beside them
-        x.resize((n + m, dim), refcheck=False)
-        x[n:] = values.reshape(m, dim)
-        ids += fields[0::4]
+        except DataFormatError:
+            pass  # its traceback, which holds the block's fields, is let go here
+        for i, line in enumerate(lines):
+            try:
+                self._add([line])
+            except DataFormatError as exc:
+                return i, str(exc)
+        return None
+
+    def _add(self, lines: list[str]) -> None:
+        # a line with 3 tabs splits into the 4 fields of a record
+        tabs = set(map(str.count, lines, repeat("\t"))) - {3}
+        if tabs:
+            raise DataFormatError(f"expected 4 tab-separated fields, got {tabs.pop() + 1}")
+        fields = "\t".join(lines).split("\t")
+        ids = fields[0::4]
+        if not all(ids):
+            raise DataFormatError("empty sample id")
+        feat_fields = fields[1::4]
+        # split 1024 fields at a time, so the block's value strings are never all held
+        values_text = chain.from_iterable(",".join(feat_fields[i:i + 1024]).split(",")
+                                          for i in range(0, len(feat_fields), 1024))
+        try:
+            values = np.fromiter(map(float, values_text), dtype=np.float64)
+        except ValueError as exc:
+            raise DataFormatError(f"bad feature value: {exc}") from exc
+        # a field with dim - 1 commas holds dim features
+        commas = set(map(str.count, feat_fields, repeat(","))) - {self.dim - 1}
+        if commas:
+            raise DataFormatError(f"expected {self.dim} features, got {commas.pop() + 1}")
+        if not np.isfinite(values).all():
+            raise DataFormatError("non-finite feature")
         pairs = list(zip(fields[2::4], fields[3::4]))
         for pair in dict.fromkeys(pairs):
-            distinct.setdefault(pair, len(distinct))
-        codes.resize(n + m, refcheck=False)
-        codes[n:] = np.fromiter(map(distinct.__getitem__, pairs), dtype=np.intp, count=m)
-        del records, fields, feat_fields, values, pairs  # before the next block is read
-    if not (all(ids) and np.isfinite(x).all()):
-        return None
-    code_labels = np.zeros((len(distinct), k_total), dtype=bool)
-    code_unknown = np.zeros(len(distinct), dtype=bool)
-    for (label_field, flag_field), code in distinct.items():
-        try:
-            labels, is_unknown = _parse_labels(
-                label_field, flag_field, k_known, k_total, forbid_unknown, None, None)
-        except DataFormatError:
-            return None
-        code_labels[code, list(labels)] = True
-        code_unknown[code] = is_unknown
-    return SampleTable(tuple(ids), x, code_labels[codes], code_unknown[codes])
+            if pair not in self.pair_codes:
+                self.pair_labels.append(_parse_labels(*pair, self.k_known, self.k_total,
+                                                      self.forbid_unknown))
+                self.pair_codes[pair] = len(self.pair_codes)
+        n, m = len(self.ids), len(ids)
+        # resize reallocates, so the arrays grow without a copy held beside them
+        self.x.resize((n + m, self.dim), refcheck=False)
+        self.x[n:] = values.reshape(m, self.dim)
+        self.codes.resize(n + m, refcheck=False)
+        self.codes[n:] = np.fromiter(map(self.pair_codes.__getitem__, pairs),
+                                     dtype=np.intp, count=m)
+        self.ids += ids
+
+    def table(self) -> SampleTable:
+        code_labels = np.zeros((len(self.pair_labels), self.k_total), dtype=bool)
+        for code, (labels, _) in enumerate(self.pair_labels):
+            code_labels[code, list(labels)] = True
+        code_unknown = np.array([is_unknown for _, is_unknown in self.pair_labels], dtype=bool)
+        return SampleTable(tuple(self.ids), self.x, code_labels[self.codes],
+                           code_unknown[self.codes])
 
 
 def _read_split_header(path: Path):
@@ -572,14 +579,17 @@ def _read_split_header(path: Path):
 
 def _load_split_file(path: Path, forbid_unknown: bool):
     dim, k_known, classes = _read_split_header(path)
-    rows = _parse_records(read_line_blocks(path, skip=1), dim, k_known, len(classes),
-                          forbid_unknown)
-    if rows is None:
-        # some record breaks a rule: name the first such line
-        for lineno, line in enumerate(read_lines(path)[1:], start=2):
-            _check_record(line, lineno, dim, k_known, len(classes), forbid_unknown, path)
-        raise AssertionError(f"{path}: the bulk parser rejected records the checker accepts")
-    return dim, k_known, classes, rows
+    records = _Records(dim, k_known, len(classes), forbid_unknown)
+    blocks = read_line_blocks(path, skip=1)
+    for lines in blocks:
+        lineno = len(records.ids) + 2
+        bad = records.add(lines)
+        del lines  # before the next block is read
+        if bad is not None:
+            for _ in blocks:  # a byte that is not UTF-8, anywhere in the file, wins
+                pass
+            raise DataFormatError(bad[1], path=path, line=lineno + bad[0])
+    return dim, k_known, classes, records.table()
 
 
 def _check_headers_agree(train_header, val_header, directory: Path) -> None:

@@ -20,9 +20,10 @@ backbone layer, and the head as one more layer whose weight is stored
 transposed. It adds the bias and applies the ReLU in place on the fresh
 matmul output, so a layer costs one N x width array, and it never writes
 into the caller's input or parameters. Inference (``extract_features``,
-``evidence_from_features``, ``batch_evidence``) and training run that
-same loop, so the function the trainer descends is the function that is
-scored.
+``batch_evidence``) and training run that same loop, so the function the
+trainer descends is the function that is scored. A head fits a backbone
+when its input width is the backbone's output width; ``batch_evidence``
+and ``finetune_head`` check that once, with ``_check_head_fits``.
 ``batch_loss_grads`` keeps the activations the loop yields and takes
 each ReLU mask from them: relu(z) > 0 exactly where z > 0, for NaN,
 signed zeros and infinities too, so no pre-activation is kept. Its
@@ -64,9 +65,9 @@ and the batch bounds once too. A step re-checks only what the step can
 change: that its loss is finite and, after the update, that every
 parameter is; either failure raises ``TrainingDiverged`` with the epoch
 and batch. The step's two kernels keep their own shape checks, which read
-``.shape`` and ``.ndim`` alone, and the step runs the head through
-``_relu_layers`` itself rather than through ``evidence_from_features``,
-whose input conversion and checks serve the scoring path.
+``.shape`` and ``.ndim`` alone, and the step runs the model through
+``_relu_layers`` itself rather than through ``batch_evidence``, whose
+input conversion and checks serve the scoring path.
 
 Checkpoints are UTF-8 text. Five header lines give the architecture:
 
@@ -265,34 +266,34 @@ def _blocked_forward(x: np.ndarray, layers) -> np.ndarray:
     return out
 
 
-def _as_rows(a, width: int, what: str, layer: str) -> np.ndarray:
-    """``a`` as a float64 (N, width) array, or ValueError naming ``what`` and ``layer``."""
-    h = np.asarray(a, dtype=np.float64)
-    if h.ndim != 2 or h.shape[1] != width:
+def _as_rows(x, mlp: MlpParams) -> np.ndarray:
+    """``x`` as a float64 (N, D) array for the backbone ``mlp``, or ValueError."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim != 2 or h.shape[1] != mlp.dim_in:
         raise ValueError(
-            f"{what} shape {np.asarray(a).shape} does not match {layer} input dim {width}"
+            f"input shape {np.asarray(x).shape} does not match backbone input dim {mlp.dim_in}"
         )
     return h
 
 
+def _check_head_fits(mlp: MlpParams, head: EvidenceHeadParams) -> None:
+    """ValueError unless the head takes the backbone's output width as its input."""
+    if mlp.dim_out != head.dim_in:
+        raise ValueError(f"backbone output dim {mlp.dim_out} does not match head input "
+                         f"dim {head.dim_in}")
+
+
 def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
     """Forward pass of the backbone: (N, D) inputs -> (N, width) features."""
-    return _blocked_forward(_as_rows(x, mlp.dim_in, "input", "backbone"), mlp.layers)
-
-
-def evidence_from_features(features: np.ndarray, head: EvidenceHeadParams) -> np.ndarray:
-    """Evidence pairs from (N, F) backbone features: relu(f @ W + b) as (N, K, 2)."""
-    f = _as_rows(features, head.dim_in, "feature", "head")
-    # the head is one more ReLU layer whose weight is stored transposed
-    (ev,) = _relu_layers(f, [(head.weight.T, head.bias)])
-    return ev.reshape(f.shape[0], head.num_classes, 2)
+    return _blocked_forward(_as_rows(x, mlp), mlp.layers)
 
 
 def batch_evidence(mlp: MlpParams, head: EvidenceHeadParams, x: np.ndarray) -> np.ndarray:
-    """Backbone + head in one call: (N, D) inputs -> (N, K, 2) evidence."""
-    h = _as_rows(x, mlp.dim_in, "input", "backbone")
-    # the head's input-width check, on a stand-in for the features
-    _as_rows(np.broadcast_to(0.0, (h.shape[0], mlp.dim_out)), head.dim_in, "feature", "head")
+    """Backbone + head in one call: (N, D) inputs -> (N, K, 2) evidence,
+    relu(f @ W + b) of the backbone's features f."""
+    h = _as_rows(x, mlp)
+    _check_head_fits(mlp, head)
+    # the head is one more ReLU layer whose weight is stored transposed
     ev = _blocked_forward(h, [*mlp.layers, (head.weight.T, head.bias)])
     return ev.reshape(h.shape[0], head.num_classes, 2)
 
@@ -369,7 +370,7 @@ def batch_loss_grads(mlp, head, x, y, prior, out=None):
     if x.ndim != 2 or x.shape[0] == 0:
         raise ValueError(f"x must be (N, D) with N >= 1, got shape {x.shape}")
     n = x.shape[0]
-    # the head runs as the last layer, as in evidence_from_features
+    # the head runs as the last layer, as in batch_evidence
     acts = [x, *_relu_layers(x, [*mlp.layers, (head.weight.T, head.bias)])]
     ev = acts.pop()
     losses, d_evidence = batch_nll_grad(ev.reshape(n, -1, 2), y, prior)
@@ -513,8 +514,8 @@ def finetune_head(
     x, y = _validate_training_data(features, labels, len(ciw))
     if head.num_classes != len(ciw):
         raise ValueError(f"head has {head.num_classes} classes but the CIW table has {len(ciw)}")
-    # the head's input-width check, before the forward pass and for any epoch count
-    evidence_from_features(np.empty((0, mlp.dim_out)), head)
+    # before the forward pass and for any epoch count
+    _check_head_fits(mlp, head)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is NonFiniteOutput
         features = check_finite_rows(extract_features(x, mlp), "backbone output")
     rng = np.random.default_rng(config.seed)

@@ -17,8 +17,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from evidkit import fileio
 from evidkit.cli import CHECKPOINT_FILENAME, CIW_FILENAME, main
-from evidkit.datasets import TRAIN_FILENAME, VAL_FILENAME
+from evidkit.datasets import TRAIN_FILENAME, VAL_FILENAME, load_dataset
+from evidkit.errors import DataFormatError
 
 EXIT_CODES = {0, 2, 3, 4}
 TINY_GEN = ["--known", "3", "--unknown", "1", "--dim", "4",
@@ -110,6 +112,32 @@ def test_mutated_input_file(pristine, target, command, changes, truncate):
         path = root / target
         path.write_bytes(_mutate(path.read_bytes(), changes, truncate))
         _run(_args(root, command))
+
+
+def _load_outcome(directory):
+    """The dataset ``load_dataset`` reads, or the message of the error it raises."""
+    try:
+        return load_dataset(directory)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("target", [TRAIN_FILENAME, VAL_FILENAME])
+@FUZZ
+@given(changes=edits, truncate=st.none() | st.integers(min_value=0, max_value=2**32))
+def test_chunking_changes_no_load_outcome(pristine, target, changes, truncate):
+    """64-byte reader chunks cut a record file into dozens of blocks, which
+    parse, fail and name a bad line block by block; the default reads it as
+    one block. Both must load the same table or raise the same message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        data = Path(tmp) / "data"
+        shutil.copytree(pristine / "data", data)
+        path = data / target
+        path.write_bytes(_mutate(path.read_bytes(), changes, truncate))
+        whole = _load_outcome(data)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(fileio, "_READ_CHUNK_BYTES", 64)
+            assert _load_outcome(data) == whole
 
 
 floats = st.one_of(st.sampled_from(EXTREME_FLOATS), st.floats())

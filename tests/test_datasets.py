@@ -377,6 +377,37 @@ class TestBlockedFiles:
         growth = transient[80_000] - transient[20_000]
         assert (growth < 1.5 * 2**20).all(), (transient, growth)
 
+    def test_rejecting_a_bad_second_line_does_not_grow_with_rows(self, tmp_path):
+        # the rest of the file is decoded before the error is raised, one block
+        # at a time; a second, whole-file read to name the line would hold every
+        # line's string, about 7 MB more at 80k rows than at 20k
+        peak = {}
+        for n in (20_000, 80_000):
+            save_dataset(_random_split(n, 1, dim=4), tmp_path / str(n))
+            path = tmp_path / str(n) / TRAIN_FILENAME
+            lines = path.read_text().splitlines()
+            lines[1] = lines[1][:-1] + "2"  # the unknown flag, the last rule checked
+            path.write_text("\n".join(lines) + "\n")
+
+            def reject():
+                with pytest.raises(DataFormatError, match="line 2: unknown flag must be"):
+                    load_dataset(tmp_path / str(n))
+
+            peak[n] = _transient_peak(reject)[0]
+        assert peak[80_000] - peak[20_000] < 2**20, peak
+
+    def test_a_bad_byte_in_a_later_block_wins_over_a_bad_record(self, tmp_path, monkeypatch):
+        save_dataset(generate_dataset(SMALL), tmp_path)
+        path = tmp_path / VAL_FILENAME
+        lines = path.read_bytes().splitlines()
+        lines[1] = b"only-an-id"
+        lines[-1] += b"\xff"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", 200)
+        assert len(next(fileio.read_line_blocks(path))) < len(lines) - 1
+        with pytest.raises(DataFormatError, match=f"line {len(lines)}: not UTF-8 text"):
+            load_dataset(tmp_path)
+
 # the field tab and every line break of str.splitlines: the readers split at each
 SPLITTING = ["\t", "\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
              "\u2028", "\u2029"]

@@ -1,6 +1,6 @@
 """The inference kernels against the allocating expressions they replaced.
 
-`extract_features`, `evidence_from_features` and `predict_batch` add
+`extract_features`, `batch_evidence` and `predict_batch` add
 biases, apply ReLUs and divide in place, in fresh arrays they own; the
 forward runs in row blocks, and the max aggregation and `f1_normal`'s
 "any label" fold over the class columns. The copies below keep the plain
@@ -20,7 +20,7 @@ from test_golden_artifacts import PLATFORM, _platform
 
 from evidkit import network
 from evidkit.evaluation import _aggregate_rows, f1_normal, parse_aggregation, predict_batch
-from evidkit.network import batch_evidence, evidence_from_features, extract_features, init_model
+from evidkit.network import batch_evidence, extract_features, init_model
 from evidkit.opinions import DEFAULT_PRIOR_WEIGHT
 
 
@@ -91,9 +91,6 @@ class TestForwardKernels:
         before = _snapshot(x, *_parameters(mlp, head))
         features = extract_features(x, mlp)
         _same_bytes(features, _allocating_features(x, mlp))
-        features_before = features.tobytes()
-        _same_bytes(evidence_from_features(features, head), _allocating_evidence(features, head))
-        assert features.tobytes() == features_before
         _same_bytes(batch_evidence(mlp, head, x),
                     _allocating_evidence(_allocating_features(x, mlp), head))
         assert _snapshot(x, *_parameters(mlp, head)) == before

@@ -16,7 +16,6 @@ from evidkit.network import (
     TrainConfig,
     batch_evidence,
     batch_loss_grads,
-    evidence_from_features,
     extract_features,
     finetune_head,
     init_head,
@@ -81,29 +80,30 @@ class TestForward:
             )
 
     def test_input_dim_mismatch_rejected(self):
-        mlp, head = init_model(6, 3, seed=0)
+        mlp, _ = init_model(6, 3, seed=0)
         with pytest.raises(ValueError):
             extract_features(np.ones((1, 5)), mlp)
-        with pytest.raises(ValueError):
-            evidence_from_features(np.ones((1, 7)), head)
 
     def test_one_dimensional_input_rejected(self):
-        mlp, head = init_model(6, 3, seed=0)
+        mlp, _ = init_model(6, 3, seed=0)
         with pytest.raises(ValueError, match=r"input shape \(6,\)"):
             extract_features(np.ones(6), mlp)
-        with pytest.raises(ValueError, match=r"feature shape \(%d,\)" % head.dim_in):
-            evidence_from_features(np.ones(head.dim_in), head)
+
+
+def _identity(width):
+    """A one-layer backbone that passes non-negative inputs through unchanged."""
+    return MlpParams([(np.eye(width), np.zeros(width))])
 
 
 class TestEvidenceHead:
     def test_zero_parameters_give_zero_evidence(self):
         head = EvidenceHeadParams(np.zeros((4, 6)), np.zeros(6))
-        ev = evidence_from_features(np.ones((1, 4)), head)
+        ev = batch_evidence(_identity(4), head, np.ones((1, 4)))
         np.testing.assert_array_equal(ev, np.zeros((1, 3, 2)))
 
     def test_bias_only_head_returns_bias_pairs(self):
         head = EvidenceHeadParams(np.zeros((4, 4)), np.array([3.0, 1.0, 0.5, 0.0]))
-        ev = evidence_from_features(np.zeros((1, 4)), head)
+        ev = batch_evidence(_identity(4), head, np.zeros((1, 4)))
         np.testing.assert_array_equal(ev, [[[3.0, 1.0], [0.5, 0.0]]])
 
     def test_evidence_never_negative(self):
@@ -120,12 +120,17 @@ class TestEvidenceHead:
         w[0, 0] = 1.0  # class 0 positive reads feature 0
         w[1, 3] = 1.0  # class 1 negative reads feature 1
         head = EvidenceHeadParams(w, np.zeros(4))
-        ev = evidence_from_features(np.array([[2.0, 5.0]]), head)
+        ev = batch_evidence(_identity(2), head, np.array([[2.0, 5.0]]))
         np.testing.assert_array_equal(ev, [[[2.0, 0.0], [0.0, 5.0]]])
 
     def test_odd_output_dim_rejected(self):
         with pytest.raises(ValueError):
             EvidenceHeadParams(np.zeros((4, 5)), np.zeros(5))
+
+    def test_head_must_take_the_backbone_width(self):
+        head = EvidenceHeadParams(np.zeros((3, 4)), np.zeros(4))
+        with pytest.raises(ValueError, match="output dim 4 does not match head input dim 3"):
+            batch_evidence(_identity(4), head, np.ones((1, 4)))
 
 
 class TestInit:
@@ -310,7 +315,8 @@ class TestLossGradsContract:
     def test_loss_is_the_mean_of_the_per_sample_losses(self, backbone, n):
         mlp, head, x, y, prior = self._case(backbone, n, seed=n)
         features = extract_features(x, mlp) if mlp.layers else x
-        losses = batch_nll_grad(evidence_from_features(features, head), y, prior)[0]
+        ev = np.maximum(features @ head.weight + head.bias, 0.0).reshape(n, -1, 2)
+        losses = batch_nll_grad(ev, y, prior)[0]
         assert batch_loss_grads(mlp, head, x, y, prior)[0] == float(losses.mean())
 
     @pytest.mark.parametrize("backbone", [True, False])

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidkit import fileio
 from evidkit.datasets import (
     DATASET_MAGIC,
     DATASET_VERSION,
@@ -34,6 +35,7 @@ from evidkit.datasets import (
     save_dataset,
 )
 from evidkit.errors import DataFormatError
+from evidkit.fileio import read_line_blocks
 
 SMALL = GenConfig(k_known=3, k_unknown=1, dim=4, n_train=60, n_val=30, seed=5)
 
@@ -251,15 +253,26 @@ BAD_RECORDS = {
 
 
 KINDS = sorted(BAD_RECORDS)
+PAIRS = list(zip(KINDS, KINDS[1:] + KINDS[:1]))
+# the reader's chunk size, and whether lines 4 and 9 then share a block: at
+# the default the file is one block; at 1000 bytes both lines are in the
+# first of several blocks, and at 64 bytes they are in different blocks
+CHUNKS = {None: True, 1000: True, 64: False}
 
 
 # every kind of bad record once before and once after another kind
-@pytest.mark.parametrize("first,second", list(zip(KINDS, KINDS[1:] + KINDS[:1])))
-def test_first_of_two_bad_lines_is_named(tmp_path, first, second):
+@pytest.mark.parametrize(
+    "first,second,chunk", [(a, b, c) for c in CHUNKS for a, b in PAIRS],
+    ids=[f"{a}-{b}" + (f"-chunk{c}" if c else "") for c in CHUNKS for a, b in PAIRS])
+def test_first_of_two_bad_lines_is_named(tmp_path, monkeypatch, first, second, chunk):
     d = _saved(tmp_path)
     path = d / VAL_FILENAME
     fields = [line.split("\t") for line in path.read_text().splitlines()]
     _replace_lines(path, {4: BAD_RECORDS[first](fields[3]), 9: BAD_RECORDS[second](fields[8])})
+    if chunk:
+        monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", chunk)
+    block_of_line = [i for i, block in enumerate(read_line_blocks(path)) for _ in block]
+    assert (block_of_line[3] == block_of_line[8]) == CHUNKS[chunk]
     with pytest.raises(DataFormatError, match="line 4: ") as err:
         load_dataset(d)
     if first != "nan":  # the per-row parser let NaN through

@@ -51,7 +51,6 @@ from .network import (
     DEFAULT_HIDDEN,
     TrainConfig,
     batch_evidence,
-    check_finite_rows,
     finetune_head,
     init_head,
     load_checkpoint,
@@ -124,14 +123,6 @@ def _naming_sample(ids, checkpoint):
         yield
     except NonFiniteOutput as exc:
         raise NonFiniteOutput(exc.what, exc.row, f"sample {ids[exc.row]}", checkpoint) from None
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _evidence(mlp, head, x, ids, checkpoint) -> np.ndarray:
-    """``batch_evidence``; evidence that is not finite (weights that overflow
-    float64) is a data error naming the checkpoint and the first such sample."""
-    with _naming_sample(ids, checkpoint):
-        return check_finite_rows(batch_evidence(mlp, head, x), "evidence")
 
 
 def cmd_generate(args) -> int:
@@ -229,8 +220,8 @@ def cmd_eval(args) -> int:
     ids, x, y, _ = samples_to_arrays(known, k_known, dim)
 
     a_pos, a_neg = base_rate_arrays(ciw)
-    evidence = _evidence(mlp, head, x, ids, args.checkpoint)
-    batch = predict_batch(evidence, a_pos, a_neg, threshold=args.threshold)
+    with _naming_sample(ids, args.checkpoint):
+        batch = predict_batch(batch_evidence(mlp, head, x), a_pos, a_neg, threshold=args.threshold)
     f1 = f1_normal(batch.labels, y)
     f2 = f2_ciw(batch.labels, y, ciw)
     rows = per_class_f2(batch.labels, y)
@@ -272,8 +263,8 @@ def cmd_ood(args) -> int:
 
     # base rates do not enter the vacuity u = W / S, so uniform ones suffice
     uniform = np.full(k_known, 0.5)
-    evidence = _evidence(mlp, head, x, ids, args.checkpoint)
-    batch = predict_batch(evidence, uniform, uniform, agg=agg)
+    with _naming_sample(ids, args.checkpoint):
+        batch = predict_batch(batch_evidence(mlp, head, x), uniform, uniform, agg=agg)
     scores = batch.uncertainty
 
     metrics = {

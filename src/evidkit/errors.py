@@ -29,7 +29,9 @@ class DataFormatError(EvidkitError):
 
 class NonFiniteOutput(DataFormatError):
     """A model whose finite weights overflow float64: its ``what`` for row
-    ``row``, the first such row, is not finite. ``sample`` names that row in
+    ``row``, the first such row, is not finite. ``what`` is the backbone
+    output, the evidence, or a class's total evidence e_pos + e_neg (finite
+    evidence whose Beta strength overflows). ``sample`` names that row in
     the message instead of its index."""
 
     def __init__(self, what, row, sample=None, path=None):

@@ -34,6 +34,7 @@ from .opinions import DEFAULT_PRIOR_WEIGHT
 
 DEFAULT_THRESHOLD = 0.5
 _TPR_TARGET = 0.95  # the true-positive rate fpr_at_95_tpr must reach
+_HALF_MAX = np.finfo(np.float64).max / 2
 
 
 @dataclass(frozen=True)
@@ -116,18 +117,25 @@ def predict_batch(
     S = e_pos + e_neg + W, p = (e_pos + a_pos * W) / S and u = W / S; a
     class is labeled present iff p exceeds the threshold, and each row's
     uncertainties collapse to one score by agg. ``a_neg`` is not read: p
-    needs only a_pos, and u no base rate at all.
+    needs only a_pos, and u no base rate at all. Evidence that is negative
+    or not finite, or a class whose e_pos + e_neg overflows float64, is a
+    ValueError, raised before any arithmetic warns.
     """
     ev = np.asarray(evidence, dtype=np.float64)
     a_pos = np.asarray(a_pos, dtype=np.float64)
     if ev.ndim != 3 or ev.shape[2] != 2 or ev.shape[1] != a_pos.shape[0]:
         raise ValueError(f"evidence shape {ev.shape} does not match {a_pos.shape[0]} classes")
     # NaN fails both comparisons; empty evidence has no extrema to check
-    if ev.size and not (ev.min() >= 0.0 and ev.max() < np.inf):
+    top = ev.max() if ev.size else 0.0
+    if ev.size and not (ev.min() >= 0.0 and top < np.inf):
         raise ValueError("evidence must be finite and non-negative")
     # the same operations in the same order as S = e_pos + e_neg + W and
     # p = (e_pos + a_pos * W) / S, written into the fresh sums
-    strength = ev[:, :, 0] + ev[:, :, 1]
+    with np.errstate(over="ignore"):
+        strength = ev[:, :, 0] + ev[:, :, 1]
+    # e_pos + e_neg <= 2 * top, so only a top above half of float64's max can overflow
+    if top > _HALF_MAX and not np.isfinite(strength).all():
+        raise ValueError("evidence e_pos + e_neg must not overflow float64")
     strength += DEFAULT_PRIOR_WEIGHT
     probs = ev[:, :, 0] + a_pos * DEFAULT_PRIOR_WEIGHT
     probs /= strength

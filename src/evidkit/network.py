@@ -42,6 +42,16 @@ the SkylakeX kernels, a dgemm with M * N * K <= 10**6 takes a
 small-matrix kernel that rounds differently, and every block of a split
 input is above that size, as the whole matrix is.
 
+The same blocked forward states the one overflow rule: a finite model
+whose output overflows float64 on a row raises ``NonFiniteOutput``
+naming the first such row, and numpy prints no warning. A row fails when
+a feature is not finite or, for evidence, when a class's e_pos + e_neg
+overflows, so that no Beta strength S = e_pos + e_neg + W exists. The
+forward runs under its own ``np.errstate`` and takes one sum over its
+output; outputs are >= 0 or NaN, so a finite total proves every row
+usable, and only a total that is not finite looks for the first bad row.
+The CLI adds only the sample's id and the checkpoint to the error.
+
 The frozen refit computes each training row's backbone features once,
 before its first epoch, with ``extract_features``, so in the same blocks.
 It then fits the head on those features as a model with an empty
@@ -242,28 +252,42 @@ def _block_rows(layers) -> int:
     return max(_MIN_BLOCK_ROWS, -(-_MIN_BLOCK_MACS // smallest))
 
 
-def _blocked_forward(x: np.ndarray, layers) -> np.ndarray:
+def _blocked_forward(x: np.ndarray, layers, what: str, group: int = 1) -> np.ndarray:
     """The last output of ``_relu_layers(x, layers)``, run over row blocks.
 
     Every block but the last has ``_block_rows(layers)`` rows; the last
     also takes the remainder. Each block's output is copied into one
     preallocated array; an input of one block is returned as the loop
     leaves it.
+
+    A row is usable when the sum of each ``group`` adjacent outputs is
+    finite. The first row that is not raises NonFiniteOutput(what, row),
+    and numpy prints no warning.
     """
     n = x.shape[0]
     size = _block_rows(layers)
     blocks = max(1, n // size)
-    if blocks == 1:
-        for h in _relu_layers(x, layers):
-            pass
-        return h
-    out = np.empty((n, layers[-1][0].shape[0]))
-    for i in range(blocks):
-        rows = slice(i * size, n if i == blocks - 1 else (i + 1) * size)
-        for h in _relu_layers(x[rows], layers):
-            pass
-        out[rows] = h
-    return out
+    with np.errstate(over="ignore", invalid="ignore"):
+        if blocks == 1:
+            for out in _relu_layers(x, layers):
+                pass
+        else:
+            out = np.empty((n, layers[-1][0].shape[0]))
+            for i in range(blocks):
+                rows = slice(i * size, n if i == blocks - 1 else (i + 1) * size)
+                for h in _relu_layers(x[rows], layers):
+                    pass
+                out[rows] = h
+        # each output is >= 0 or NaN, so a finite total bounds every group's sum
+        if np.isfinite(out.sum()):
+            return out
+        usable = np.isfinite(out.reshape(n, -1, group).sum(axis=2)).all(axis=1)
+    if usable.all():
+        return out
+    row = int(usable.argmin())
+    if np.isfinite(out[row]).all():  # every output finite: an evidence pair overflowed
+        what = f"total {what} e_pos + e_neg"
+    raise NonFiniteOutput(what, row)
 
 
 def _as_rows(x, mlp: MlpParams) -> np.ndarray:
@@ -284,17 +308,24 @@ def _check_head_fits(mlp: MlpParams, head: EvidenceHeadParams) -> None:
 
 
 def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
-    """Forward pass of the backbone: (N, D) inputs -> (N, width) features."""
-    return _blocked_forward(_as_rows(x, mlp), mlp.layers)
+    """Forward pass of the backbone: (N, D) inputs -> (N, width) features.
+
+    Features that are not finite (finite weights that overflow float64)
+    raise NonFiniteOutput naming the first such row."""
+    return _blocked_forward(_as_rows(x, mlp), mlp.layers, "backbone output")
 
 
 def batch_evidence(mlp: MlpParams, head: EvidenceHeadParams, x: np.ndarray) -> np.ndarray:
     """Backbone + head in one call: (N, D) inputs -> (N, K, 2) evidence,
-    relu(f @ W + b) of the backbone's features f."""
+    relu(f @ W + b) of the backbone's features f.
+
+    Evidence that is not finite, or a class whose e_pos + e_neg overflows
+    float64 (so its Beta strength S has no finite value), raises
+    NonFiniteOutput naming the first such row."""
     h = _as_rows(x, mlp)
     _check_head_fits(mlp, head)
     # the head is one more ReLU layer whose weight is stored transposed
-    ev = _blocked_forward(h, [*mlp.layers, (head.weight.T, head.bias)])
+    ev = _blocked_forward(h, [*mlp.layers, (head.weight.T, head.bias)], "evidence", 2)
     return ev.reshape(h.shape[0], head.num_classes, 2)
 
 
@@ -516,20 +547,10 @@ def finetune_head(
         raise ValueError(f"head has {head.num_classes} classes but the CIW table has {len(ciw)}")
     # before the forward pass and for any epoch count
     _check_head_fits(mlp, head)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow is NonFiniteOutput
-        features = check_finite_rows(extract_features(x, mlp), "backbone output")
+    features = extract_features(x, mlp)
     rng = np.random.default_rng(config.seed)
     _, new_head, losses = _fit(MlpParams([]), head, features, y, ciw, config, rng)
     return TrainResult(mlp, new_head, tuple(losses))
-
-
-def check_finite_rows(values: np.ndarray, what: str) -> np.ndarray:
-    """``values`` (N, ...) as given, or NonFiniteOutput naming its first row
-    that holds a non-finite value; ``what`` names the values in the error."""
-    finite = np.isfinite(values).all(axis=tuple(range(1, values.ndim)))
-    if not finite.all():
-        raise NonFiniteOutput(what, int(finite.argmin()))
-    return values
 
 
 def save_checkpoint(path, mlp: MlpParams, head: EvidenceHeadParams) -> None:

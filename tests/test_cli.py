@@ -561,14 +561,26 @@ class TestCorruptInputsExit3:
                      "--out", str(tmp_path / "out")]) == 3
         assert "line 7: " in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["eval", "ood"])
-    def test_checkpoint_weights_that_overflow(self, tmp_path, capsys, command):
-        """Finite weights whose forward pass overflows float64: exit 3, no output."""
+    @pytest.mark.parametrize("command, poison", [
+        pytest.param("eval", "backbone", id="eval"),
+        pytest.param("ood", "backbone", id="ood"),
+        pytest.param("eval", "head_bias", id="eval-head_bias"),
+        pytest.param("ood", "head_bias", id="ood-head_bias"),
+    ])
+    def test_checkpoint_weights_that_overflow(self, tmp_path, capsys, command, poison):
+        """Finite weights whose forward pass overflows float64: exit 3, one
+        error line and no numpy warning, no output. A head bias of 1e308 on
+        both outputs of a class leaves its evidence finite, but not its
+        e_pos + e_neg, so that class has no Beta strength."""
         d = _generate(tmp_path / "data")
         ckpt = _train(d, tmp_path / "run")
         mlp, head = load_checkpoint(ckpt)
-        # two backbone layers, so each is scaled past the square root of float64's max
-        save_checkpoint(ckpt, MlpParams([(w * 1e200, b) for w, b in mlp.layers]), head)
+        if poison == "backbone":
+            # two backbone layers, so each is scaled past the square root of float64's max
+            mlp = MlpParams([(w * 1e200, b) for w, b in mlp.layers])
+        else:
+            head = EvidenceHeadParams(head.weight, np.r_[1e308, 1e308, head.bias[2:]])
+        save_checkpoint(ckpt, mlp, head)
         extra = ["--ciw", str(d / CIW_FILENAME)] if command == "eval" else []
         out = tmp_path / "out"
         capsys.readouterr()
@@ -576,6 +588,7 @@ class TestCorruptInputsExit3:
                      "--out", str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith(f"error: {ckpt}: ") and "is not finite" in err
+        assert err.count("\n") == 1
         sample = err.split("for sample ")[1].split()[0]
         assert sample in load_dataset(d).validation.ids
         assert not out.exists()

@@ -2,9 +2,11 @@
 
 The CLI promises exit codes 0 (success), 2 (configuration), 3 (data) and
 4 (numeric failure) for every input. These tests mutate the bytes of a
-valid `.edlset`, CIW table and checkpoint, and give every numeric flag
-out-of-range and non-finite values; `main()` must return one of those
-codes, and a run given bad flags must fail before it writes anything.
+valid `.edlset`, CIW table and checkpoint, set one parameter array of the
+checkpoint to a constant near the edge of float64's range, and give every
+numeric flag out-of-range and non-finite values; `main()` must return
+one of those codes with no numpy warning, and a run given bad flags must
+fail before it writes anything.
 Sizes stay small: the point is the input space, not the workload.
 """
 
@@ -14,13 +16,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from evidkit import fileio
+from evidkit import fileio, network
 from evidkit.cli import CHECKPOINT_FILENAME, CIW_FILENAME, main
 from evidkit.datasets import TRAIN_FILENAME, VAL_FILENAME, load_dataset
 from evidkit.errors import DataFormatError
+from evidkit.network import load_checkpoint, save_checkpoint
 
 EXIT_CODES = {0, 2, 3, 4}
 TINY_GEN = ["--known", "3", "--unknown", "1", "--dim", "4",
@@ -56,12 +59,15 @@ def _args(root: Path, command: str) -> list[str]:
         "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(data),
                  "--ciw", str(data / CIW_FILENAME)],
         "ood": ["ood", "--checkpoint", str(ckpt), "--data", str(data)],
+        "refit": ["train", "--data", str(data), "--ciw", str(data / CIW_FILENAME),
+                  "--freeze-backbone", "--init-from", str(ckpt)],
     }[command] + ["--out", str(root / "out")]
 
 
 def _run(args) -> int:
-    with np.errstate(all="ignore"):
-        code = main(args)
+    # no np.errstate here: a numpy warning escapes main() as an error (the
+    # suite turns RuntimeWarning into one), as the CLI promises none
+    code = main(args)
     assert code in EXIT_CODES
     return code
 
@@ -112,6 +118,35 @@ def test_mutated_input_file(pristine, target, command, changes, truncate):
         path = root / target
         path.write_bytes(_mutate(path.read_bytes(), changes, truncate))
         _run(_args(root, command))
+
+
+# past the square root (1e154) and higher roots of float64's max, and near it
+PARAM_VALUES = [1e154, -1e154, 1e200, 1e300, 8.9e307, 1e308, -1e308]
+
+
+@FUZZ
+# the head bias (the last array) at 1e308 on both outputs of every class:
+# finite evidence whose e_pos + e_neg overflows
+@example(command="eval", index=-1, value=1e308)
+@example(command="ood", index=-1, value=1e308)
+@given(command=st.sampled_from(["eval", "ood", "refit"]),
+       index=st.integers(min_value=-6, max_value=-1),  # the TINY_TRAIN model's 6 arrays
+       value=st.sampled_from(PARAM_VALUES))
+def test_checkpoint_parameter_values(pristine, command, index, value):
+    """One parameter array of the trained model, set to a large constant,
+    makes the forward pass overflow float64 or not: the run exits 3 (a data
+    error) or 0, never 2 or 4, and a run that fails writes nothing."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(pristine, root, dirs_exist_ok=True)
+        ckpt = root / "run" / CHECKPOINT_FILENAME
+        arrays = network._param_arrays(*load_checkpoint(ckpt))
+        arrays[index] = np.full_like(arrays[index], value)
+        save_checkpoint(ckpt, *network._model_from_arrays(arrays))
+        code = _run(_args(root, command))
+        assert code in (0, 3)
+        if code:
+            assert not (root / "out").exists()
 
 
 def _load_outcome(directory):

@@ -19,8 +19,15 @@ from hypothesis import strategies as st
 from test_golden_artifacts import PLATFORM, _platform
 
 from evidkit import network
+from evidkit.errors import NonFiniteOutput
 from evidkit.evaluation import _aggregate_rows, f1_normal, parse_aggregation, predict_batch
-from evidkit.network import batch_evidence, extract_features, init_model
+from evidkit.network import (
+    EvidenceHeadParams,
+    MlpParams,
+    batch_evidence,
+    extract_features,
+    init_model,
+)
 from evidkit.opinions import DEFAULT_PRIOR_WEIGHT
 
 
@@ -96,7 +103,8 @@ class TestForwardKernels:
         assert _snapshot(x, *_parameters(mlp, head)) == before
 
 
-_EVIDENCE = st.sampled_from([0.0, -0.0, 5e-324, 1e-3, 0.5, 1.0, 3.0, 1e6, 1e300])
+# 8.9e307 is above half of float64's max, so pairs of it take the strength check
+_EVIDENCE = st.sampled_from([0.0, -0.0, 5e-324, 1e-3, 0.5, 1.0, 3.0, 1e6, 1e300, 8.9e307])
 
 
 @st.composite
@@ -136,6 +144,27 @@ class TestPredictBatchKernel:
         ev[2, 1, 0] = bad
         with pytest.raises(ValueError, match="finite and non-negative"):
             predict_batch(ev, np.full(3, 0.5), np.full(3, 0.5))
+
+    @pytest.mark.parametrize("pair", [(1e308, 1e308), (np.finfo(float).max, 1e292)])
+    def test_strength_that_overflows_rejected(self, pair):
+        """Finite evidence whose e_pos + e_neg overflows float64 has no Beta
+        strength S; it is rejected before numpy warns."""
+        ev = np.ones((4, 3, 2))
+        ev[2, 1] = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"e_pos \+ e_neg must not overflow float64"):
+                predict_batch(ev, np.full(3, 0.5), np.full(3, 0.5))
+
+    def test_largest_finite_strength_accepted(self):
+        half = np.finfo(float).max / 2
+        ev = np.ones((4, 3, 2))
+        ev[2, 1] = half
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = predict_batch(ev, np.full(3, 0.5), np.full(3, 0.5))
+        assert out.probabilities[2, 1] == 0.5
+        assert out.uncertainties[2, 1] == DEFAULT_PRIOR_WEIGHT / np.finfo(float).max
 
 
 class TestAggregationFolds:
@@ -244,3 +273,73 @@ def test_batch_evidence_allocates_one_array_per_layer():
         finally:
             tracemalloc.stop()
         assert peak < ev.nbytes + 1.25 * 2 * (2 * block) * width * 8, n
+
+
+def _identity_model(pairs):
+    """An 8 -> 8 identity backbone and a 6-class head whose class 0 takes
+    feature 0 into each output listed in ``pairs`` (0 positive, 1 negative)
+    with weight 1e308; every other head weight and bias is 0."""
+    weight = np.zeros((8, 12))
+    weight[0, list(pairs)] = 1e308
+    return MlpParams([(np.eye(8), np.zeros(8))]), EvidenceHeadParams(weight, np.zeros(12))
+
+
+def _last_block_rows(layers):
+    """Rows for three blocks, and two rows of the last one, in order."""
+    block = network._block_rows(layers)
+    return 3 * block + 5, (2 * block + 7, 3 * block + 1)
+
+
+class TestOverflowRule:
+    """The blocked forward names the first row whose output overflows float64,
+    by its index in the whole input, and numpy prints no warning."""
+
+    def test_first_bad_row_in_the_last_block_is_named(self):
+        # |weights| * 1e120 with zero biases: a zero row stays zero through
+        # every layer, and a positive row overflows to inf by the third
+        mlp, head = init_model(8, 6, seed=0)
+        mlp = MlpParams([(np.abs(w) * 1e120, b * 0.0) for w, b in mlp.layers])
+        head = EvidenceHeadParams(np.abs(head.weight), head.bias * 0.0)
+        n, bad = _last_block_rows([*mlp.layers, (head.weight.T, head.bias)])
+        assert n == 3 * 4096 + 5
+        x = np.zeros((n, 8))
+        x[list(bad)] = 1.0
+        for forward, what in ((lambda: extract_features(x, mlp), "backbone output"),
+                              (lambda: batch_evidence(mlp, head, x), "evidence")):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NonFiniteOutput) as exc_info:
+                    forward()
+            assert exc_info.value.row == bad[0]
+            assert f"the model's {what} for row {bad[0]} is not finite" in str(exc_info.value)
+
+    def test_strength_that_overflows_is_named(self):
+        """Evidence (1e308, 1e308) is finite, but its e_pos + e_neg is not."""
+        mlp, head = _identity_model((0, 1))
+        n, bad = _last_block_rows([*mlp.layers, (head.weight.T, head.bias)])
+        x = np.zeros((n, 8))
+        x[list(bad), 0] = 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _same_bytes(extract_features(x, mlp), x)
+            with pytest.raises(NonFiniteOutput) as exc_info:
+                batch_evidence(mlp, head, x)
+        assert exc_info.value.row == bad[0]
+        assert (f"the model's total evidence e_pos + e_neg for row {bad[0]} is not finite"
+                in str(exc_info.value))
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    def test_total_that_overflows_with_every_row_usable(self, blocks):
+        """Each row's output is 1e308 in one column, so the total is inf while
+        every row, and every evidence pair, is finite: the forward returns
+        the whole-matrix bytes."""
+        mlp, head = _identity_model((0,))
+        n = 5 if blocks == 1 else _last_block_rows([*mlp.layers, (head.weight.T, head.bias)])[0]
+        x = np.zeros((n, 8))
+        x[:, 0] = 1.0
+        whole = _allocating_features(x * 1e308, mlp)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _same_bytes(extract_features(x * 1e308, mlp), whole)
+            _same_bytes(batch_evidence(mlp, head, x),
+                        _allocating_evidence(_allocating_features(x, mlp), head))

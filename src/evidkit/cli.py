@@ -47,8 +47,12 @@ from .evaluation import (
 )
 from .fileio import write_text
 from .network import (
+    BATCH_SIZE,
     DEFAULT_FEATURE_DIM,
     DEFAULT_HIDDEN,
+    LR_DECAY_EVERY,
+    LR_DECAY_RATIO,
+    WEIGHT_DECAY,
     TrainConfig,
     batch_evidence,
     finetune_head,
@@ -185,6 +189,10 @@ def cmd_train(args) -> int:
             "data": args.data,
             "ciw": args.ciw,
             **asdict(config),
+            "batch_size": BATCH_SIZE,
+            "lr_decay_ratio": LR_DECAY_RATIO,
+            "lr_decay_every": LR_DECAY_EVERY,
+            "weight_decay": WEIGHT_DECAY,
             "hidden": result.mlp.hidden,
             "feature_dim": result.mlp.dim_out,
             "prior_weight": DEFAULT_PRIOR_WEIGHT,
@@ -342,12 +350,8 @@ def build_parser() -> argparse.ArgumentParser:
     flag = functools.partial(_config_flag, tr, TrainConfig)
     flag("--epochs", default=None,
          help=f"default {TrainConfig.epochs}, or {FINETUNE_EPOCHS} with --freeze-backbone")
-    flag("--batch-size")
     flag("--lr", "learning_rate", default=None,
          help=f"default {TrainConfig.learning_rate}, or {FINETUNE_LR} with --freeze-backbone")
-    flag("--lr-decay-ratio")
-    flag("--lr-decay-every")
-    flag("--weight-decay")
     flag("--seed")
     # None until given, so that a frozen refit can reject them
     tr.add_argument("--hidden", help="comma-separated hidden layer sizes")

@@ -47,8 +47,7 @@ class TrainingDiverged(EvidkitError):
     def __init__(self, epoch, batch, loss, parameters=False):
         if parameters:
             message = (f"parameters became non-finite in the update at epoch {epoch}, "
-                       f"batch {batch} (batch loss {loss!r}); lower the learning rate "
-                       "or the weight decay")
+                       f"batch {batch} (batch loss {loss!r}); lower the learning rate")
         else:
             message = (f"non-finite loss {loss!r} at epoch {epoch}, batch {batch}; "
                        "lower the learning rate or check the input data")

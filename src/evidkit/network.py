@@ -50,7 +50,10 @@ overflows, so that no Beta strength S = e_pos + e_neg + W exists. The
 forward runs under its own ``np.errstate`` and takes one sum over its
 output; outputs are >= 0 or NaN, so a finite total proves every row
 usable, and only a total that is not finite looks for the first bad row.
-The CLI adds only the sample's id and the checkpoint to the error.
+If that row of the input is itself not finite, the weights are not to
+blame, and the forward raises ``ValueError`` naming the input row
+instead. The CLI adds only the sample's id and the checkpoint to the
+error; its loaders never pass a non-finite input.
 
 The frozen refit computes each training row's backbone features once,
 before its first epoch, with ``extract_features``, so in the same blocks.
@@ -67,6 +70,11 @@ permutation of the rows, and each batch gathers its own rows of the
 inputs and labels from it with ``take``, so a fit holds no shuffled copy
 of the data beside the data. The trainer returns validated copies, never
 views.
+
+Every fit runs one SGD recipe, the module constants ``BATCH_SIZE``,
+``LR_DECAY_RATIO``, ``LR_DECAY_EVERY`` and ``WEIGHT_DECAY``, as the Beta
+prior is one constant; ``TrainConfig`` holds only what callers vary: the
+epochs, the learning rate and the seed.
 
 A fit checks once, at entry: the data's shapes and its label count
 against the CIW table, and the parameters' shapes and finiteness (the
@@ -186,48 +194,32 @@ class EvidenceHeadParams:
         return self.weight.shape[0]
 
 
+# the one SGD recipe of every fit (Loshchilov & Hutter, ICLR 2019): minibatches
+# of BATCH_SIZE rows, the rate times LR_DECAY_RATIO every LR_DECAY_EVERY
+# epochs, and decoupled weight decay
+BATCH_SIZE = 64
+LR_DECAY_RATIO = 0.1
+LR_DECAY_EVERY = 30
+WEIGHT_DECAY = 1e-4
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 60
-    batch_size: int = 64
     learning_rate: float = 0.1
-    lr_decay_ratio: float = 0.1
-    lr_decay_every: int = 30
-    weight_decay: float = 1e-4
     seed: int = 0
 
     def __post_init__(self):
         if self.epochs < 0:
             raise ConfigError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.learning_rate < 0 or not math.isfinite(self.learning_rate):
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.lr_decay_ratio <= 0 or not math.isfinite(self.lr_decay_ratio):
-            raise ConfigError(f"lr_decay_ratio must be > 0, got {self.lr_decay_ratio}")
-        if self.lr_decay_every < 1:
-            raise ConfigError(f"lr_decay_every must be >= 1, got {self.lr_decay_every}")
-        if self.weight_decay < 0 or not math.isfinite(self.weight_decay):
-            raise ConfigError(f"weight_decay must be >= 0, got {self.weight_decay}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-        # a ratio above 1 raises the rate, most at the last epoch
-        if self.epochs and self.lr_decay_ratio > 1:
-            try:
-                peak = self.learning_rate_at(self.epochs - 1)
-            except OverflowError:
-                peak = math.inf
-            if not math.isfinite(peak):
-                raise ConfigError(
-                    f"the learning rate overflows float64: --lr {self.learning_rate!r} "
-                    f"multiplied by --lr-decay-ratio {self.lr_decay_ratio!r} every "
-                    f"--lr-decay-every {self.lr_decay_every} epochs over --epochs "
-                    f"{self.epochs}; lower the ratio or the epochs"
-                )
 
     def learning_rate_at(self, epoch: int) -> float:
-        """The step size of ``epoch``: times lr_decay_ratio every lr_decay_every epochs."""
-        return self.learning_rate * self.lr_decay_ratio ** (epoch // self.lr_decay_every)
+        """The step size of ``epoch``: times LR_DECAY_RATIO every LR_DECAY_EVERY epochs."""
+        return self.learning_rate * LR_DECAY_RATIO ** (epoch // LR_DECAY_EVERY)
 
 
 @dataclass(frozen=True)
@@ -262,7 +254,8 @@ def _blocked_forward(x: np.ndarray, layers, what: str, group: int = 1) -> np.nda
 
     A row is usable when the sum of each ``group`` adjacent outputs is
     finite. The first row that is not raises NonFiniteOutput(what, row),
-    and numpy prints no warning.
+    or ValueError if that row of ``x`` is itself not finite, and numpy
+    prints no warning.
     """
     n = x.shape[0]
     size = _block_rows(layers)
@@ -285,6 +278,8 @@ def _blocked_forward(x: np.ndarray, layers, what: str, group: int = 1) -> np.nda
     if usable.all():
         return out
     row = int(usable.argmin())
+    if not np.isfinite(x[row]).all():
+        raise ValueError(f"input row {row} is not finite")
     if np.isfinite(out[row]).all():  # every output finite: an evidence pair overflowed
         what = f"total {what} e_pos + e_neg"
     raise NonFiniteOutput(what, row)
@@ -311,7 +306,8 @@ def extract_features(x: np.ndarray, mlp: MlpParams) -> np.ndarray:
     """Forward pass of the backbone: (N, D) inputs -> (N, width) features.
 
     Features that are not finite (finite weights that overflow float64)
-    raise NonFiniteOutput naming the first such row."""
+    raise NonFiniteOutput naming the first such row; if that input row is
+    not finite, ValueError names it instead."""
     return _blocked_forward(_as_rows(x, mlp), mlp.layers, "backbone output")
 
 
@@ -321,7 +317,8 @@ def batch_evidence(mlp: MlpParams, head: EvidenceHeadParams, x: np.ndarray) -> n
 
     Evidence that is not finite, or a class whose e_pos + e_neg overflows
     float64 (so its Beta strength S has no finite value), raises
-    NonFiniteOutput naming the first such row."""
+    NonFiniteOutput naming the first such row; if that input row is not
+    finite, ValueError names it instead."""
     h = _as_rows(x, mlp)
     _check_head_fits(mlp, head)
     # the head is one more ReLU layer whose weight is stored transposed
@@ -454,8 +451,8 @@ def _fit(mlp, head, x, y, ciw, config, rng):
     mlp, head = _model_from_arrays(views)
 
     n = x.shape[0]
-    batches = [(slice(start, start + config.batch_size), min(config.batch_size, n - start))
-               for start in range(0, n, config.batch_size)]
+    batches = [(slice(start, start + BATCH_SIZE), min(BATCH_SIZE, n - start))
+               for start in range(0, n, BATCH_SIZE)]
     epoch_losses = []
     for epoch in range(config.epochs):
         lr = config.learning_rate_at(epoch)
@@ -468,7 +465,7 @@ def _fit(mlp, head, x, y, ciw, config, rng):
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch, batch_idx, loss)
             total += loss * size
-            sgd_step(theta, g, lr, config.weight_decay, out=theta)
+            sgd_step(theta, g, lr, WEIGHT_DECAY, out=theta)
             # theta @ theta is finite only if every parameter is (the squares
             # cannot cancel), and costs one BLAS call; a large but finite
             # parameter overflows it, so the exact test decides
@@ -540,7 +537,8 @@ def finetune_head(
     Each row's backbone features are computed once, before the first
     epoch; the head is then fitted on them with an empty backbone. A
     backbone whose finite weights overflow float64 on a row raises
-    NonFiniteOutput naming that row, before the first step.
+    NonFiniteOutput naming that row, and a row of ``features`` that is not
+    finite a ValueError naming it, before the first step.
     """
     x, y = _validate_training_data(features, labels, len(ciw))
     if head.num_classes != len(ciw):

@@ -27,10 +27,6 @@ from dataclasses import dataclass
 
 DEFAULT_PRIOR_WEIGHT = 2.0
 
-# Evidence far above any trained magnitude; keeps S and log terms away
-# from overflow.
-EVIDENCE_CAP = 1e9
-
 _SUM_TOL = 1e-12
 
 
@@ -60,8 +56,7 @@ class BaseRatePair:
 class EvidencePair:
     """Non-negative evidence for the positive and negative outcome.
 
-    Values above EVIDENCE_CAP are clamped at construction; negative or
-    non-finite values are rejected.
+    Negative or non-finite values are rejected.
     """
 
     e_pos: float
@@ -71,15 +66,16 @@ class EvidencePair:
         for name, value in (("e_pos", self.e_pos), ("e_neg", self.e_neg)):
             if not math.isfinite(value) or value < 0.0:
                 raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-        if self.e_pos > EVIDENCE_CAP:
-            object.__setattr__(self, "e_pos", EVIDENCE_CAP)
-        if self.e_neg > EVIDENCE_CAP:
-            object.__setattr__(self, "e_neg", EVIDENCE_CAP)
 
 
 @dataclass(frozen=True)
 class DirichletPair:
-    """Beta parameters (alpha_pos, alpha_neg) of one binary head."""
+    """Beta parameters (alpha_pos, alpha_neg) of one binary head.
+
+    Both must be finite, and so must their sum, the strength S: parameters
+    whose S overflows float64 are rejected, as ``predict_batch`` rejects
+    such evidence.
+    """
 
     alpha_pos: float
     alpha_neg: float
@@ -88,6 +84,9 @@ class DirichletPair:
         for name, value in (("alpha_pos", self.alpha_pos), ("alpha_neg", self.alpha_neg)):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        if not math.isfinite(self.strength):
+            raise ValueError(f"total strength {self.alpha_pos!r} + {self.alpha_neg!r} "
+                             "overflows float64")
         if self.strength <= 0.0:
             raise ValueError(
                 f"total strength must be positive, got {self.alpha_pos!r} + {self.alpha_neg!r}"

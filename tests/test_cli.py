@@ -152,8 +152,7 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "flags",
-        [["--hidden", "8,x"], ["--epochs", "-1"], ["--lr", "-0.5"],
-         ["--batch-size", "0"]],
+        [["--hidden", "8,x"], ["--epochs", "-1"], ["--lr", "-0.5"]],
     )
     def test_invalid_flags_exit_2(self, tmp_path, flags):
         d = _generate(tmp_path / "data")
@@ -257,49 +256,31 @@ class TestTrain:
         assert err.count("\n") == 1
         assert not out.exists()
 
-    def test_diverged_parameters_exit_4(self, tmp_path, capsys):
+    def test_diverged_parameters_exit_4(self, tmp_path, capsys, monkeypatch):
+        # the first update overflows the parameters with a finite loss only
+        # at a weight decay far above the fixed one, so the test raises it
+        monkeypatch.setattr(network, "WEIGHT_DECAY", 1e200)
         d = _generate(tmp_path / "data")
         with np.errstate(all="ignore"):
             code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
-                         "--out", str(tmp_path / "run"), *TINY_TRAIN,
-                         "--lr", "1e200", "--weight-decay", "1e200"])
+                         "--out", str(tmp_path / "run"), *TINY_TRAIN, "--lr", "1e200"])
         assert code == 4
         err = capsys.readouterr().err
         assert "parameters became non-finite" in err and "epoch 0, batch 0" in err
         assert "non-finite loss" not in err
 
-    def test_diverged_head_in_frozen_refit_exits_4(self, tmp_path, capsys):
+    def test_diverged_head_in_frozen_refit_exits_4(self, tmp_path, capsys, monkeypatch):
         d = _generate(tmp_path / "data")
         ckpt = _train(d, tmp_path / "base")
+        monkeypatch.setattr(network, "WEIGHT_DECAY", 10.0)
         with np.errstate(all="ignore"):
             code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
                          "--out", str(tmp_path / "tuned"), "--freeze-backbone",
-                         "--init-from", str(ckpt), "--epochs", "1",
-                         "--lr", "1e308", "--weight-decay", "10"])
+                         "--init-from", str(ckpt), "--epochs", "1", "--lr", "1e308"])
         assert code == 4
         err = capsys.readouterr().err
         assert "parameters became non-finite" in err and "epoch 0, batch 0" in err
         assert "non-finite loss" not in err
-
-    @pytest.mark.parametrize("freeze", [False, True], ids=["scratch", "refit"])
-    def test_lr_schedule_that_overflows_exits_2_before_writing(self, tmp_path, capsys, freeze):
-        """A ratio of 1e200 every epoch makes the third epoch's rate 0.1 * 1e400,
-        which Python's float power raises OverflowError on."""
-        d = _generate(tmp_path / "data")
-        model = (["--freeze-backbone", "--init-from", str(_train(d, tmp_path / "base"))]
-                 if freeze else ["--hidden", "8", "--feature-dim", "4"])
-        out = tmp_path / "run"
-        capsys.readouterr()
-        code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
-                     "--out", str(out), *model, "--epochs", "3",
-                     "--lr-decay-ratio", "1e200", "--lr-decay-every", "1"])
-        assert code == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: the learning rate overflows float64: ")
-        assert err.count("\n") == 1
-        for flag in ("--lr-decay-ratio 1e+200", "--lr-decay-every 1", "--epochs 3"):
-            assert flag in err
-        assert not out.exists()
 
 
 def _oracle_fixture(tmp_path):

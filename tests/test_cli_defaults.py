@@ -1,9 +1,10 @@
 """The command line runs the library's own defaults.
 
 `generate` with no flags must write what ``GenConfig()`` generates,
-default `train` must log ``asdict(TrainConfig())``, and the help text of
-every subcommand must stay as recorded, so that stating a default in one
-place changes no option, default or output byte.
+default `train` must log ``asdict(TrainConfig())`` and the SGD recipe's
+constants, and the help text of every subcommand must stay as recorded,
+so that stating a default in one place changes no option, default or
+output byte.
 """
 
 import hashlib
@@ -17,6 +18,7 @@ import pytest
 import yaml
 
 import evidkit
+from evidkit import network
 from evidkit.cli import (
     CIW_FILENAME,
     EVAL_REPORT_FILENAME,
@@ -48,7 +50,7 @@ HELP_PYTHON = (3, 11)
 HELP_SHA256 = {
     "": "469ccec2eff129e366ff5c48a43b6866cc10aa9e2d75f56e2e824556dc33148b",
     "generate": "caba75a8f1bee87f0220332a31c14d8333aaa8f5b1f2e1970384cc2cbf8345f0",
-    "train": "84cde9331247fd9fa683604bd0be145338dbb087eb8418774fc1c5e49e016196",
+    "train": "4224c33e4350a974d2861a6d4c56d308dc2d510368f73378170286afa1c3746f",
     "eval": "1dc6e87ff9390dbca64e0baf19c1a718ef3d953ac6afffd09c1f719d01c63c5f",
     "ood": "8798f140f4833fa389dc81aa335243435c10a601e72e4d41a88b906fe7ed0844",
 }
@@ -77,6 +79,8 @@ def _logged_config(tmp_path, extra=()):
 def test_default_train_logs_the_default_configs(tmp_path):
     config, out = _logged_config(tmp_path)
     assert {k: config[k] for k in asdict(TrainConfig())} == asdict(TrainConfig())
+    for key in ("batch_size", "lr_decay_ratio", "lr_decay_every", "weight_decay"):
+        assert config[key] == getattr(network, key.upper())
     assert config["hidden"] == list(DEFAULT_HIDDEN)
     assert config["feature_dim"] == DEFAULT_FEATURE_DIM
     assert config["prior_weight"] == DEFAULT_PRIOR_WEIGHT

@@ -211,12 +211,8 @@ def test_generate_flags(data):
 @given(data=st.data())
 def test_train_flags(pristine, data):
     flags = _flags(data.draw, {
-        "--epochs": st.integers(min_value=-1, max_value=5),  # decay powers up to 4
-        "--batch-size": st.integers(min_value=-1, max_value=50),
+        "--epochs": st.integers(min_value=-1, max_value=5),
         "--lr": floats,
-        "--lr-decay-ratio": floats,
-        "--lr-decay-every": st.integers(min_value=-1, max_value=3),
-        "--weight-decay": floats,
         "--seed": st.integers(min_value=-2, max_value=2**40),
         "--hidden": st.sampled_from(["", " ", ",", "0", "-1", "3", "4,2", "8,x"]),
         "--feature-dim": st.integers(min_value=-1, max_value=4),

@@ -329,6 +329,23 @@ class TestOverflowRule:
                 in str(exc_info.value))
 
     @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_input_row_that_is_not_finite_is_named(self, blocks, value):
+        """A forward that fails on an input row that is itself not finite
+        blames the input: ValueError names the row, not NonFiniteOutput."""
+        mlp, head = init_model(8, 6, seed=0)
+        n, bad = ((5, (2, 4)) if blocks == 1 else
+                  _last_block_rows([*mlp.layers, (head.weight.T, head.bias)]))
+        x = np.zeros((n, 8))
+        x[bad[0], 1] = value
+        x[bad[1]] = np.nan
+        for forward in (lambda: extract_features(x, mlp), lambda: batch_evidence(mlp, head, x)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValueError, match=f"^input row {bad[0]} is not finite$"):
+                    forward()
+
+    @pytest.mark.parametrize("blocks", [1, 3])
     def test_total_that_overflows_with_every_row_usable(self, blocks):
         """Each row's output is 1e308 in one column, so the total is inf while
         every row, and every evidence pair, is finite: the forward returns

@@ -163,35 +163,18 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.epochs == 60
         assert cfg.learning_rate == 0.1
-        assert cfg.lr_decay_every == 30
+        assert network.LR_DECAY_EVERY == 30
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"epochs": -1},
-            {"batch_size": 0},
             {"learning_rate": -0.1},
             {"learning_rate": float("nan")},
-            {"lr_decay_ratio": 0.0},
-            {"lr_decay_every": 0},
-            {"weight_decay": -1e-4},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ConfigError):
-            TrainConfig(**kwargs)
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            # ratio ** 2 overflows: Python raises OverflowError
-            {"epochs": 3, "lr_decay_ratio": 1e200, "lr_decay_every": 1},
-            # ratio ** 1 is finite, times the rate it is not
-            {"epochs": 2, "learning_rate": 10.0, "lr_decay_ratio": 1e308, "lr_decay_every": 1},
-        ],
-    )
-    def test_schedule_that_overflows_is_rejected(self, kwargs):
-        with pytest.raises(ConfigError, match="--lr-decay-ratio .* --lr-decay-every .* --epochs"):
             TrainConfig(**kwargs)
 
     @pytest.mark.parametrize(
@@ -204,10 +187,16 @@ class TestTrainConfig:
             {"epochs": 0, "lr_decay_ratio": 1e300, "lr_decay_every": 1},
         ],
     )
-    def test_schedule_rates_are_the_formula(self, kwargs):
+    def test_schedule_rates_are_the_formula(self, monkeypatch, kwargs):
+        kwargs = dict(kwargs)
+        monkeypatch.setattr(network, "LR_DECAY_RATIO",
+                            kwargs.pop("lr_decay_ratio", network.LR_DECAY_RATIO))
+        monkeypatch.setattr(network, "LR_DECAY_EVERY",
+                            kwargs.pop("lr_decay_every", network.LR_DECAY_EVERY))
         cfg = TrainConfig(**kwargs)
         for epoch in range(cfg.epochs):
-            rate = cfg.learning_rate * cfg.lr_decay_ratio ** (epoch // cfg.lr_decay_every)
+            rate = (cfg.learning_rate
+                    * network.LR_DECAY_RATIO ** (epoch // network.LR_DECAY_EVERY))
             assert cfg.learning_rate_at(epoch) == rate and math.isfinite(rate)
 
 
@@ -347,7 +336,7 @@ class TestLossGradsContract:
 class TestTrainer:
     def test_zero_learning_rate_keeps_initialization(self):
         x, y = _separable_data(n=40)
-        cfg = TrainConfig(epochs=1, learning_rate=0.0, weight_decay=1e-4, seed=9)
+        cfg = TrainConfig(epochs=1, learning_rate=0.0, seed=9)
         result = train_model(x, y, cfg, UNIFORM_CIW, hidden=(8,), feature_dim=4)
         ref_mlp, ref_head = init_model(8, 2, (8,), 4, np.random.default_rng(9))
         for (w, b), (rw, rb) in zip(result.mlp.layers, ref_mlp.layers):
@@ -363,10 +352,11 @@ class TestTrainer:
         ref_mlp, _ = init_model(8, 2, (8,), 4, np.random.default_rng(4))
         np.testing.assert_array_equal(result.mlp.layers[0][0], ref_mlp.layers[0][0])
 
-    def test_separable_problem_reaches_low_loss(self):
+    def test_separable_problem_reaches_low_loss(self, monkeypatch):
         # small set means few SGD steps per epoch, hence the long schedule
+        monkeypatch.setattr(network, "LR_DECAY_EVERY", 150)
         x, y = _separable_data()
-        cfg = TrainConfig(epochs=300, learning_rate=0.1, lr_decay_every=150, seed=0)
+        cfg = TrainConfig(epochs=300, learning_rate=0.1, seed=0)
         result = train_model(x, y, cfg, UNIFORM_CIW)
         assert result.epoch_losses[-1] < 0.1
 
@@ -395,10 +385,12 @@ class TestTrainer:
         assert exc_info.value.epoch == 0
         assert exc_info.value.batch == 0
 
-    def test_non_finite_parameters_report_epoch_and_batch(self):
+    def test_non_finite_parameters_report_epoch_and_batch(self, monkeypatch):
         # the first update overflows the parameters while its loss is finite
+        monkeypatch.setattr(network, "BATCH_SIZE", 16)
+        monkeypatch.setattr(network, "WEIGHT_DECAY", 1e200)
         x, y = _separable_data(n=40)
-        cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=1e200, weight_decay=1e200)
+        cfg = TrainConfig(epochs=2, learning_rate=1e200)
         with np.errstate(all="ignore"), pytest.raises(TrainingDiverged) as exc_info:
             train_model(x, y, cfg, UNIFORM_CIW, hidden=(8,), feature_dim=4)
         assert (exc_info.value.epoch, exc_info.value.batch) == (0, 0)
@@ -406,13 +398,14 @@ class TestTrainer:
         assert "parameters became non-finite" in str(exc_info.value)
         assert "non-finite loss" not in str(exc_info.value)
 
-    def test_parameters_too_large_to_square_are_finite(self):
+    def test_parameters_too_large_to_square_are_finite(self, monkeypatch):
         """A head of 1e200 weights overflows theta @ theta; the fit does not
         call that divergence, and a zero rate leaves the head as it was."""
+        monkeypatch.setattr(network, "BATCH_SIZE", 16)
         x, y = _separable_data(n=40)
         mlp, head = init_model(8, 2, hidden=(8,), feature_dim=4, seed=0)
         head = EvidenceHeadParams(head.weight * 1e200, head.bias * 1e200)
-        cfg = TrainConfig(epochs=2, batch_size=16, learning_rate=0.0)
+        cfg = TrainConfig(epochs=2, learning_rate=0.0)
         result = finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
         assert all(math.isfinite(v) for v in result.epoch_losses)
         assert result.head.weight.tobytes() == head.weight.tobytes()
@@ -428,9 +421,10 @@ class TestTrainer:
             return batch_nll_grad(evidence, y, prior)
 
         monkeypatch.setattr(network, "batch_nll_grad", recording)
+        monkeypatch.setattr(network, "BATCH_SIZE", 16)
         x, y = _separable_data(n=40)
         ciw = CIWTable.from_pairs([("a", 0.3), ("b", -1.5)])
-        cfg = TrainConfig(epochs=2, batch_size=16, seed=0)
+        cfg = TrainConfig(epochs=2, seed=0)
         if fit == "train_model":
             train_model(x, y, cfg, ciw, hidden=(8,), feature_dim=4)
         else:
@@ -539,7 +533,8 @@ class TestFreeze:
             return relu_layers(h, layers)
 
         monkeypatch.setattr(network, "_relu_layers", counting)
-        cfg = TrainConfig(epochs=epochs, batch_size=256, seed=8)
+        monkeypatch.setattr(network, "BATCH_SIZE", 256)
+        cfg = TrainConfig(epochs=epochs, seed=8)
         finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
         assert [len(h) for h in forwards] == [block, block + 100]
         assert np.concatenate(forwards).tobytes() == x.tobytes()
@@ -555,6 +550,17 @@ class TestFreeze:
         x[7:] = np.abs(x[7:])
         cfg = TrainConfig(epochs=epochs, seed=3)
         with pytest.raises(NonFiniteOutput, match="backbone output for row 7 is not finite"):
+            finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
+
+    @pytest.mark.parametrize("epochs", [0, 2])
+    def test_input_row_that_is_not_finite_is_named(self, epochs):
+        """A NaN input row is the input's fault, not the frozen backbone's: a
+        ValueError names the row before any step."""
+        x, y = _separable_data(n=40)
+        x[5, 3] = np.nan
+        mlp, head = init_model(8, 2, hidden=(6, 6), feature_dim=4, seed=1)
+        cfg = TrainConfig(epochs=epochs, seed=3)
+        with pytest.raises(ValueError, match="^input row 5 is not finite$"):
             finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
 
     @pytest.mark.parametrize("epochs", [0, 2])

@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from evidkit.evaluation import predict_batch
 from evidkit.opinions import (
     DEFAULT_PRIOR_WEIGHT,
-    EVIDENCE_CAP,
     BaseRatePair,
     DirichletPair,
     EvidencePair,
@@ -54,10 +54,27 @@ class TestTypeValidation:
         with pytest.raises(ValueError):
             EvidencePair(0.0, float("inf"))
 
-    def test_evidence_capped(self):
-        e = EvidencePair(1e12, 2.0)
-        assert e.e_pos == EVIDENCE_CAP
-        assert e.e_neg == 2.0
+    @pytest.mark.parametrize("e_pos", [1e10, 1e12])
+    def test_large_evidence_matches_the_batch_kernel(self, e_pos):
+        """The oracle states the kernel's maths at any finite evidence: no clamp."""
+        e, a = EvidencePair(e_pos, 3.0), BaseRatePair(0.3, 0.7)
+        assert (e.e_pos, e.e_neg) == (e_pos, 3.0)
+        batch = predict_batch(np.array([[[e_pos, 3.0]]]), np.array([0.3]), np.array([0.7]))
+        p_pos = expected_probability(dirichlet_from_evidence(e, a))[0]
+        o = opinion_from_evidence(e, a)
+        assert p_pos == pytest.approx(batch.probabilities[0, 0], rel=1e-12)
+        assert probability_from_opinion(o)[0] == pytest.approx(p_pos, rel=1e-12)
+        assert o.u == pytest.approx(batch.uncertainties[0, 0], rel=1e-12)
+
+    def test_strength_that_overflows_rejected(self):
+        """(1e308, 1e308) is finite evidence whose Beta strength is not, which
+        ``predict_batch`` rejects too."""
+        e = EvidencePair(1e308, 1e308)
+        for route in (dirichlet_from_evidence, opinion_from_evidence):
+            with pytest.raises(ValueError, match="overflows float64"):
+                route(e, UNIFORM)
+        with pytest.raises(ValueError, match="overflows float64"):
+            DirichletPair(1e308, 1e308)
 
     def test_base_rates_must_sum_to_one(self):
         with pytest.raises(ValueError):

@@ -66,7 +66,8 @@ def test_step_functions_run_once_per_step(monkeypatch, fit):
 
         monkeypatch.setattr(evidkit.network, name, counting)
 
-    n, config = 70, evidkit.network.TrainConfig(epochs=3, batch_size=16)
+    monkeypatch.setattr(evidkit.network, "BATCH_SIZE", 16)
+    n, config = 70, evidkit.network.TrainConfig(epochs=3)
     rng = np.random.default_rng(4)
     x = rng.normal(size=(n, 5))
     y = (rng.random((n, 2)) < 0.3).astype(float)
@@ -77,7 +78,7 @@ def test_step_functions_run_once_per_step(monkeypatch, fit):
         mlp, head = evidkit.network.init_model(5, 2, hidden=(6,), feature_dim=3)
         evidkit.network.finetune_head(mlp, head, x, y, config, ciw)
 
-    steps = config.epochs * math.ceil(n / config.batch_size)
+    steps = config.epochs * math.ceil(n / evidkit.network.BATCH_SIZE)
     assert {name: len(c) for name, c in calls.items()} == dict.fromkeys(calls, steps)
     for (_, result), (step_args, _) in zip(calls["batch_loss_grads"], calls["sgd_step"]):
         _, grads, g_head_w, g_head_b = result

@@ -9,6 +9,10 @@ and masked the backward pass with z > 0, where the trainer takes the
 mask from the activation relu(z). Every returned array must match it bit
 for bit, and every epoch loss exactly.
 
+Each drawn problem also draws the SGD recipe (batch size, decay ratio and
+period, weight decay), set as the ``network`` constants that both trainers
+read.
+
 The head-only refit oracle computes the backbone features of all rows
 once, with its own forward pass, and fits the head on them as a model
 with no backbone layers, as ``finetune_head`` does. The trainer computes
@@ -24,6 +28,7 @@ it holds no shuffled copy of its features.
 import gc
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,13 +122,13 @@ def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, update_backbone,
     n = x.shape[0]
     epoch_losses = []
     for epoch in range(config.epochs):
-        lr = config.learning_rate * config.lr_decay_ratio ** (epoch // config.lr_decay_every)
+        lr = config.learning_rate * network.LR_DECAY_RATIO ** (epoch // network.LR_DECAY_EVERY)
         order = rng.permutation(n)
         if gather_per_epoch:
             xs, ys = x[order], y[order]
         total = 0.0
-        for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            rows = slice(start, start + config.batch_size)
+        for batch_idx, start in enumerate(range(0, n, network.BATCH_SIZE)):
+            rows = slice(start, start + network.BATCH_SIZE)
             if gather_per_epoch:
                 xb, yb = xs[rows], ys[rows]
             else:
@@ -137,14 +142,14 @@ def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, update_backbone,
             if update_backbone:
                 mlp = MlpParams([
                     (
-                        _sgd_step(w, gw, lr, config.weight_decay),
-                        _sgd_step(b, gb, lr, config.weight_decay),
+                        _sgd_step(w, gw, lr, network.WEIGHT_DECAY),
+                        _sgd_step(b, gb, lr, network.WEIGHT_DECAY),
                     )
                     for (w, b), (gw, gb) in zip(mlp.layers, grads)
                 ])
             head = EvidenceHeadParams(
-                _sgd_step(head.weight, g_head_w, lr, config.weight_decay),
-                _sgd_step(head.bias, g_head_b, lr, config.weight_decay),
+                _sgd_step(head.weight, g_head_w, lr, network.WEIGHT_DECAY),
+                _sgd_step(head.bias, g_head_b, lr, network.WEIGHT_DECAY),
             )
         epoch_losses.append(total / n)
     return mlp, head, epoch_losses
@@ -207,10 +212,14 @@ fits = st.fixed_dictionaries({
 
 
 def _config(p):
-    return TrainConfig(
-        epochs=p["epochs"], batch_size=p["batch_size"], learning_rate=p["learning_rate"],
-        lr_decay_ratio=p["lr_decay_ratio"], lr_decay_every=p["lr_decay_every"],
-        weight_decay=p["weight_decay"], seed=p["seed"],
+    return TrainConfig(epochs=p["epochs"], learning_rate=p["learning_rate"], seed=p["seed"])
+
+
+def _recipe(p):
+    """The drawn SGD recipe, set as the module constants both trainers read."""
+    return mock.patch.multiple(
+        network, BATCH_SIZE=p["batch_size"], LR_DECAY_RATIO=p["lr_decay_ratio"],
+        LR_DECAY_EVERY=p["lr_decay_every"], WEIGHT_DECAY=p["weight_decay"],
     )
 
 
@@ -223,9 +232,10 @@ class TestSameBitsAsTheRetiredTrainer:
     def test_train_model(self, p, gather_per_epoch):
         x, y, ciw = _problem(p["n"], p["dim"], p["k"], p["seed"])
         cfg = _config(p)
-        got = train_model(x, y, cfg, ciw, hidden=p["hidden"], feature_dim=p["feature_dim"])
-        mlp, head, losses = _retired_train_model(x, y, cfg, ciw, p["hidden"], p["feature_dim"],
-                                                 gather_per_epoch)
+        with _recipe(p):
+            got = train_model(x, y, cfg, ciw, hidden=p["hidden"], feature_dim=p["feature_dim"])
+            mlp, head, losses = _retired_train_model(x, y, cfg, ciw, p["hidden"],
+                                                     p["feature_dim"], gather_per_epoch)
         _assert_bytes_equal(_arrays(got.mlp, got.head), _arrays(mlp, head))
         assert got.epoch_losses == tuple(losses)
 
@@ -236,9 +246,10 @@ class TestSameBitsAsTheRetiredTrainer:
         cfg = _config(p)
         mlp, _ = init_model(p["dim"], p["k"], p["hidden"], p["feature_dim"], p["seed"] + 1)
         head = init_head(p["feature_dim"], p["k"], p["seed"] + 2)
-        got = finetune_head(mlp, head, x, y, cfg, ciw)
-        _, want_head, losses = _retired_finetune_head(mlp, head, x, y, cfg, ciw,
-                                                      gather_per_epoch)
+        with _recipe(p):
+            got = finetune_head(mlp, head, x, y, cfg, ciw)
+            _, want_head, losses = _retired_finetune_head(mlp, head, x, y, cfg, ciw,
+                                                          gather_per_epoch)
         assert got.mlp is mlp
         _assert_bytes_equal([got.head.weight, got.head.bias],
                             [want_head.weight, want_head.bias])
@@ -365,7 +376,7 @@ class TestNoAliasing:
 @pytest.mark.parametrize("gather_per_epoch", [False, True])
 def test_a_default_sized_fit_matches_both_feeds(gather_per_epoch):
     x, y, ciw = _problem(1000, 8, 6, seed=11)
-    cfg = TrainConfig(epochs=3, batch_size=64, learning_rate=0.05, seed=2)
+    cfg = TrainConfig(epochs=3, learning_rate=0.05, seed=2)
     got = train_model(x, y, cfg, ciw)
     mlp, head, losses = _retired_train_model(x, y, cfg, ciw, DEFAULT_HIDDEN, got.mlp.dim_out,
                                              gather_per_epoch)

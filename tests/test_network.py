@@ -169,8 +169,10 @@ class TestTrainConfig:
         "kwargs",
         [
             {"epochs": -1},
+            {"seed": -1},
             {"learning_rate": -0.1},
             {"learning_rate": float("nan")},
+            {"learning_rate": float("inf")},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):

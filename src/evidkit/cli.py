@@ -48,8 +48,6 @@ from .evaluation import (
 from .fileio import write_text
 from .network import (
     BATCH_SIZE,
-    DEFAULT_FEATURE_DIM,
-    DEFAULT_HIDDEN,
     LR_DECAY_EVERY,
     LR_DECAY_RATIO,
     WEIGHT_DECAY,
@@ -81,18 +79,6 @@ def _config_values(config, args) -> dict:
     """The parsed flags that fill fields of the dataclass `config`, unset ones left out."""
     values = {f.name: getattr(args, f.name) for f in fields(config)}
     return {name: value for name, value in values.items() if value is not None}
-
-
-def _parse_hidden(text: str) -> tuple[int, ...]:
-    if text.strip() == "":
-        return ()
-    try:
-        sizes = tuple(int(v) for v in text.split(","))
-    except ValueError:
-        raise ConfigError(f"--hidden must be comma-separated integers, got {text!r}") from None
-    if any(s < 1 for s in sizes):
-        raise ConfigError(f"hidden layer sizes must be >= 1, got {text!r}")
-    return sizes
 
 
 def _align_ciw(table: CIWTable, class_names) -> CIWTable:
@@ -164,21 +150,13 @@ def cmd_train(args) -> int:
     if args.freeze_backbone:
         if not args.init_from:
             raise ConfigError("--freeze-backbone requires --init-from CHECKPOINT")
-        for flag, value in (("--hidden", args.hidden), ("--feature-dim", args.feature_dim)):
-            if value is not None:
-                raise ConfigError(
-                    f"{flag} cannot be combined with --freeze-backbone: the backbone "
-                    "comes from the --init-from checkpoint"
-                )
         mlp, old_head = load_checkpoint(args.init_from)
         _check_model_matches(mlp, old_head, dim, k_known)
         head = init_head(mlp.dim_out, k_known, config.seed)
         with _naming_sample(ids, args.init_from):
             result = finetune_head(mlp, head, x, y, config, ciw)
     else:
-        hidden = DEFAULT_HIDDEN if args.hidden is None else _parse_hidden(args.hidden)
-        feature_dim = DEFAULT_FEATURE_DIM if args.feature_dim is None else args.feature_dim
-        result = train_model(x, y, config, ciw, hidden=hidden, feature_dim=feature_dim)
+        result = train_model(x, y, config, ciw)
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -353,9 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
     flag("--lr", "learning_rate", default=None,
          help=f"default {TrainConfig.learning_rate}, or {FINETUNE_LR} with --freeze-backbone")
     flag("--seed")
-    # None until given, so that a frozen refit can reject them
-    tr.add_argument("--hidden", help="comma-separated hidden layer sizes")
-    tr.add_argument("--feature-dim", type=int)
     tr.add_argument("--freeze-backbone", action="store_true",
                     help="keep backbone weights fixed and fit a fresh evidence head")
     tr.add_argument("--init-from", default=None,

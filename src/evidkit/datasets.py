@@ -236,8 +236,6 @@ class GenConfig:
             raise ConfigError(f"k_unknown must be >= 0, got {self.k_unknown}")
         if self.k_known < 1:
             raise ConfigError(f"k_known must be >= 1, got {self.k_known}")
-        if self.k_unknown > 0 and self.k_known < 2:
-            raise ConfigError("unknown prototypes need at least 2 known classes to pair")
         n_pairs = self.k_known * (self.k_known - 1) // 2
         if self.k_unknown > n_pairs:
             raise ConfigError(

@@ -22,8 +22,9 @@ matmul output, so a layer costs one N x width array, and it never writes
 into the caller's input or parameters. Inference (``extract_features``,
 ``batch_evidence``) and training run that same loop, so the function the
 trainer descends is the function that is scored. A head fits a backbone
-when its input width is the backbone's output width; ``batch_evidence``
-and ``finetune_head`` check that once, with ``_check_head_fits``.
+when its input width is the backbone's output width; ``batch_evidence``,
+``finetune_head`` and ``save_checkpoint`` check that once, with
+``_check_head_fits``.
 ``batch_loss_grads`` keeps the activations the loop yields and takes
 each ReLU mask from them: relu(z) > 0 exactly where z > 0, for NaN,
 signed zeros and infinities too, so no pre-activation is kept. Its
@@ -553,6 +554,7 @@ def finetune_head(
 
 def save_checkpoint(path, mlp: MlpParams, head: EvidenceHeadParams) -> None:
     """Write a versioned text checkpoint with round-trip-exact decimals."""
+    _check_head_fits(mlp, head)
     lines = [
         f"{CHECKPOINT_MAGIC} {CHECKPOINT_VERSION}",
         f"input {mlp.dim_in}",
@@ -562,8 +564,6 @@ def save_checkpoint(path, mlp: MlpParams, head: EvidenceHeadParams) -> None:
     ]
     layout = _param_layout([mlp.dim_in, *mlp.hidden, mlp.dim_out], head.num_classes)
     for (name, shape, _), p in zip(layout, _param_arrays(mlp, head)):
-        if p.shape != shape:
-            raise ValueError(f"parameter {name!r} has shape {p.shape}, expected {shape}")
         rows, cols = (1, *shape)[-2:]
         lines.append(f"param {name} {rows} {cols}")
         lines.extend(" ".join(map(repr, row)) for row in p.reshape(rows, cols).tolist())
@@ -620,8 +620,7 @@ def load_checkpoint(path) -> tuple[MlpParams, EvidenceHeadParams]:
         except ValueError as exc:
             raise error(f"bad shape: {exc}", i) from exc
         if found != stored:
-            raise error(f"parameter {name!r} has shape {(parts[2], parts[3])}, "
-                        f"expected {stored}", i)
+            raise error(f"parameter {name!r} has shape {found}, expected {stored}", i)
         rows = []
         for i in range(i + 1, i + 1 + stored[0]):
             if i >= len(lines):

@@ -19,6 +19,7 @@ from evidkit.datasets import (
     VAL_FILENAME,
     DatasetSplit,
     SampleTable,
+    load_ciw_config,
     load_dataset,
     samples_to_arrays,
     save_ciw_config,
@@ -28,15 +29,17 @@ from evidkit.base_rates import CIWTable
 from evidkit.network import (
     EvidenceHeadParams,
     MlpParams,
+    TrainConfig,
     init_head,
     init_model,
     load_checkpoint,
     save_checkpoint,
+    train_model,
 )
 
 TINY_GEN = ["--known", "3", "--unknown", "1", "--dim", "4",
             "--train-samples", "80", "--val-samples", "40", "--seed", "3"]
-TINY_TRAIN = ["--hidden", "8", "--feature-dim", "4", "--epochs", "3"]
+TINY_TRAIN = ["--epochs", "3"]
 
 
 def _generate(path, extra=()):
@@ -47,6 +50,20 @@ def _generate(path, extra=()):
 def _train(data, out, extra=()):
     assert main(["train", "--data", str(data), "--ciw", str(data / CIW_FILENAME),
                  "--out", str(out), *TINY_TRAIN, *extra]) == 0
+    return out / CHECKPOINT_FILENAME
+
+
+def _checkpoint(data, out):
+    """A checkpoint for the tests that only read one: the library trains it
+    for TINY_TRAIN's 3 epochs with one hidden layer of 8 and 4 features
+    (`train` builds only the larger default model), so that writing, parsing
+    and changing it stays cheap."""
+    split = load_dataset(data)
+    _, x, y, _ = samples_to_arrays(split.train, split.k_known, split.dim)
+    result = train_model(x, y, TrainConfig(epochs=3), load_ciw_config(data / CIW_FILENAME),
+                         hidden=(8,), feature_dim=4)
+    out.mkdir(parents=True, exist_ok=True)
+    save_checkpoint(out / CHECKPOINT_FILENAME, result.mlp, result.head)
     return out / CHECKPOINT_FILENAME
 
 
@@ -120,8 +137,7 @@ class TestTrain:
         d = _generate(tmp_path / "data")
         ckpt = _train(d, tmp_path / "run", extra=["--epochs", "0", "--seed", "5"])
         assert "seeded initialization" in capsys.readouterr().out
-        mlp, head = init_model(4, 3, hidden=(8,), feature_dim=4,
-                               seed=np.random.default_rng(5))
+        mlp, head = init_model(4, 3, seed=np.random.default_rng(5))
         expected = tmp_path / "expected.ckpt"
         save_checkpoint(expected, mlp, head)
         assert ckpt.read_bytes() == expected.read_bytes()
@@ -150,20 +166,17 @@ class TestTrain:
         assert code == 2
         assert "falls outside (0, 1)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize(
-        "flags",
-        [["--hidden", "8,x"], ["--epochs", "-1"], ["--lr", "-0.5"]],
-    )
+    @pytest.mark.parametrize("flags", [
+        pytest.param(["--epochs", "-1"], id="flags1"),
+        pytest.param(["--lr", "-0.5"], id="flags2"),
+    ])
     def test_invalid_flags_exit_2(self, tmp_path, flags):
         d = _generate(tmp_path / "data")
         code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
                      "--out", str(tmp_path / "run"), *flags])
         assert code == 2
 
-    @pytest.mark.parametrize("flag", ["--hidden", "--feature-dim"])
-    def test_unallocatable_model_exits_2_before_writing(
-        self, tmp_path, capsys, monkeypatch, flag
-    ):
+    def test_unallocatable_model_exits_2_before_writing(self, tmp_path, capsys, monkeypatch):
         # stands in for the multi-TiB weight draw of a huge layer
         def no_memory(*args):
             raise MemoryError
@@ -173,15 +186,15 @@ class TestTrain:
         out = tmp_path / "run"
         capsys.readouterr()
         assert main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
-                     "--out", str(out), flag, "100000000000"]) == 2
+                     "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "does not fit in memory" in err
-        assert "hidden sizes" in err and "feature dim" in err and "100000000000" in err
+        assert "hidden sizes (64, 64) and feature dim 32" in err
         assert not out.exists()
 
     def test_init_from_requires_freeze(self, tmp_path, capsys):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "base")
+        ckpt = _checkpoint(d, tmp_path / "base")
         code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
                      "--out", str(tmp_path / "run"), "--init-from", str(ckpt)])
         assert code == 2
@@ -196,7 +209,7 @@ class TestTrain:
 
     def test_freeze_keeps_the_backbone(self, tmp_path):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "base")
+        ckpt = _checkpoint(d, tmp_path / "base")
         tuned = tmp_path / "tuned"
         assert main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
                      "--out", str(tuned), "--freeze-backbone",
@@ -209,37 +222,16 @@ class TestTrain:
         assert not np.array_equal(base_head.weight, tuned_head.weight)
 
     def test_refit_log_records_the_checkpoint_architecture(self, tmp_path):
-        """A frozen refit logs the loaded backbone's sizes, not the flag defaults."""
+        """A frozen refit logs the loaded backbone's sizes, not the default ones."""
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "base", extra=["--hidden", "8,5"])
+        ckpt = tmp_path / "base.ckpt"
+        save_checkpoint(ckpt, *init_model(4, 3, hidden=(8, 5), feature_dim=4, seed=0))
         tuned = tmp_path / "tuned"
         assert main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
                      "--out", str(tuned), "--freeze-backbone",
                      "--init-from", str(ckpt), "--epochs", "1"]) == 0
-        for run in (tmp_path / "base", tuned):
-            config = yaml.safe_load((run / TRAIN_LOG_FILENAME).read_text())["config"]
-            assert config["hidden"] == [8, 5] and config["feature_dim"] == 4
-
-    @pytest.mark.parametrize("flags", [
-        ["--hidden", "8"],
-        ["--feature-dim", "4"],
-        ["--hidden", "3,3,3", "--feature-dim", "9"],
-        ["--hidden", ""],
-    ])
-    def test_frozen_refit_rejects_backbone_size_flags(self, tmp_path, capsys, flags):
-        """The backbone comes from --init-from, so sizes given for it are an error,
-        even ones that match the checkpoint."""
-        d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "base")
-        tuned = tmp_path / "tuned"
-        capsys.readouterr()
-        code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
-                     "--out", str(tuned), "--freeze-backbone", "--init-from", str(ckpt),
-                     "--epochs", "1", *flags])
-        assert code == 2
-        assert f"error: {flags[0]} cannot be combined with --freeze-backbone" in (
-            capsys.readouterr().err)
-        assert not tuned.exists()
+        config = yaml.safe_load((tuned / TRAIN_LOG_FILENAME).read_text())["config"]
+        assert config["hidden"] == [8, 5] and config["feature_dim"] == 4
 
     def test_divergence_exits_4(self, tmp_path, capsys):
         """The first step overshoots to huge weights and the second step's loss
@@ -271,7 +263,7 @@ class TestTrain:
 
     def test_diverged_head_in_frozen_refit_exits_4(self, tmp_path, capsys, monkeypatch):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "base")
+        ckpt = _checkpoint(d, tmp_path / "base")
         monkeypatch.setattr(network, "WEIGHT_DECAY", 10.0)
         with np.errstate(all="ignore"):
             code = main(["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
@@ -349,7 +341,7 @@ class TestEval:
     def test_dimension_mismatch_exits_2(self, tmp_path, capsys):
         data, _ = _oracle_fixture(tmp_path)
         other = _generate(tmp_path / "other")  # dim 4 data, 3 classes
-        ckpt = _train(other, tmp_path / "run")
+        ckpt = _checkpoint(other, tmp_path / "run")
         code = main(["eval", "--checkpoint", str(ckpt), "--data", str(data),
                      "--ciw", str(data / CIW_FILENAME), "--out", str(tmp_path / "e")])
         assert code == 2
@@ -357,7 +349,7 @@ class TestEval:
 
     def test_negative_ciw_weight_exits_2(self, tmp_path, capsys):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         mixed = tmp_path / "mixed.tsv"
         save_ciw_config(CIWTable.from_pairs(
             [("known_01", 2.0), ("known_02", -0.5), ("known_03", 0.5)]), mixed)
@@ -393,7 +385,7 @@ class TestEval:
 class TestOod:
     def test_reports_and_scores_for_both_aggregations(self, tmp_path):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         for agg in ("max", "sum"):
             out = tmp_path / agg
             assert main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
@@ -409,7 +401,7 @@ class TestOod:
 
     def test_sum_scores_dominate_max_scores(self, tmp_path):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         scores = {}
         for agg in ("max", "sum"):
             out = tmp_path / agg
@@ -424,7 +416,7 @@ class TestOod:
         assert main(["generate", "--out", str(d), "--known", "3", "--unknown", "0",
                      "--dim", "4", "--train-samples", "40", "--val-samples", "20",
                      "--seed", "3"]) == 0
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         code = main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
                      "--out", str(tmp_path / "o")])
         assert code == 3
@@ -432,7 +424,7 @@ class TestOod:
 
     def test_no_known_samples_exits_3(self, tmp_path, capsys):
         d = _generate(tmp_path / "data", ["--unknown-rate", "1.0"])
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         code = main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
                      "--out", str(tmp_path / "o")])
         assert code == 3
@@ -441,7 +433,7 @@ class TestOod:
 
     def test_bad_aggregation_exits_2(self, tmp_path):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         code = main(["ood", "--checkpoint", str(ckpt), "--data", str(d),
                      "--out", str(tmp_path / "o"), "--agg", "median"])
         assert code == 2
@@ -495,7 +487,7 @@ class TestNegativeSeed:
             args = ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME),
                     "--out", str(out), *TINY_TRAIN, "--seed", "-1"]
             if command == "refit":
-                ckpt = _train(d, tmp_path / "run")
+                ckpt = _checkpoint(d, tmp_path / "run")
                 args += ["--freeze-backbone", "--init-from", str(ckpt), "--seed", "-2"]
         capsys.readouterr()
         assert main(args) == 2
@@ -517,7 +509,7 @@ class TestCorruptInputsExit3:
     @pytest.mark.parametrize("command", ["train", "eval", "ood"])
     def test_non_finite_feature(self, tmp_path, capsys, command, value):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         _replace_feature(d / VAL_FILENAME, 5, value)
         args = {
             "train": ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME), *TINY_TRAIN],
@@ -532,7 +524,7 @@ class TestCorruptInputsExit3:
     @pytest.mark.parametrize("command", ["eval", "ood"])
     def test_non_finite_checkpoint_value(self, tmp_path, capsys, command):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         lines = ckpt.read_text().splitlines()
         lines[6] = " ".join(["nan", *lines[6].split()[1:]])
         ckpt.write_text("\n".join(lines) + "\n")
@@ -554,7 +546,7 @@ class TestCorruptInputsExit3:
         both outputs of a class leaves its evidence finite, but not its
         e_pos + e_neg, so that class has no Beta strength."""
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         mlp, head = load_checkpoint(ckpt)
         if poison == "backbone":
             # two backbone layers, so each is scaled past the square root of float64's max
@@ -584,7 +576,7 @@ class TestCorruptInputsExit3:
         ckpt = tmp_path / "poison.ckpt"
         if backbone == "scaled":
             # three backbone layers, so each is scaled past the cube root of float64's max
-            mlp, head = load_checkpoint(_train(d, tmp_path / "run", ["--hidden", "8,8"]))
+            mlp, head = load_checkpoint(_train(d, tmp_path / "run"))
             mlp = MlpParams([(w * 1e120, b) for w, b in mlp.layers])
         else:
             # alternating +-1e308 columns: products hit +-inf with mixed signs, so NaN
@@ -607,7 +599,7 @@ class TestCorruptInputsExit3:
     @pytest.mark.parametrize("command", ["eval", "ood"])
     def test_trailing_checkpoint_content(self, tmp_path, capsys, command):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         n_lines = len(ckpt.read_text().splitlines())
         with open(ckpt, "a") as fh:
             fh.write("garbage\n")
@@ -623,7 +615,7 @@ class TestCorruptInputsExit3:
     ])
     def test_non_utf8_input(self, tmp_path, capsys, target, command):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         bad = ckpt if target == CHECKPOINT_FILENAME else d / target
         n_lines = len(bad.read_bytes().splitlines())
         with open(bad, "ab") as fh:
@@ -654,7 +646,7 @@ class TestCorruptInputsExit3:
     @pytest.mark.parametrize("command", ["train", "eval"])
     def test_malformed_ciw_line(self, tmp_path, capsys, command, text):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         bad = tmp_path / "bad.tsv"
         bad.write_text(text)
         args = {
@@ -677,17 +669,30 @@ def _command(command, d, ckpt, out):
     return _eval_or_ood(command, d, ckpt, out)
 
 
-@pytest.mark.parametrize("command", ["train", "eval", "ood"])
-def test_prior_weight_flag_is_rejected(tmp_path, capsys, command):
-    """The prior weight is fixed at 2: no command takes it, not even as 2."""
+@pytest.mark.parametrize("command, flag, value", [
+    pytest.param("train", "--prior-weight", "2", id="prior-weight-train"),
+    pytest.param("eval", "--prior-weight", "2", id="prior-weight-eval"),
+    pytest.param("ood", "--prior-weight", "2", id="prior-weight-ood"),
+    pytest.param("train", "--hidden", "64,64", id="hidden-train"),
+    pytest.param("train", "--feature-dim", "32", id="feature-dim-train"),
+    pytest.param("refit", "--hidden", "64,64", id="hidden-refit"),
+    pytest.param("refit", "--feature-dim", "32", id="feature-dim-refit"),
+])
+def test_removed_flag_is_rejected(tmp_path, capsys, command, flag, value):
+    """Fixed settings take no flag, not even at their fixed value: the prior
+    weight is 2, and training builds the default architecture (the refit
+    takes its backbone from --init-from)."""
     d = _generate(tmp_path / "data")
-    ckpt = _train(d, tmp_path / "run")
+    ckpt = _checkpoint(d, tmp_path / "run")
     out = tmp_path / "out"
+    args = _command("train" if command == "refit" else command, d, ckpt, out)
+    if command == "refit":
+        args += ["--freeze-backbone", "--init-from", str(ckpt)]
     capsys.readouterr()
     with pytest.raises(SystemExit) as err:
-        main([*_command(command, d, ckpt, out), "--prior-weight", "2"])
+        main([*args, flag, value])
     assert err.value.code == 2
-    assert "unrecognized arguments: --prior-weight 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -695,7 +700,7 @@ def test_prior_weight_flag_is_rejected(tmp_path, capsys, command):
 def test_no_known_classes_in_the_header_exits_3(tmp_path, capsys, command):
     """K=0 is a data error at line 1 of train.edlset, the first file each command reads."""
     d = _generate(tmp_path / "data", ["--normal-rate", "1.0"])
-    ckpt = _train(d, tmp_path / "run")
+    ckpt = _checkpoint(d, tmp_path / "run")
     for name in (TRAIN_FILENAME, VAL_FILENAME):
         path = d / name
         path.write_text(path.read_text().replace(" K=3 ", " K=0 ", 1))
@@ -716,7 +721,7 @@ class TestTrainFileForEvalAndOod:
     @pytest.mark.parametrize("command", ["eval", "ood"])
     def test_train_records_are_not_read(self, tmp_path, command, damage):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         assert main(_eval_or_ood(command, d, ckpt, tmp_path / "pristine")) == 0
         train = d / TRAIN_FILENAME
         header, records = train.read_bytes().split(b"\n", 1)
@@ -738,7 +743,7 @@ class TestTrainFileForEvalAndOod:
     @pytest.mark.parametrize("command", ["eval", "ood"])
     def test_bad_train_header_exits_3(self, tmp_path, capsys, command, fault, problem):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         train = d / TRAIN_FILENAME
         header, rest = train.read_bytes().split(b"\n", 1)
         if fault == "missing":
@@ -761,7 +766,7 @@ class TestTrainFileForEvalAndOod:
     @pytest.mark.parametrize("command", ["eval", "ood"])
     def test_train_header_disagreement_exits_3(self, tmp_path, capsys, command, old, new):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         train = d / TRAIN_FILENAME
         text = train.read_text()
         assert old in text.splitlines()[0]
@@ -777,7 +782,7 @@ class TestAtomicWrites:
     @pytest.mark.parametrize("command", ["generate", "train", "eval", "ood"])
     def test_failed_replace_keeps_previous_files(self, tmp_path, capsys, monkeypatch, command):
         d = _generate(tmp_path / "data")
-        ckpt = _train(d, tmp_path / "run")
+        ckpt = _checkpoint(d, tmp_path / "run")
         out = tmp_path / "out"
         args, targets = {
             "generate": (["generate", *TINY_GEN],

@@ -50,7 +50,7 @@ HELP_PYTHON = (3, 11)
 HELP_SHA256 = {
     "": "469ccec2eff129e366ff5c48a43b6866cc10aa9e2d75f56e2e824556dc33148b",
     "generate": "caba75a8f1bee87f0220332a31c14d8333aaa8f5b1f2e1970384cc2cbf8345f0",
-    "train": "4224c33e4350a974d2861a6d4c56d308dc2d510368f73378170286afa1c3746f",
+    "train": "3b157c1b12bff82aeaf6474c4f97522ce79568dc9731ff3747afa61f84028eb9",
     "eval": "1dc6e87ff9390dbca64e0baf19c1a718ef3d953ac6afffd09c1f719d01c63c5f",
     "ood": "8798f140f4833fa389dc81aa335243435c10a601e72e4d41a88b906fe7ed0844",
 }
@@ -100,7 +100,7 @@ def test_default_train_logs_the_default_configs(tmp_path):
 
 
 def test_frozen_refit_logs_its_own_epochs_and_rate(tmp_path):
-    _, out = _logged_config(tmp_path, ["--hidden", "8", "--feature-dim", "4", "--epochs", "1"])
+    _, out = _logged_config(tmp_path, ["--epochs", "1"])
     config, _ = _logged_config(
         tmp_path, ["--freeze-backbone", "--init-from", str(out / "model.ckpt")])
     expected = asdict(TrainConfig(epochs=FINETUNE_EPOCHS, learning_rate=FINETUNE_LR))

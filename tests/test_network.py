@@ -745,10 +745,42 @@ class TestCheckpoints:
         with pytest.raises(DataFormatError, match=f"line {line}: {message}"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("edit, line, message", [
+        pytest.param(lambda rows: [], 1, "empty checkpoint file", id="empty"),
+        pytest.param(lambda rows: ["hello world", *rows[1:]], 1, "not an evidkit checkpoint",
+                     id="magic"),
+        pytest.param(lambda rows: rows[:3], 4, "missing 'features' header", id="no-header"),
+        pytest.param(lambda rows: [rows[0], "inputs 4", *rows[2:]], 2,
+                     "expected 'input' header", id="header-key"),
+        pytest.param(lambda rows: rows[:5], 6, "missing parameter 'backbone.0.weight'",
+                     id="no-parameter"),
+        pytest.param(lambda rows: [*rows[:5], "param backbone.1.weight 3 4", *rows[6:]], 6,
+                     "expected parameter 'backbone.0.weight'", id="parameter-name"),
+        pytest.param(lambda rows: [*rows[:5], "param backbone.0.weight 4 3", *rows[6:]], 6,
+                     r"parameter 'backbone.0.weight' has shape \(4, 3\), expected \(3, 4\)",
+                     id="shape"),
+        pytest.param(lambda rows: rows[:7], 8, "truncated parameter 'backbone.0.weight'",
+                     id="truncated"),
+        pytest.param(lambda rows: [*rows[:6], "x 1 2 3", *rows[7:]], 7, "bad value",
+                     id="value"),
+        pytest.param(lambda rows: [*rows[:6], "1 2", *rows[7:]], 7,
+                     "parameter 'backbone.0.weight' row has 2 values, expected 4",
+                     id="row-length"),
+    ])
+    def test_every_error_names_its_line(self, tmp_path, edit, line, message):
+        mlp, head = init_model(4, 2, hidden=(3,), feature_dim=3, seed=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(path, mlp, head)
+        rows = edit(path.read_text().splitlines())
+        path.write_text("".join(row + "\n" for row in rows))
+        with pytest.raises(DataFormatError, match=f"line {line}: {message}"):
+            load_checkpoint(path)
+
     def test_head_that_does_not_fit_the_backbone_is_refused(self, tmp_path):
         mlp, _ = init_model(4, 2, hidden=(3,), feature_dim=3, seed=3)
         path = tmp_path / "model.ckpt"
-        with pytest.raises(ValueError, match="head.weight"):
+        with pytest.raises(ValueError, match="backbone output dim 3 does not match head "
+                                             "input dim 5"):
             save_checkpoint(path, mlp, init_head(5, 2, seed=3))
         assert not path.exists()
 

@@ -9,8 +9,16 @@ O(n log n) sort and a cumulative-count sweep over the distinct scores
 (Fawcett 2006, Alg. 1-2): tied samples are scored as a group, and FPR95
 is read at the operating points "flag every score >= d". The sweep reads
 its counts only at tie-group ends, so the sort need not be stable and
-numpy's default (introsort) argsort is used. All metric functions are
-pure and permutation-invariant over samples, bit for bit.
+numpy's default (introsort) argsort is used. The sort is shared through
+a one-entry memo: ranking the same (scores, labels) again, as callers
+do when they report all three metrics, reuses the last vector's tie
+groups instead of sorting again. The memo holds read-only copies of that
+one vector, its labels and its groups, at most 25 bytes per score, and
+no reference to a caller's array. The groups depend only on comparisons,
+so every result is the same, bit for bit, as with a fresh sort. All
+metric functions are pure and permutation-invariant over samples, bit
+for bit. Labels are bool or exactly 0 or 1; anything else is a
+ValueError naming the first bad entry, never coerced.
 
 Reports are plain dicts; ``render_report`` is the one writer of the YAML
 report format, used for the train log and the eval and ood reports.
@@ -148,11 +156,29 @@ def predict_batch(
     )
 
 
+def _as_bool_labels(labels: np.ndarray) -> np.ndarray:
+    """Labels as bool; an entry that is not bool, 0 or 1 is a ValueError.
+
+    A cast would read 0.5 or NaN as True, so the first such entry is
+    named instead, as the trainer does for its labels.
+    """
+    if labels.dtype == bool:
+        return labels
+    hard = (labels == 0) | (labels == 1)
+    if not hard.all():
+        bad = int(np.flatnonzero(~hard)[0])
+        where = (f"index {bad}" if labels.ndim == 1
+                 else "row {}, class {}".format(*np.unravel_index(bad, labels.shape)))
+        value = labels.ravel()[bad:bad + 1].tolist()[0]
+        raise ValueError(f"labels must be 0 or 1, but {where} is {value!r}")
+    return labels.astype(bool)
+
+
 def _as_label_matrix(a) -> np.ndarray:
     m = np.asarray(a)
     if m.ndim != 2:
         raise ValueError(f"expected an (N, K) label matrix, got shape {m.shape}")
-    return m.astype(bool)
+    return _as_bool_labels(m)
 
 
 def f1_normal(pred_labels, true_labels) -> float:
@@ -230,9 +256,10 @@ def f2_ciw(pred_labels, true_labels, ciw: CIWTable) -> float:
 
 def _check_scores(scores, labels, need_neg=True):
     s = np.asarray(scores, dtype=np.float64)
-    y = np.asarray(labels).astype(bool)
+    y = np.asarray(labels)
     if s.ndim != 1 or s.shape != y.shape or s.size == 0:
         raise ValueError("scores and labels must be matching non-empty vectors")
+    y = _as_bool_labels(y)
     if np.isnan(s).any():
         raise ValueError("scores contain NaN")
     n_pos = int(y.sum())
@@ -244,21 +271,40 @@ def _check_scores(scores, labels, need_neg=True):
     return s, y, n_pos, n_neg
 
 
+# (s, y, flagged, tp) of the last _tie_groups call that sorted, all
+# read-only copies. One tuple, read once and replaced whole, so threads
+# that race at worst sort twice.
+_last_ranked = None
+
+
 def _tie_groups(s: np.ndarray, y: np.ndarray):
     """One descending sort; per tie group, the cumulative counts.
 
-    Returns (flagged, tp): for each distinct score d_i, highest first, the
-    number of samples with score >= d_i and how many of them are positive.
-    Both are read only at the last position of each tie group, where the
-    running count covers every sample of the group and of the groups
-    before it, whatever order the sort left the tied samples in. So the
-    sort need not be stable, and numpy's default argsort is used. -0.0
-    and 0.0 compare equal and share a group.
+    Returns (flagged, tp), read-only: for each distinct score d_i, highest
+    first, the number of samples with score >= d_i and how many of them
+    are positive. Both are read only at the last position of each tie
+    group, where the running count covers every sample of the group and
+    of the groups before it, whatever order the sort left the tied samples
+    in. So the sort need not be stable, and numpy's default argsort is
+    used. -0.0 and 0.0 compare equal and share a group.
+
+    The groups depend only on comparisons, so inputs equal element by
+    element to the last sorted ones (signed zeros included) get that
+    call's groups back without a sort. The memo keeps copies, never the
+    caller's arrays, so editing them in place cannot reach it.
     """
+    global _last_ranked
+    last = _last_ranked
+    if last is not None and np.array_equal(last[0], s) and np.array_equal(last[1], y):
+        return last[2], last[3]
     order = np.argsort(-s)
     s_sorted = s[order]
     ends = np.flatnonzero(np.r_[s_sorted[1:] != s_sorted[:-1], True])
-    return ends + 1, np.cumsum(y[order])[ends]
+    memo = (s.copy(), y.copy(), ends + 1, np.cumsum(y[order])[ends])
+    for a in memo:
+        a.flags.writeable = False
+    _last_ranked = memo
+    return memo[2], memo[3]
 
 
 def auroc(scores, labels) -> float:
@@ -344,6 +390,9 @@ def write_scores_csv(path, ids, uncertainties, flags) -> None:
     ids = list(ids)
     u = np.asarray(uncertainties, dtype=np.float64)
     f = np.asarray(flags).astype(bool)
+    if u.ndim != 1 or f.ndim != 1:
+        raise ValueError(f"uncertainties and flags must be vectors, got shapes {u.shape} "
+                         f"and {f.shape}")
     if len(ids) != u.size or u.size != f.size:
         raise ValueError("ids, uncertainties, and flags must have equal length")
     with atomic_open(path) as fh:

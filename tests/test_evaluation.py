@@ -1,7 +1,9 @@
 """Tests for prediction, uncertainty aggregation, and the metric suite."""
 
 import csv
+import gc
 import math
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -259,6 +261,41 @@ class TestF2Ciw:
         y = np.array([[1, 0]])
         with pytest.raises(ConfigError):
             f2_ciw(y, y, CIWTable.uniform(["a", "b", "c"], weight=1.0))
+
+
+_RANKING_SCORES = np.array([0.1, 0.2, 0.3, 0.4])
+_MATRIX_PRED = np.array([[0, 1], [1, 0], [0, 0]])
+
+
+def _bad_ranking_labels(bad):
+    return np.array([0.0, bad, 0.0, 1.0])
+
+
+def _bad_label_matrix(bad):
+    return np.array([[0.0, 1.0], [bad, 0.0], [0.0, 0.0]])
+
+
+class TestLabelValues:
+    """A label that is not bool, 0 or 1 is named, not cast: a cast reads
+    0.5 or NaN as True."""
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, 2.0, -1.0])
+    @pytest.mark.parametrize(
+        "call, where",
+        [
+            (lambda bad: auroc(_RANKING_SCORES, _bad_ranking_labels(bad)), "index 1"),
+            (lambda bad: aupr(_RANKING_SCORES, _bad_ranking_labels(bad)), "index 1"),
+            (lambda bad: fpr_at_95_tpr(_RANKING_SCORES, _bad_ranking_labels(bad)), "index 1"),
+            (lambda bad: f1_normal(_MATRIX_PRED, _bad_label_matrix(bad)), "row 1, class 0"),
+            (lambda bad: f2_ciw(_MATRIX_PRED, _bad_label_matrix(bad),
+                                CIWTable.uniform(["a", "b"], 0.5)), "row 1, class 0"),
+            (lambda bad: per_class_f2(_bad_label_matrix(bad), _MATRIX_PRED), "row 1, class 0"),
+        ],
+        ids=["auroc", "aupr", "fpr_at_95_tpr", "f1_normal", "f2_ciw", "per_class_f2"],
+    )
+    def test_non_binary_label_rejected(self, call, where, bad):
+        with pytest.raises(ValueError, match=f"labels must be 0 or 1, but {where} is {bad!r}"):
+            call(bad)
 
 
 def _pair_count_auroc(scores, labels):
@@ -558,6 +595,90 @@ class TestTieOrder:
         np.testing.assert_array_equal(tp, [0, 2])
 
 
+def _bits(value):
+    return np.float64(value).tobytes()
+
+
+_RANKINGS = (auroc, aupr, fpr_at_95_tpr)
+
+
+@st.composite
+def _interleaved_rankings(draw):
+    """Tie-heavy (scores, labels) pairs of one length and a sequence of
+    (pair, metric) calls over them. The pairs are a draw, its signed-zero
+    twin (equal element by element), the draw relabelled, and a second draw."""
+    n = draw(st.integers(2, 40))
+    both = st.lists(st.booleans(), min_size=n, max_size=n).filter(lambda v: any(v) and not all(v))
+    first, second = (np.array(draw(st.lists(_SIGNED_TIED_SCORE, min_size=n, max_size=n)))
+                     for _ in range(2))
+    labels, relabelled = np.array(draw(both)), np.array(draw(both))
+    twin = np.where(first == 0.0, -first, first)
+    pairs = [(first, labels), (twin, labels), (first, relabelled), (second, labels)]
+    calls = draw(st.lists(st.tuples(st.integers(0, len(pairs) - 1),
+                                    st.integers(0, len(_RANKINGS) - 1)),
+                          min_size=1, max_size=12))
+    return pairs, calls
+
+
+class TestRankingMemo:
+    """auroc, aupr and fpr_at_95_tpr share the last vector's sort."""
+
+    def _fresh(self, monkeypatch, metric, scores, labels):
+        """The metric as a first call: nothing ranked before it."""
+        monkeypatch.setattr(evaluation, "_last_ranked", None, raising=False)
+        return metric(scores, labels)
+
+    def test_three_metrics_sort_once(self, monkeypatch):
+        rng = np.random.default_rng(26)
+        scores = rng.integers(0, 40, size=500) / 7.0
+        labels = rng.uniform(size=500) < 0.3
+        monkeypatch.setattr(evaluation, "_last_ranked", None, raising=False)
+        sorts = []
+        argsort = np.argsort
+        monkeypatch.setattr(np, "argsort", lambda *a, **k: sorts.append(None) or argsort(*a, **k))
+        for metric in _RANKINGS:
+            metric(scores, labels)
+        assert len(sorts) == 1
+
+    def test_in_place_edits_are_seen(self, monkeypatch):
+        rng = np.random.default_rng(27)
+        scores = rng.integers(0, 6, size=60) / 7.0
+        labels = np.arange(60) % 3 == 0
+        before = [metric(scores, labels) for metric in _RANKINGS]
+        scores[:20] = 1.0
+        edited = [metric(scores, labels) for metric in _RANKINGS]
+        labels[30:40] = ~labels[30:40]
+        relabelled = [metric(scores, labels) for metric in _RANKINGS]
+        assert edited != before and relabelled != edited
+        assert relabelled == [self._fresh(monkeypatch, metric, scores.copy(), labels.copy())
+                              for metric in _RANKINGS]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_interleaved_rankings())
+    def test_interleaved_calls_equal_stable_sort(self, case):
+        pairs, calls = case
+        for pair, m in calls:
+            got = _RANKINGS[m](*pairs[pair])
+            with mock.patch.object(evaluation, "_tie_groups", _stable_tie_groups):
+                want = _RANKINGS[m](*pairs[pair])
+            assert _bits(got) == _bits(want)
+
+    def test_memo_keeps_no_caller_array_and_groups_are_read_only(self):
+        scores = np.random.default_rng(28).normal(size=100)
+        labels = np.arange(100) % 4 == 0
+        refs = [weakref.ref(scores), weakref.ref(labels)]
+        for metric in _RANKINGS:
+            metric(scores, labels)
+        del scores, labels
+        gc.collect()
+        assert [ref() for ref in refs] == [None, None]
+        s = np.array([0.5, 0.0, 0.5, -0.0])
+        y = np.array([True, False, False, True])
+        for _ in range(2):  # a sort, then the memo
+            flagged, tp = _tie_groups(s, y)
+            assert not flagged.flags.writeable and not tp.flags.writeable
+
+
 class TestBaselines:
     def test_maxlogit_hand_values(self):
         out = baseline_ood_scores(np.array([[3.0, -1.0], [0.5, 2.0]]), "maxlogit")
@@ -652,6 +773,14 @@ class TestScoresCsv:
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             write_scores_csv(tmp_path / "s.csv", ["a"], [0.1, 0.2], [0, 1])
+
+    @pytest.mark.parametrize("u, flags", [([[0.5]], [1]), ([0.5], [[1]])],
+                             ids=["uncertainty-column", "flag-column"])
+    def test_column_input_rejected(self, tmp_path, u, flags):
+        # one element passes the length check, but its row would read "[0.5]" or "[1]"
+        with pytest.raises(ValueError, match="must be vectors"):
+            write_scores_csv(tmp_path / "s.csv", ["a"], u, flags)
+        assert not (tmp_path / "s.csv").exists()
 
     def test_bytes_equal_per_row_writer(self, tmp_path):
         # ids with a comma, a quote, a space and a newline must be quoted

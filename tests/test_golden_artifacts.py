@@ -5,9 +5,11 @@ Runs generate, train, eval, ood and the ``--freeze-backbone`` refit as
 (``EDL_NUM_THREADS=1``) and compares each output file's digest with a
 value recorded on the platform in ``PLATFORM``. Criterion 8 only checks
 that two runs of the same code agree; these digests also hold across
-refactors. The bytes depend on the BLAS build and on the kernels OpenBLAS
-picks for the CPU, so the test skips anywhere else. A change that alters
-an artifact on purpose re-records the digests and says why in CHANGES.md.
+refactors. The README's "Library use" block runs the same way and must
+print the AUROC the README states. The bytes depend on the BLAS build and
+on the kernels OpenBLAS picks for the CPU, so the tests skip anywhere
+else. A change that alters an artifact on purpose re-records the digests
+and says why in CHANGES.md.
 """
 
 import ctypes
@@ -77,7 +79,8 @@ def _platform():
     }
 
 
-def _run_walkthrough(workdir: Path) -> None:
+def _run_python(args, workdir: Path) -> subprocess.CompletedProcess:
+    """Run ``python *args`` on this evidkit with one BLAS thread."""
     package_root = str(Path(evidkit.__file__).resolve().parent.parent)
     inherited = os.environ.get("PYTHONPATH")
     env = {
@@ -86,20 +89,40 @@ def _run_walkthrough(workdir: Path) -> None:
     }
     env["EDL_NUM_THREADS"] = "1"
     env["PYTHONPATH"] = package_root + (os.pathsep + inherited if inherited else "")
+    return subprocess.run([sys.executable, *args], cwd=workdir, env=env,
+                          capture_output=True, text=True, timeout=600)
+
+
+def _run_walkthrough(workdir: Path) -> None:
     for command in WALKTHROUGH:
-        proc = subprocess.run(
-            [sys.executable, "-m", "evidkit.cli", *command],
-            cwd=workdir, env=env, capture_output=True, text=True, timeout=600,
-        )
+        proc = _run_python(["-m", "evidkit.cli", *command], workdir)
         assert proc.returncode == 0, f"{' '.join(command)} failed: {proc.stderr}"
 
 
-def test_walkthrough_artifacts_match_golden_digests(tmp_path):
+def _skip_off_platform():
     here = _platform()
     if here != PLATFORM:
         pytest.skip(f"digests were recorded on {PLATFORM}, this platform is {here}")
+
+
+def test_walkthrough_artifacts_match_golden_digests(tmp_path):
+    _skip_off_platform()
     _run_walkthrough(tmp_path)
     digests = {
         rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in GOLDEN
     }
     assert digests == GOLDEN
+
+
+def _readme_library_block() -> str:
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library use\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_block_prints_its_auroc(tmp_path):
+    # the README states 0.858 for this block and a seed table beside it
+    _skip_off_platform()
+    proc = _run_python(["-c", _readme_library_block()], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("unknown-detection AUROC: 0.858"), proc.stdout

@@ -23,7 +23,8 @@ from .datasets import (
     GenConfig,
     generate_dataset,
     load_ciw_config,
-    load_dataset,
+    load_dataset,  # unused here; perfbench patches this name (ROADMAP item 8)
+    load_training,
     load_validation,
     random_ciw_table,
     samples_to_arrays,
@@ -132,13 +133,13 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
-    split = load_dataset(args.data)
-    ciw = _align_ciw(load_ciw_config(args.ciw), split.known_classes)
-    if not split.train:
+    known_classes, train = load_training(args.data)
+    ciw = _align_ciw(load_ciw_config(args.ciw), known_classes)
+    if not train:
         raise DataFormatError("train split has no samples to fit")
-    dim, k_known = split.dim, split.k_known
-    ids, x, y, _ = samples_to_arrays(split.train, k_known, dim)
-    del split  # the fit needs only the arrays; the tables' memory goes before it
+    k_known, dim = len(known_classes), train.x.shape[1]
+    ids, x, y, _ = samples_to_arrays(train, k_known, dim)
+    del train  # the fit needs only the arrays; the table's memory goes before it
 
     defaults = {}
     if args.freeze_backbone:

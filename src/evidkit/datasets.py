@@ -613,6 +613,34 @@ def load_dataset(path) -> DatasetSplit:
     )
 
 
+def _load_one_split(path, records_file: str) -> tuple[tuple[str, ...], SampleTable]:
+    """The known classes and the rows of the split file ``records_file``; of
+    the other split file only the header line is read, which must agree.
+    train.edlset is read first, records or header."""
+    directory = Path(path)
+    headers, rows = [], None
+    for name, forbid_unknown in ((TRAIN_FILENAME, True), (VAL_FILENAME, False)):
+        if name == records_file:
+            *header, rows = _load_split_file(directory / name, forbid_unknown)
+        else:
+            header = _read_split_header(directory / name)
+        headers.append(tuple(header))
+    _check_headers_agree(*headers, directory)
+    _, k_known, classes = headers[0]
+    return classes[:k_known], rows
+
+
+def load_training(path) -> tuple[tuple[str, ...], SampleTable]:
+    """The known classes and the train rows of a dataset directory.
+
+    Reads all of train.edlset but only the header line of val.edlset,
+    which must agree with the train header on D, K and the class list;
+    the validation records are neither read nor checked. The rows are
+    those of ``load_dataset(path).train``, with D feature columns.
+    """
+    return _load_one_split(path, TRAIN_FILENAME)
+
+
 def load_validation(path) -> tuple[tuple[str, ...], SampleTable]:
     """The known classes and the validation rows of a dataset directory.
 
@@ -621,12 +649,7 @@ def load_validation(path) -> tuple[tuple[str, ...], SampleTable]:
     list; the train records are neither read nor checked. The rows are
     those of ``load_dataset(path).validation``, with D feature columns.
     """
-    directory = Path(path)
-    train_header = _read_split_header(directory / TRAIN_FILENAME)
-    dim, k_known, classes, rows = _load_split_file(directory / VAL_FILENAME,
-                                                   forbid_unknown=False)
-    _check_headers_agree(train_header, (dim, k_known, classes), directory)
-    return classes[:k_known], rows
+    return _load_one_split(path, VAL_FILENAME)
 
 
 def load_ciw_config(path) -> CIWTable:

@@ -156,8 +156,9 @@ def predict_batch(
     )
 
 
-def _as_bool_labels(labels: np.ndarray) -> np.ndarray:
-    """Labels as bool; an entry that is not bool, 0 or 1 is a ValueError.
+def _as_bool_labels(labels: np.ndarray, what: str = "labels") -> np.ndarray:
+    """Labels as bool; an entry that is not bool, 0 or 1 is a ValueError
+    whose message calls the array `what`.
 
     A cast would read 0.5 or NaN as True, so the first such entry is
     named instead, as the trainer does for its labels.
@@ -170,7 +171,7 @@ def _as_bool_labels(labels: np.ndarray) -> np.ndarray:
         where = (f"index {bad}" if labels.ndim == 1
                  else "row {}, class {}".format(*np.unravel_index(bad, labels.shape)))
         value = labels.ravel()[bad:bad + 1].tolist()[0]
-        raise ValueError(f"labels must be 0 or 1, but {where} is {value!r}")
+        raise ValueError(f"{what} must be 0 or 1, but {where} is {value!r}")
     return labels.astype(bool)
 
 
@@ -389,10 +390,11 @@ def write_scores_csv(path, ids, uncertainties, flags) -> None:
     """Per-sample score table: sample_id, uncertainty, is_unknown."""
     ids = list(ids)
     u = np.asarray(uncertainties, dtype=np.float64)
-    f = np.asarray(flags).astype(bool)
+    f = np.asarray(flags)
     if u.ndim != 1 or f.ndim != 1:
         raise ValueError(f"uncertainties and flags must be vectors, got shapes {u.shape} "
                          f"and {f.shape}")
+    f = _as_bool_labels(f, "flags")
     if len(ids) != u.size or u.size != f.size:
         raise ValueError("ids, uncertainties, and flags must have equal length")
     with atomic_open(path) as fh:

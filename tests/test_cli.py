@@ -510,7 +510,8 @@ class TestCorruptInputsExit3:
     def test_non_finite_feature(self, tmp_path, capsys, command, value):
         d = _generate(tmp_path / "data")
         ckpt = _checkpoint(d, tmp_path / "run")
-        _replace_feature(d / VAL_FILENAME, 5, value)
+        # each command reads the records of one split file only
+        _replace_feature(d / (TRAIN_FILENAME if command == "train" else VAL_FILENAME), 5, value)
         args = {
             "train": ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME), *TINY_TRAIN],
             "eval": ["eval", "--checkpoint", str(ckpt), "--data", str(d),
@@ -658,15 +659,16 @@ class TestCorruptInputsExit3:
         assert capsys.readouterr().err.startswith(f"error: {bad}: line 1: ")
 
 
-def _eval_or_ood(command, d, ckpt, out):
-    extra = ["--ciw", str(d / CIW_FILENAME)] if command == "eval" else []
-    return [command, "--checkpoint", str(ckpt), "--data", str(d), *extra, "--out", str(out)]
-
-
 def _command(command, d, ckpt, out):
-    if command == "train":
-        return ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME), "--out", str(out)]
-    return _eval_or_ood(command, d, ckpt, out)
+    """The arguments of `command`; "refit" is `train` with a frozen `ckpt` backbone."""
+    if command in ("eval", "ood"):
+        extra = ["--ciw", str(d / CIW_FILENAME)] if command == "eval" else []
+        return [command, "--checkpoint", str(ckpt), "--data", str(d), *extra, "--out", str(out)]
+    args = ["train", "--data", str(d), "--ciw", str(d / CIW_FILENAME), "--out", str(out),
+            *TINY_TRAIN]
+    if command == "refit":
+        args += ["--freeze-backbone", "--init-from", str(ckpt)]
+    return args
 
 
 @pytest.mark.parametrize("command, flag, value", [
@@ -685,9 +687,7 @@ def test_removed_flag_is_rejected(tmp_path, capsys, command, flag, value):
     d = _generate(tmp_path / "data")
     ckpt = _checkpoint(d, tmp_path / "run")
     out = tmp_path / "out"
-    args = _command("train" if command == "refit" else command, d, ckpt, out)
-    if command == "refit":
-        args += ["--freeze-backbone", "--init-from", str(ckpt)]
+    args = _command(command, d, ckpt, out)
     capsys.readouterr()
     with pytest.raises(SystemExit) as err:
         main([*args, flag, value])
@@ -711,25 +711,37 @@ def test_no_known_classes_in_the_header_exits_3(tmp_path, capsys, command):
     assert not out.exists()
 
 
+# each command, and the split file it reads only the header line of
+_HEADER_ONLY = pytest.mark.parametrize("command, header_only", [
+    pytest.param("eval", TRAIN_FILENAME, id="eval"),
+    pytest.param("ood", TRAIN_FILENAME, id="ood"),
+    pytest.param("train", VAL_FILENAME, id="train"),
+    pytest.param("refit", VAL_FILENAME, id="refit"),
+])
+
+
 class TestTrainFileForEvalAndOod:
-    """`eval` and `ood` read only the header line of train.edlset."""
+    """Each command reads only the header line of one split file: `eval` and
+    `ood` that of train.edlset, `train` and the refit that of val.edlset."""
 
     OUTPUTS = {"eval": [EVAL_REPORT_FILENAME],
-               "ood": [OOD_REPORT_FILENAME, OOD_SCORES_FILENAME]}
+               "ood": [OOD_REPORT_FILENAME, OOD_SCORES_FILENAME],
+               "train": [CHECKPOINT_FILENAME, TRAIN_LOG_FILENAME],
+               "refit": [CHECKPOINT_FILENAME, TRAIN_LOG_FILENAME]}
 
     @pytest.mark.parametrize("damage", ["garbage records", "truncated after the header"])
-    @pytest.mark.parametrize("command", ["eval", "ood"])
-    def test_train_records_are_not_read(self, tmp_path, command, damage):
+    @_HEADER_ONLY
+    def test_train_records_are_not_read(self, tmp_path, command, header_only, damage):
         d = _generate(tmp_path / "data")
         ckpt = _checkpoint(d, tmp_path / "run")
-        assert main(_eval_or_ood(command, d, ckpt, tmp_path / "pristine")) == 0
-        train = d / TRAIN_FILENAME
-        header, records = train.read_bytes().split(b"\n", 1)
+        assert main(_command(command, d, ckpt, tmp_path / "pristine")) == 0
+        path = d / header_only
+        header, records = path.read_bytes().split(b"\n", 1)
         body = b""
         if damage == "garbage records":
             body = b"not a record \xff\n" * records.count(b"\n")
-        train.write_bytes(header + b"\n" + body)
-        assert main(_eval_or_ood(command, d, ckpt, tmp_path / "damaged")) == 0
+        path.write_bytes(header + b"\n" + body)
+        assert main(_command(command, d, ckpt, tmp_path / "damaged")) == 0
         for name in self.OUTPUTS[command]:
             assert (tmp_path / "damaged" / name).read_bytes() == (
                 tmp_path / "pristine" / name).read_bytes()
@@ -740,40 +752,45 @@ class TestTrainFileForEvalAndOod:
         ("malformed header", "line 1: malformed dataset header"),
         ("non-UTF-8 header", "line 1: not UTF-8 text"),
     ])
-    @pytest.mark.parametrize("command", ["eval", "ood"])
-    def test_bad_train_header_exits_3(self, tmp_path, capsys, command, fault, problem):
+    @_HEADER_ONLY
+    def test_bad_train_header_exits_3(self, tmp_path, capsys, command, header_only, fault,
+                                      problem):
         d = _generate(tmp_path / "data")
         ckpt = _checkpoint(d, tmp_path / "run")
-        train = d / TRAIN_FILENAME
-        header, rest = train.read_bytes().split(b"\n", 1)
+        path = d / header_only
+        header, rest = path.read_bytes().split(b"\n", 1)
         if fault == "missing":
-            train.unlink()
+            path.unlink()
         else:
-            train.write_bytes({
+            path.write_bytes({
                 "empty": b"",
                 "malformed header": b"#edlset\n" + rest,
                 "non-UTF-8 header": header + b"\xff\n" + rest,
             }[fault])
         out = tmp_path / "out"
         capsys.readouterr()
-        assert main(_eval_or_ood(command, d, ckpt, out)) == 3
-        assert capsys.readouterr().err.startswith(f"error: {train}: {problem}")
+        assert main(_command(command, d, ckpt, out)) == 3
+        assert capsys.readouterr().err.startswith(f"error: {path}: {problem}")
         assert not out.exists()
 
     @pytest.mark.parametrize("old, new", [
         (" D=4 ", " D=5 "), (" K=3 ", " K=2 "), ("classes=known_01", "classes=other_01"),
     ])
-    @pytest.mark.parametrize("command", ["eval", "ood"])
-    def test_train_header_disagreement_exits_3(self, tmp_path, capsys, command, old, new):
+    @_HEADER_ONLY
+    def test_train_header_disagreement_exits_3(self, tmp_path, capsys, command, header_only,
+                                               old, new):
         d = _generate(tmp_path / "data")
         ckpt = _checkpoint(d, tmp_path / "run")
-        train = d / TRAIN_FILENAME
-        text = train.read_text()
+        path = d / header_only
+        text = path.read_text()
         assert old in text.splitlines()[0]
-        train.write_text(text.replace(old, new, 1))
+        path.write_text(text.replace(old, new, 1))
+        out = tmp_path / "out"
         capsys.readouterr()
-        assert main(_eval_or_ood(command, d, ckpt, tmp_path / "out")) == 3
-        assert "train and validation headers disagree" in capsys.readouterr().err
+        assert main(_command(command, d, ckpt, out)) == 3
+        assert capsys.readouterr().err == (
+            f"error: {d / VAL_FILENAME}: line 1: train and validation headers disagree\n")
+        assert not out.exists()
 
 
 class TestAtomicWrites:

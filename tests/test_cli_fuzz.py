@@ -114,6 +114,7 @@ def _mutate(data: bytes, changes, truncate) -> bytes:
     ("data/" + TRAIN_FILENAME, "train"),
     ("data/" + TRAIN_FILENAME, "eval"),
     ("data/" + TRAIN_FILENAME, "ood"),
+    ("data/" + VAL_FILENAME, "train"),
     ("data/" + VAL_FILENAME, "eval"),
     ("data/" + VAL_FILENAME, "ood"),
     ("data/" + CIW_FILENAME, "train"),

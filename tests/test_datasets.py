@@ -19,6 +19,7 @@ from evidkit.datasets import (
     generate_dataset,
     load_ciw_config,
     load_dataset,
+    load_training,
     load_validation,
     random_ciw_table,
     samples_to_arrays,
@@ -296,6 +297,32 @@ class TestDatasetFiles:
             ours, theirs = getattr(rows, name), getattr(full.validation, name)
             assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
             assert ours.tobytes() == theirs.tobytes()
+
+    @pytest.mark.parametrize("n_train", [60, 0])
+    def test_training_loader_matches_load_dataset(self, tmp_path, n_train):
+        split = generate_dataset(SMALL)
+        save_dataset(replace(split, train=split.train[:n_train]), tmp_path / "d")
+        full = load_dataset(tmp_path / "d")
+        known_classes, rows = load_training(tmp_path / "d")
+        assert known_classes == full.known_classes
+        assert rows.ids == full.train.ids and len(rows) == n_train
+        for name in ("x", "labels", "unknown"):
+            ours, theirs = getattr(rows, name), getattr(full.train, name)
+            assert (ours.dtype, ours.shape) == (theirs.dtype, theirs.shape)
+            assert ours.tobytes() == theirs.tobytes()
+
+    def test_one_split_loaders_report_a_header_disagreement_alike(self, tmp_path):
+        # a renamed class leaves val.edlset's records valid, so both loaders reach the check
+        d = self._saved(tmp_path)
+        val = d / VAL_FILENAME
+        val.write_text(val.read_text().replace("classes=known_01", "classes=other_01", 1))
+        messages = []
+        for load in (load_training, load_validation):
+            with pytest.raises(DataFormatError) as err:
+                load(d)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert messages[0] == f"{val}: line 1: train and validation headers disagree"
 
 
 

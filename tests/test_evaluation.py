@@ -782,6 +782,14 @@ class TestScoresCsv:
             write_scores_csv(tmp_path / "s.csv", ["a"], u, flags)
         assert not (tmp_path / "s.csv").exists()
 
+    @pytest.mark.parametrize("bad", [0.5, float("nan"), 2, -1])
+    def test_soft_flag_rejected(self, tmp_path, bad):
+        # a cast to bool would write any nonzero flag, NaN too, as is_unknown 1
+        with pytest.raises(ValueError, match=f"flags must be 0 or 1, but index 1 is {bad!r}"):
+            write_scores_csv(tmp_path / "s.csv", ["a", "b", "c"], [0.5, 0.25, 0.1],
+                             [1.0, bad, 0.5])
+        assert not (tmp_path / "s.csv").exists()
+
     def test_bytes_equal_per_row_writer(self, tmp_path):
         # ids with a comma, a quote, a space and a newline must be quoted
         ids = ["va-00000", "a,b", 'say "hi"', " pad ", "two\nlines", "", "plain"]

@@ -49,8 +49,6 @@ from .evaluation import (
 from .fileio import write_text
 from .network import (
     BATCH_SIZE,
-    LR_DECAY_EVERY,
-    LR_DECAY_RATIO,
     WEIGHT_DECAY,
     TrainConfig,
     batch_evidence,
@@ -169,8 +167,6 @@ def cmd_train(args) -> int:
             "ciw": args.ciw,
             **asdict(config),
             "batch_size": BATCH_SIZE,
-            "lr_decay_ratio": LR_DECAY_RATIO,
-            "lr_decay_every": LR_DECAY_EVERY,
             "weight_decay": WEIGHT_DECAY,
             "hidden": result.mlp.hidden,
             "feature_dim": result.mlp.dim_out,

@@ -113,7 +113,9 @@ class SampleTable(Sequence):
 
     Every selection returns a table: an int index (negative allowed) the
     one-row table at that position, a slice, a bool mask or an index array
-    the rows it selects. A table equals another table with the same arrays.
+    the rows it selects. An empty index array selects no row; a bool mask
+    that is not one entry per row raises IndexError. A table equals another
+    table with the same arrays.
     """
 
     ids: tuple[str, ...]
@@ -150,7 +152,13 @@ class SampleTable(Sequence):
             key = slice(i, i + 1)
         elif not isinstance(key, slice):
             key = np.asarray(key)
-        x = self.x[key]  # numpy checks the mask length and the index range
+            # numpy takes an empty mask as an empty index array, for any length
+            if key.dtype == bool and key.shape != (len(self.ids),):
+                raise IndexError(f"a bool mask of shape {key.shape} does not fit the "
+                                 f"table's {len(self.ids)} rows")
+            if key.size == 0 and key.dtype != bool:
+                key = key.astype(np.intp)  # np.asarray([]) is float64, which numpy rejects
+        x = self.x[key]  # numpy checks the index range
         if isinstance(key, slice):
             ids = self.ids[key]
         elif key.dtype == bool:

@@ -72,10 +72,11 @@ inputs and labels from it with ``take``, so a fit holds no shuffled copy
 of the data beside the data. The trainer returns validated copies, never
 views.
 
-Every fit runs one SGD recipe, the module constants ``BATCH_SIZE``,
-``LR_DECAY_RATIO``, ``LR_DECAY_EVERY`` and ``WEIGHT_DECAY``, as the Beta
-prior is one constant; ``TrainConfig`` holds only what callers vary: the
-epochs, the learning rate and the seed.
+Every fit runs one SGD recipe, as the Beta prior is one constant:
+minibatches of ``BATCH_SIZE`` rows, one constant rate for all epochs,
+and decoupled weight decay ``WEIGHT_DECAY`` (Loshchilov & Hutter, ICLR
+2019). ``TrainConfig`` holds only what callers vary: the epochs, the
+learning rate and the seed.
 
 A fit checks once, at entry: the data's shapes and its label count
 against the CIW table, and the parameters' shapes and finiteness (the
@@ -195,17 +196,16 @@ class EvidenceHeadParams:
         return self.weight.shape[0]
 
 
-# the one SGD recipe of every fit (Loshchilov & Hutter, ICLR 2019): minibatches
-# of BATCH_SIZE rows, the rate times LR_DECAY_RATIO every LR_DECAY_EVERY
-# epochs, and decoupled weight decay
+# the one SGD recipe of every fit: minibatches of BATCH_SIZE rows at one
+# constant rate, and decoupled weight decay (Loshchilov & Hutter, ICLR 2019)
 BATCH_SIZE = 64
-LR_DECAY_RATIO = 0.1
-LR_DECAY_EVERY = 30
 WEIGHT_DECAY = 1e-4
 
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """A fit's epochs, its constant learning rate and its seed."""
+
     epochs: int = 60
     learning_rate: float = 0.1
     seed: int = 0
@@ -217,10 +217,6 @@ class TrainConfig:
             raise ConfigError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
-
-    def learning_rate_at(self, epoch: int) -> float:
-        """The step size of ``epoch``: times LR_DECAY_RATIO every LR_DECAY_EVERY epochs."""
-        return self.learning_rate * LR_DECAY_RATIO ** (epoch // LR_DECAY_EVERY)
 
 
 @dataclass(frozen=True)
@@ -454,9 +450,9 @@ def _fit(mlp, head, x, y, ciw, config, rng):
     n = x.shape[0]
     batches = [(slice(start, start + BATCH_SIZE), min(BATCH_SIZE, n - start))
                for start in range(0, n, BATCH_SIZE)]
+    lr = config.learning_rate
     epoch_losses = []
     for epoch in range(config.epochs):
-        lr = config.learning_rate_at(epoch)
         order = rng.permutation(n)
         total = 0.0
         for batch_idx, (rows, size) in enumerate(batches):

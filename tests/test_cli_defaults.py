@@ -79,8 +79,12 @@ def _logged_config(tmp_path, extra=()):
 def test_default_train_logs_the_default_configs(tmp_path):
     config, out = _logged_config(tmp_path)
     assert {k: config[k] for k in asdict(TrainConfig())} == asdict(TrainConfig())
-    for key in ("batch_size", "lr_decay_ratio", "lr_decay_every", "weight_decay"):
+    for key in ("batch_size", "weight_decay"):
         assert config[key] == getattr(network, key.upper())
+    # the log's keys, exactly: a constant rate leaves no schedule to record
+    assert set(config) == {"data", "ciw", *asdict(TrainConfig()), "batch_size",
+                           "weight_decay", "hidden", "feature_dim", "prior_weight",
+                           "freeze_backbone", "init_from"}
     assert config["hidden"] == list(DEFAULT_HIDDEN)
     assert config["feature_dim"] == DEFAULT_FEATURE_DIM
     assert config["prior_weight"] == DEFAULT_PRIOR_WEIGHT

@@ -163,7 +163,7 @@ class TestTrainConfig:
         cfg = TrainConfig()
         assert cfg.epochs == 60
         assert cfg.learning_rate == 0.1
-        assert network.LR_DECAY_EVERY == 30
+        assert cfg.seed == 0
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -179,27 +179,26 @@ class TestTrainConfig:
         with pytest.raises(ConfigError):
             TrainConfig(**kwargs)
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},
-            {"epochs": 3, "lr_decay_ratio": 1e150, "lr_decay_every": 1},
-            {"epochs": 2, "learning_rate": 0.0, "lr_decay_ratio": 1e308, "lr_decay_every": 1},
-            {"epochs": 5, "lr_decay_ratio": 1e-200, "lr_decay_every": 2},
-            {"epochs": 0, "lr_decay_ratio": 1e300, "lr_decay_every": 1},
-        ],
-    )
-    def test_schedule_rates_are_the_formula(self, monkeypatch, kwargs):
-        kwargs = dict(kwargs)
-        monkeypatch.setattr(network, "LR_DECAY_RATIO",
-                            kwargs.pop("lr_decay_ratio", network.LR_DECAY_RATIO))
-        monkeypatch.setattr(network, "LR_DECAY_EVERY",
-                            kwargs.pop("lr_decay_every", network.LR_DECAY_EVERY))
-        cfg = TrainConfig(**kwargs)
-        for epoch in range(cfg.epochs):
-            rate = (cfg.learning_rate
-                    * network.LR_DECAY_RATIO ** (epoch // network.LR_DECAY_EVERY))
-            assert cfg.learning_rate_at(epoch) == rate and math.isfinite(rate)
+    @pytest.mark.parametrize("fit", ["train_model", "finetune_head"])
+    def test_every_step_runs_at_the_configured_rate(self, monkeypatch, fit):
+        """No schedule: every SGD step of every epoch gets ``config.learning_rate``."""
+        rates = []
+        original = network.sgd_step
+
+        def recording(param, grad, lr, *args, **kwargs):
+            rates.append(lr)
+            return original(param, grad, lr, *args, **kwargs)
+
+        monkeypatch.setattr(network, "sgd_step", recording)
+        x, y = _separable_data(n=10, dim=3)
+        cfg = TrainConfig(epochs=32, learning_rate=0.05, seed=1)
+        if fit == "train_model":
+            train_model(x, y, cfg, UNIFORM_CIW, hidden=(4,), feature_dim=3)
+        else:
+            mlp, head = init_model(3, 2, hidden=(4,), feature_dim=3, seed=2)
+            finetune_head(mlp, head, x, y, cfg, UNIFORM_CIW)
+        # ten rows make one batch, so one step per epoch
+        assert rates == [cfg.learning_rate] * cfg.epochs
 
 
 class TestGradients:
@@ -354,9 +353,7 @@ class TestTrainer:
         ref_mlp, _ = init_model(8, 2, (8,), 4, np.random.default_rng(4))
         np.testing.assert_array_equal(result.mlp.layers[0][0], ref_mlp.layers[0][0])
 
-    def test_separable_problem_reaches_low_loss(self, monkeypatch):
-        # small set means few SGD steps per epoch, hence the long schedule
-        monkeypatch.setattr(network, "LR_DECAY_EVERY", 150)
+    def test_separable_problem_reaches_low_loss(self):
         x, y = _separable_data()
         cfg = TrainConfig(epochs=300, learning_rate=0.1, seed=0)
         result = train_model(x, y, cfg, UNIFORM_CIW)

@@ -364,6 +364,22 @@ class TestSampleTable:
         with pytest.raises(IndexError):
             rows[np.ones(3, dtype=bool)]
 
+    @pytest.mark.parametrize("key", [[], (), np.array([], dtype=np.int64), np.array([])],
+                             ids=["list", "tuple", "int64", "float64"])
+    def test_empty_index_array_selects_no_row(self, key):
+        rows = generate_dataset(SMALL).validation
+        picked = rows[key]
+        assert picked == rows[:0]
+        assert picked.x.shape == (0, SMALL.dim) and picked.labels.shape == (0, 4)
+
+    def test_mask_must_cover_every_row(self):
+        rows = generate_dataset(SMALL).validation
+        for mask in (np.array([], dtype=bool), np.ones(3, dtype=bool),
+                     np.ones((len(rows), 1), dtype=bool)):
+            with pytest.raises(IndexError, match="does not fit the table's 30 rows"):
+                rows[mask]
+        assert rows[:0][np.array([], dtype=bool)] == rows[:0]
+
     def test_one_row_tables_stack_like_an_index_array(self):
         """A list of one-row tables, as a caller gathers rows one by one,
         gives the arrays of the index-array selection, bit for bit."""

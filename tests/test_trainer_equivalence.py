@@ -9,9 +9,9 @@ and masked the backward pass with z > 0, where the trainer takes the
 mask from the activation relu(z). Every returned array must match it bit
 for bit, and every epoch loss exactly.
 
-Each drawn problem also draws the SGD recipe (batch size, decay ratio and
-period, weight decay), set as the ``network`` constants that both trainers
-read.
+Each drawn problem also draws the SGD recipe (batch size and weight
+decay), set as the ``network`` constants that both trainers read. Both step
+at ``config.learning_rate`` in every epoch.
 
 The head-only refit oracle computes the backbone features of all rows
 once, with its own forward pass, and fits the head on them as a model
@@ -120,9 +120,9 @@ def _retired_fit(mlp, head, x, y, a_pos, a_neg, config, rng, update_backbone,
     with ``gather_per_epoch`` each epoch gathers all of its shuffled rows
     once and the batches are contiguous slices of that copy instead."""
     n = x.shape[0]
+    lr = config.learning_rate
     epoch_losses = []
     for epoch in range(config.epochs):
-        lr = config.learning_rate * network.LR_DECAY_RATIO ** (epoch // network.LR_DECAY_EVERY)
         order = rng.permutation(n)
         if gather_per_epoch:
             xs, ys = x[order], y[order]
@@ -203,8 +203,6 @@ fits = st.fixed_dictionaries({
     "epochs": st.integers(0, 3),
     "learning_rate": st.sampled_from([0.0, 1e-3, 0.1, 0.5]),
     "weight_decay": st.sampled_from([0.0, 1e-4, 0.05]),
-    "lr_decay_ratio": st.sampled_from([0.1, 0.5, 1.0, 2.0]),
-    "lr_decay_every": st.sampled_from([1, 2, 30]),
     "dim": st.integers(1, 6),
     "k": st.integers(1, 3),
     "seed": st.integers(0, 2**16),
@@ -217,10 +215,8 @@ def _config(p):
 
 def _recipe(p):
     """The drawn SGD recipe, set as the module constants both trainers read."""
-    return mock.patch.multiple(
-        network, BATCH_SIZE=p["batch_size"], LR_DECAY_RATIO=p["lr_decay_ratio"],
-        LR_DECAY_EVERY=p["lr_decay_every"], WEIGHT_DECAY=p["weight_decay"],
-    )
+    return mock.patch.multiple(network, BATCH_SIZE=p["batch_size"],
+                               WEIGHT_DECAY=p["weight_decay"])
 
 
 # -- equivalence -----------------------------------------------------------

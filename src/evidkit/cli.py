@@ -131,6 +131,15 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    defaults = {}
+    if args.freeze_backbone:
+        defaults = {"epochs": FINETUNE_EPOCHS, "learning_rate": FINETUNE_LR}
+    config = TrainConfig(**defaults | _config_values(TrainConfig, args))
+    if args.init_from and not args.freeze_backbone:
+        raise ConfigError("--init-from is only supported together with --freeze-backbone")
+    if args.freeze_backbone and not args.init_from:
+        raise ConfigError("--freeze-backbone requires --init-from CHECKPOINT")
+
     known_classes, train = load_training(args.data)
     ciw = _align_ciw(load_ciw_config(args.ciw), known_classes)
     if not train:
@@ -139,16 +148,7 @@ def cmd_train(args) -> int:
     ids, x, y, _ = samples_to_arrays(train, k_known, dim)
     del train  # the fit needs only the arrays; the table's memory goes before it
 
-    defaults = {}
     if args.freeze_backbone:
-        defaults = {"epochs": FINETUNE_EPOCHS, "learning_rate": FINETUNE_LR}
-    config = TrainConfig(**defaults | _config_values(TrainConfig, args))
-
-    if args.init_from and not args.freeze_backbone:
-        raise ConfigError("--init-from is only supported together with --freeze-backbone")
-    if args.freeze_backbone:
-        if not args.init_from:
-            raise ConfigError("--freeze-backbone requires --init-from CHECKPOINT")
         mlp, old_head = load_checkpoint(args.init_from)
         _check_model_matches(mlp, old_head, dim, k_known)
         head = init_head(mlp.dim_out, k_known, config.seed)
@@ -231,11 +231,11 @@ def cmd_eval(args) -> int:
 
 
 def cmd_ood(args) -> int:
+    agg = parse_aggregation(args.agg)
     mlp, head = load_checkpoint(args.checkpoint)
     known_classes, validation = load_validation(args.data)
     k_known, dim = len(known_classes), validation.x.shape[1]
     _check_model_matches(mlp, head, dim, k_known)
-    agg = parse_aggregation(args.agg)
 
     unknown = validation.unknown
     if not unknown.any():

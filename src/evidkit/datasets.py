@@ -38,6 +38,17 @@ named in the error. A file is read once on every path, a rejected one
 included: before that error is raised, the rest of the file is decoded,
 so a byte that is not UTF-8 anywhere in it is the error reported.
 
+Beside each split file ``save_dataset`` writes its cache, named after it
+with ``CACHE_SUFFIX`` (``train.edlset.cache``). Its first line is the hex
+SHA-256 of the split file's bytes followed by the cache's payload; the
+payload is x, labels and unknown as .npy blocks (``np.lib.format``), then
+the ids joined by newlines, in UTF-8. The loaders still read and check a
+split file's header line. They take the rows from the cache only when the
+digest, recomputed _CACHE_BLOCK_BYTES (1 MiB) at a time, matches and the
+arrays fit the header and the record rules; in every other case they
+parse the records. So errors come from the text alone, and a missing,
+stale or damaged cache changes no result. No loader writes a file.
+
 In memory a split is a SampleTable: one frozen row table of arrays, not a
 tuple of per-row objects. It holds `ids` (a tuple of N str), `x` (an
 (N, D) float64 feature matrix), `labels` (an (N, C) bool matrix over all
@@ -49,6 +60,8 @@ and index arrays give the rows they select.
 
 from __future__ import annotations
 
+import hashlib
+import io
 import math
 import re
 from collections.abc import Sequence
@@ -66,6 +79,8 @@ DATASET_MAGIC = "#edlset"
 DATASET_VERSION = "v1"
 TRAIN_FILENAME = "train.edlset"
 VAL_FILENAME = "val.edlset"
+# the cache of a split file is named after it with this suffix
+CACHE_SUFFIX = ".cache"
 
 # hard cap on the noise norm, in units of the noise scale
 NOISE_RADIUS = 2.0
@@ -74,6 +89,9 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 # records formatted per block when saving; bounds the temporary strings
 _WRITE_BLOCK_ROWS = 4096
+
+# bytes hashed or read per block when a cache is checked and read
+_CACHE_BLOCK_BYTES = 1 << 20
 
 # what a written id or name may not hold: the field tab and the str.splitlines
 # line breaks, where the readers split a file, and the surrogate code points,
@@ -269,21 +287,6 @@ class GenConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _ball_noise(rng: np.random.Generator, dim: int, scale: float) -> tuple[np.ndarray, float]:
-    """Isotropic noise, uniform in the ball of radius NOISE_RADIUS * scale.
-
-    Returns (direction, factor); the noise is factor * direction.
-    math.sqrt(d.dot(d)) is the Euclidean norm as np.linalg.norm computes it.
-    """
-    direction = rng.standard_normal(dim)
-    norm = math.sqrt(direction.dot(direction))
-    while norm == 0.0:
-        direction = rng.standard_normal(dim)
-        norm = math.sqrt(direction.dot(direction))
-    radius = NOISE_RADIUS * scale * rng.random() ** (1.0 / dim)
-    return direction, radius / norm
-
-
 def _known_prototypes(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
     gaussian = rng.standard_normal((cfg.dim, cfg.k_known))
     q, _ = np.linalg.qr(gaussian)
@@ -298,16 +301,6 @@ def _unknown_prototypes(rng, cfg, known_protos):
         a, b = pairs[int(p)]
         protos.append(cfg.unknown_scale * 0.5 * (known_protos[a] + known_protos[b]))
     return np.array(protos) if protos else np.zeros((0, cfg.dim))
-
-
-def _draw_known_labels(rng, cfg) -> tuple[int, ...]:
-    k = int(rng.integers(cfg.k_known))
-    if cfg.k_known > 1 and rng.random() < cfg.cooccurrence:
-        j = int(rng.integers(cfg.k_known - 1))
-        if j >= k:
-            j += 1
-        return tuple(sorted((k, j)))
-    return (k,)
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -335,27 +328,40 @@ def _generate_split(cfg: GenConfig) -> DatasetSplit:
     known_protos = _known_prototypes(rng, cfg)
     unknown_protos = _unknown_prototypes(rng, cfg, known_protos)
 
+    # the loop runs once per row, so it calls the generator's bound methods
+    # directly and makes no call of its own
+    random, integers, standard_normal = rng.random, rng.integers, rng.standard_normal
+    k_known, k_unknown, dim, n_train = cfg.k_known, cfg.k_unknown, cfg.dim, cfg.n_train
+    normal_rate, unknown_rate, cooccurrence = cfg.normal_rate, cfg.unknown_rate, cfg.cooccurrence
+    max_radius, root = NOISE_RADIUS * cfg.noise, 1.0 / dim
     codes = {}  # label tuple -> row of the centre and label tables, by first use
     row_codes, directions, factors = [], [], []
-
-    def draw_row(labels):
+    for i in range(n_train + cfg.n_val):
+        # a validation row is unknown with probability unknown_rate; any other
+        # row is label-free with probability normal_rate, else carries one
+        # known label, or with probability cooccurrence a second one
+        if i >= n_train and k_unknown > 0 and random() < unknown_rate:
+            labels = (k_known + int(integers(k_unknown)),)
+        elif random() < normal_rate:
+            labels = ()
+        else:
+            k = int(integers(k_known))
+            if k_known > 1 and random() < cooccurrence:
+                j = int(integers(k_known - 1))
+                labels = (k, j + 1) if j >= k else (j, k)
+            else:
+                labels = (k,)
         row_codes.append(codes.setdefault(labels, len(codes)))
-        direction, factor = _ball_noise(rng, cfg.dim, cfg.noise)
+        # noise uniform in the ball of radius NOISE_RADIUS * noise: a Gaussian
+        # direction, redrawn while zero, scaled to a radius drawn after it;
+        # math.sqrt(d.dot(d)) is the Euclidean norm as np.linalg.norm computes it
+        direction = standard_normal(dim)
+        norm = math.sqrt(direction.dot(direction))
+        while norm == 0.0:
+            direction = standard_normal(dim)
+            norm = math.sqrt(direction.dot(direction))
         directions.append(direction)
-        factors.append(factor)
-
-    for _ in range(cfg.n_train):
-        if rng.random() < cfg.normal_rate:
-            draw_row(())
-        else:
-            draw_row(_draw_known_labels(rng, cfg))
-    for _ in range(cfg.n_val):
-        if cfg.k_unknown > 0 and rng.random() < cfg.unknown_rate:
-            draw_row((cfg.k_known + int(rng.integers(cfg.k_unknown)),))
-        elif rng.random() < cfg.normal_rate:
-            draw_row(())
-        else:
-            draw_row(_draw_known_labels(rng, cfg))
+        factors.append(max_radius * random() ** root / norm)
 
     k_total = cfg.k_known + cfg.k_unknown
     centres = np.zeros((len(codes), cfg.dim))
@@ -390,18 +396,26 @@ def _generate_split(cfg: GenConfig) -> DatasetSplit:
     )
 
 
-def _write_split_file(path: Path, rows: SampleTable, split: DatasetSplit) -> None:
+def _write_hashed(fh, digest, data) -> None:
+    """Write the bytes-like ``data`` to ``fh`` and add it to ``digest``."""
+    fh.write(data)
+    digest.update(data)
+
+
+def _write_split_file(path: Path, rows: SampleTable, split: DatasetSplit):
     """Write the header line, then the records in blocks of _WRITE_BLOCK_ROWS
-    rows, with one tolist of the block's features and one write of its lines."""
+    rows, with one tolist of the block's features and one write of its lines.
+    Returns the SHA-256 hash object of the bytes written."""
     header = (
         f"{DATASET_MAGIC} {DATASET_VERSION} D={split.dim} K={split.k_known} "
         f"classes={','.join(split.classes)}"
     )
+    digest = hashlib.sha256()
     # the label and flag fields, formatted once per distinct (labels, flag) row;
     # a row's key is the bytes of its label row and flag as bools
     tails = {}
-    with atomic_open(path) as fh:
-        fh.write(header + "\n")
+    with atomic_open(path, binary=True) as fh:
+        _write_hashed(fh, digest, f"{header}\n".encode("utf-8"))
         for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
             block = slice(start, start + _WRITE_BLOCK_ROWS)
             flagged = np.column_stack((rows.labels[block], rows.unknown[block]))
@@ -409,14 +423,42 @@ def _write_split_file(path: Path, rows: SampleTable, split: DatasetSplit) -> Non
             for key in dict.fromkeys(keys).keys() - tails.keys():
                 indices = np.flatnonzero(np.frombuffer(key[:-1], dtype=bool)).tolist()
                 tails[key] = f"{','.join(map(str, indices))}\t{key[-1]}"
-            fh.write("".join([
+            _write_hashed(fh, digest, "".join([
                 f"{sample_id}\t{','.join(map(repr, features))}\t{tails[key]}\n"
                 for sample_id, features, key in zip(rows.ids[block], rows.x[block].tolist(), keys)
-            ]))
+            ]).encode("utf-8"))
+    return digest
+
+
+def _cache_path(path: Path) -> Path:
+    return path.with_name(path.name + CACHE_SUFFIX)
+
+
+def _write_split_cache(path: Path, rows: SampleTable, digest) -> None:
+    """Write the cache of the split file at ``path``, whose bytes ``digest``
+    has hashed: the hex digest of those bytes and of the payload, on a line
+    of its own, then the payload. The payload is x, labels and unknown as
+    .npy blocks, then the ids joined by newlines, in UTF-8. Each part is
+    written from the table's own memory or one block of ids at a time."""
+    with atomic_open(_cache_path(path), binary=True) as fh:
+        fh.write(b"0" * 64 + b"\n")  # the hex digest's place, filled in last
+        for array in (rows.x, rows.labels, rows.unknown):
+            array = np.ascontiguousarray(array)
+            header = io.BytesIO()
+            np.lib.format.write_array_header_1_0(
+                header, np.lib.format.header_data_from_array_1_0(array))
+            _write_hashed(fh, digest, header.getvalue())
+            _write_hashed(fh, digest, memoryview(array))
+        for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
+            ids = "\n".join(rows.ids[start:start + _WRITE_BLOCK_ROWS])
+            _write_hashed(fh, digest, ("\n" + ids if start else ids).encode("utf-8"))
+        fh.seek(0)
+        fh.write(digest.hexdigest().encode("ascii"))
 
 
 def save_dataset(split: DatasetSplit, path) -> None:
-    """Write a dataset directory containing train.edlset and val.edlset.
+    """Write a dataset directory containing train.edlset and val.edlset,
+    each followed by its cache (train.edlset.cache, val.edlset.cache).
 
     A sample id with a tab, a line break or a surrogate code point is a
     ValueError, raised before anything is written.
@@ -425,8 +467,9 @@ def save_dataset(split: DatasetSplit, path) -> None:
         _check_writable(rows.ids, "sample id")
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    _write_split_file(directory / TRAIN_FILENAME, split.train, split)
-    _write_split_file(directory / VAL_FILENAME, split.validation, split)
+    for name, rows in ((TRAIN_FILENAME, split.train), (VAL_FILENAME, split.validation)):
+        digest = _write_split_file(directory / name, rows, split)
+        _write_split_cache(directory / name, rows, digest)
 
 
 _HEADER_RE = re.compile(
@@ -583,9 +626,63 @@ def _read_split_header(path: Path):
     return _parse_header(line, path)
 
 
-def _load_split_file(path: Path, forbid_unknown: bool):
-    dim, k_known, classes = _read_split_header(path)
-    records = _Records(dim, k_known, len(classes), forbid_unknown)
+def _read_ids(fh) -> list[str]:
+    """The newline-joined UTF-8 ids from the position of ``fh`` to its end,
+    decoded _CACHE_BLOCK_BYTES at a time."""
+    ids, rest = [], b""
+    while block := fh.read(_CACHE_BLOCK_BYTES):
+        head, newline, rest = (rest + block).rpartition(b"\n")
+        if newline:
+            ids += head.decode("utf-8").split("\n")
+    if ids or rest:
+        ids.append(rest.decode("utf-8"))
+    return ids
+
+
+def _read_cache(path: Path, dim: int, k_known: int, k_total: int,
+                forbid_unknown: bool) -> SampleTable | None:
+    """The rows stored in the cache of the split file at ``path``, or None.
+
+    None when the cache is missing or unreadable, when its first line is not
+    the digest of the split file's bytes and its own payload, recomputed
+    here _CACHE_BLOCK_BYTES at a time, or when its arrays break a rule the
+    parser enforces: D features and one label column per class, finite
+    features, non-empty ids, unknown flags that match the labels, and no
+    unknown row where ``forbid_unknown``.
+    """
+    try:
+        with open(_cache_path(path), "rb") as fh:
+            stored = fh.readline(_CACHE_BLOCK_BYTES)
+            digest = hashlib.sha256()
+            with open(path, "rb") as text:
+                while block := text.read(_CACHE_BLOCK_BYTES):
+                    digest.update(block)
+            payload = fh.tell()
+            while block := fh.read(_CACHE_BLOCK_BYTES):
+                digest.update(block)
+            if stored != digest.hexdigest().encode("ascii") + b"\n":
+                return None
+            fh.seek(payload)
+            x, labels, unknown = (np.lib.format.read_array(fh) for _ in range(3))
+            ids = _read_ids(fh)
+    except (OSError, ValueError):  # ValueError covers a bad .npy block or id byte
+        return None
+    n = len(ids)
+    if ((x.dtype, x.shape) != (np.float64, (n, dim))
+            or (labels.dtype, labels.shape) != (bool, (n, k_total))
+            or (unknown.dtype, unknown.shape) != (bool, (n,))
+            or (unknown != labels[:, k_known:].any(axis=1)).any()
+            or (forbid_unknown and unknown.any())):
+        return None
+    try:
+        return SampleTable(ids, x, labels, unknown)
+    except ValueError:  # an empty id or a non-finite feature
+        return None
+
+
+def _parse_records(path: Path, dim: int, k_known: int, k_total: int,
+                   forbid_unknown: bool) -> SampleTable:
+    records = _Records(dim, k_known, k_total, forbid_unknown)
     blocks = read_line_blocks(path, skip=1)
     for lines in blocks:
         lineno = len(records.ids) + 2
@@ -595,7 +692,17 @@ def _load_split_file(path: Path, forbid_unknown: bool):
             for _ in blocks:  # a byte that is not UTF-8, anywhere in the file, wins
                 pass
             raise DataFormatError(bad[1], path=path, line=lineno + bad[0])
-    return dim, k_known, classes, records.table()
+    return records.table()
+
+
+def _load_split_file(path: Path, forbid_unknown: bool):
+    """D, K, the class list and the rows of a split file: the rows of its
+    cache when that holds them, else those its records parse to."""
+    dim, k_known, classes = _read_split_header(path)
+    rows = _read_cache(path, dim, k_known, len(classes), forbid_unknown)
+    if rows is None:
+        rows = _parse_records(path, dim, k_known, len(classes), forbid_unknown)
+    return dim, k_known, classes, rows
 
 
 def _check_headers_agree(train_header, val_header, directory: Path) -> None:

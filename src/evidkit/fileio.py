@@ -1,12 +1,12 @@
-"""Reading and atomically writing the package's text files.
+"""Reading the package's text files, and atomically writing its files.
 
-Every file evidkit writes (datasets, CIW tables, checkpoints, logs,
-reports, score tables) goes through ``atomic_open``: the text goes to a
-new temporary file in the target's directory, which then replaces the
-target with ``os.replace``. A run that fails or is killed mid-write
-therefore leaves the target with either its old bytes or the complete
-new ones, never a truncated file, and removes its temporary file on
-any failure it survives to see. The data is not fsynced, so this guards
+Every file evidkit writes (datasets and their caches, CIW tables,
+checkpoints, logs, reports, score tables) goes through ``atomic_open``:
+the data goes to a new temporary file in the target's directory, which
+then replaces the target with ``os.replace``. A run that fails or is
+killed mid-write therefore leaves the target with either its old bytes
+or the complete new ones, never a truncated file, and removes its
+temporary file on any failure it survives to see. The data is not fsynced, so this guards
 against interrupted processes, not against power loss.
 
 Every text file evidkit reads goes through ``read_line_blocks``, which
@@ -94,17 +94,18 @@ def read_first_line(path) -> str | None:
 
 
 @contextlib.contextmanager
-def atomic_open(path):
-    """Open ``path`` to write UTF-8 text with no newline translation.
+def atomic_open(path, binary: bool = False):
+    """Open ``path`` to write UTF-8 text with no newline translation, or bytes.
 
-    Yields a text file on a fresh temporary file beside ``path``, created
-    with the mode a plain ``open`` gives. When the block ends normally
-    the temporary file replaces ``path``; when it raises, or the replace
-    fails, the temporary file is removed and ``path`` is left untouched.
+    Yields a text file, or with ``binary`` a seekable binary file, on a
+    fresh temporary file beside ``path``, created with the mode a plain
+    ``open`` gives. When the block ends normally the temporary file
+    replaces ``path``; when it raises, or the replace fails, the temporary
+    file is removed and ``path`` is left untouched.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{secrets.token_hex(6)}.tmp")
-    fh = open(tmp, "x", encoding="utf-8", newline="")
+    fh = open(tmp, "xb") if binary else open(tmp, "x", encoding="utf-8", newline="")
     try:
         with fh:
             yield fh

@@ -15,6 +15,7 @@ from evidkit.cli import (
     main,
 )
 from evidkit.datasets import (
+    CACHE_SUFFIX,
     TRAIN_FILENAME,
     VAL_FILENAME,
     DatasetSplit,
@@ -791,6 +792,44 @@ class TestTrainFileForEvalAndOod:
         assert capsys.readouterr().err == (
             f"error: {d / VAL_FILENAME}: line 1: train and validation headers disagree\n")
         assert not out.exists()
+
+
+@pytest.mark.parametrize("command, flags, problem", [
+    ("train", ["--epochs", "-1"], "epochs must be >= 0, got -1"),
+    ("train", ["--init-from", "c.ckpt"],
+     "--init-from is only supported together with --freeze-backbone"),
+    ("train", ["--freeze-backbone"], "--freeze-backbone requires --init-from CHECKPOINT"),
+    ("refit", ["--lr", "-1"], "learning_rate must be >= 0, got -1.0"),
+    ("eval", ["--threshold", "2"], "--threshold must be in [0, 1], got 2.0"),
+    ("ood", ["--agg", "median"], "unknown aggregation 'median' (expected max, sum, or topN)"),
+])
+def test_bad_flags_exit_2_before_any_file_is_read(tmp_path, capsys, command, flags, problem):
+    missing = tmp_path / "nowhere"
+    out = tmp_path / "out"
+    assert main([*_command(command, missing, missing / "c.ckpt", out), *flags]) == 2
+    assert capsys.readouterr().err == f"error: {problem}\n"
+    assert not out.exists()
+
+
+def test_outputs_are_the_same_bytes_without_the_caches(tmp_path, monkeypatch):
+    d = _generate(tmp_path / "data")
+    ckpt = tmp_path / "run" / CHECKPOINT_FILENAME
+    outputs = []
+    for cached in (True, False):
+        with monkeypatch.context() as patch:
+            if cached:  # every split file is read from its cache
+                patch.setattr(datasets, "_parse_records", None)
+            else:
+                for name in (TRAIN_FILENAME, VAL_FILENAME):
+                    (d / (name + CACHE_SUFFIX)).unlink()
+            for command, out in (("train", "run"), ("eval", "run"), ("ood", "run"),
+                                 ("refit", "run2")):
+                assert main(_command(command, d, ckpt, tmp_path / out)) == 0
+        written = sorted(tmp_path.glob("run*/*"))
+        outputs.append({path: path.read_bytes() for path in written})
+        for path in written:
+            path.unlink()
+    assert len(outputs[0]) == 7 and outputs[0] == outputs[1]
 
 
 class TestAtomicWrites:

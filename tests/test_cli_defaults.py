@@ -29,6 +29,7 @@ from evidkit.cli import (
     main,
 )
 from evidkit.datasets import (
+    CACHE_SUFFIX,
     TRAIN_FILENAME,
     VAL_FILENAME,
     GenConfig,
@@ -62,7 +63,8 @@ def test_generate_without_flags_writes_the_default_config(tmp_path, capsys):
     save_dataset(split, tmp_path / "lib")
     save_ciw_config(random_ciw_table(split.known_classes, seed=GenConfig().seed),
                     tmp_path / "lib" / CIW_FILENAME)
-    for name in (TRAIN_FILENAME, VAL_FILENAME, CIW_FILENAME):
+    for name in (TRAIN_FILENAME, VAL_FILENAME, TRAIN_FILENAME + CACHE_SUFFIX,
+                 VAL_FILENAME + CACHE_SUFFIX, CIW_FILENAME):
         assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "lib" / name).read_bytes()
 
 

@@ -10,6 +10,8 @@ fail before it writes anything.
 Sizes stay small: the point is the input space, not the workload.
 """
 
+import contextlib
+import io
 import shutil
 import tempfile
 from pathlib import Path
@@ -22,6 +24,7 @@ from hypothesis import strategies as st
 from evidkit import fileio, network
 from evidkit.cli import CHECKPOINT_FILENAME, CIW_FILENAME, main
 from evidkit.datasets import (
+    CACHE_SUFFIX,
     TRAIN_FILENAME,
     VAL_FILENAME,
     load_ciw_config,
@@ -84,6 +87,19 @@ def _run(args) -> int:
     return code
 
 
+def _outcome(args) -> tuple[int, str]:
+    """The exit code and the stderr of one run."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = _run(args)
+    return code, err.getvalue()
+
+
+def _drop_caches(data: Path) -> None:
+    for name in (TRAIN_FILENAME, VAL_FILENAME):
+        (data / (name + CACHE_SUFFIX)).unlink()
+
+
 edits = st.lists(
     st.tuples(
         st.sampled_from(["replace", "insert", "delete"]),
@@ -125,12 +141,59 @@ def _mutate(data: bytes, changes, truncate) -> bytes:
 @FUZZ
 @given(changes=edits, truncate=st.none() | st.integers(min_value=0, max_value=2**32))
 def test_mutated_input_file(pristine, target, command, changes, truncate):
+    """Run once beside the pristine caches and once with them deleted: the
+    exit code and the error are the same."""
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(tmp)
         shutil.copytree(pristine, root, dirs_exist_ok=True)
         path = root / target
         path.write_bytes(_mutate(path.read_bytes(), changes, truncate))
-        _run(_args(root, command))
+        cached = _outcome(_args(root, command))
+        shutil.rmtree(root / "out", ignore_errors=True)
+        _drop_caches(root / "data")
+        assert _outcome(_args(root, command)) == cached
+
+
+def _damage(data: bytes, kind: str, position: int, byte: int) -> bytes:
+    buf = bytearray(data)
+    i = position % len(buf)
+    if kind == "flip":
+        buf[i] ^= byte
+    elif kind == "truncate":
+        del buf[i:]
+    else:
+        buf += bytes([byte]) * (1 + position % 8)
+    return bytes(buf)
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "ood", "refit"])
+@FUZZ
+@given(target=st.sampled_from([TRAIN_FILENAME, VAL_FILENAME]),
+       kind=st.sampled_from(["flip", "truncate", "extend", "swap"]),
+       position=st.integers(min_value=0, max_value=2**32),
+       byte=st.integers(min_value=1, max_value=255))
+def test_damaged_cache_changes_no_output(pristine, command, target, kind, position, byte):
+    """A flipped, truncated or extended cache, or the train and validation
+    caches swapped, leave every output byte as the pristine caches do."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(pristine, root, dirs_exist_ok=True)
+        assert _run(_args(root, command)) == 0
+        written = sorted((root / "out").iterdir())
+        pristine_bytes = [path.read_bytes() for path in written]
+        shutil.rmtree(root / "out")
+        data = root / "data"
+        cache = data / (target + CACHE_SUFFIX)
+        if kind == "swap":
+            other = data / ({TRAIN_FILENAME, VAL_FILENAME} - {target}).pop()
+            cache.rename(data / "swapping")
+            (other.parent / (other.name + CACHE_SUFFIX)).rename(cache)
+            (data / "swapping").rename(other.parent / (other.name + CACHE_SUFFIX))
+        else:
+            cache.write_bytes(_damage(cache.read_bytes(), kind, position, byte))
+        assert _run(_args(root, command)) == 0
+        assert sorted((root / "out").iterdir()) == written
+        assert [path.read_bytes() for path in written] == pristine_bytes
 
 
 # past the square root (1e154) and higher roots of float64's max, and near it
@@ -180,6 +243,7 @@ def test_chunking_changes_no_load_outcome(pristine, target, changes, truncate):
     with tempfile.TemporaryDirectory() as tmp:
         data = Path(tmp) / "data"
         shutil.copytree(pristine / "data", data)
+        _drop_caches(data)
         path = data / target
         path.write_bytes(_mutate(path.read_bytes(), changes, truncate))
         whole = _load_outcome(data)

@@ -4,13 +4,15 @@ import gc
 import re
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from evidkit import fileio
+from evidkit import datasets, fileio
 from evidkit.base_rates import CIWTable
 from evidkit.datasets import (
+    CACHE_SUFFIX,
     TRAIN_FILENAME,
     VAL_FILENAME,
     DatasetSplit,
@@ -34,6 +36,12 @@ SMALL = GenConfig(k_known=3, k_unknown=1, dim=4, n_train=60, n_val=30, seed=5)
 def _table(ids, x, labels, unknown):
     """A SampleTable from nested lists: labels are rows of 0/1 over all classes."""
     return SampleTable(ids, np.array(x, dtype=float), np.array(labels, dtype=bool), unknown)
+
+
+def _drop_caches(directory) -> None:
+    """Delete the caches save_dataset wrote, so that a load parses the records."""
+    for name in (TRAIN_FILENAME, VAL_FILENAME):
+        (Path(directory) / (name + CACHE_SUFFIX)).unlink()
 
 
 class TestSampleValidation:
@@ -180,12 +188,15 @@ class TestDatasetFiles:
         split = generate_dataset(SMALL)
         save_dataset(split, tmp_path / "d")
         assert load_dataset(tmp_path / "d") == split
+        _drop_caches(tmp_path / "d")
+        assert load_dataset(tmp_path / "d") == split
 
     def test_save_is_byte_deterministic(self, tmp_path):
         split = generate_dataset(SMALL)
         save_dataset(split, tmp_path / "a")
         save_dataset(split, tmp_path / "b")
-        for name in (TRAIN_FILENAME, VAL_FILENAME):
+        for name in (TRAIN_FILENAME, VAL_FILENAME, TRAIN_FILENAME + CACHE_SUFFIX,
+                     VAL_FILENAME + CACHE_SUFFIX):
             assert (tmp_path / "a" / name).read_bytes() == (
                 tmp_path / "b" / name
             ).read_bytes()
@@ -195,6 +206,7 @@ class TestDatasetFiles:
         split = DatasetSplit(train=empty, validation=empty, known_classes=("a", "b"),
                              unknown_classes=(), dim=3)
         save_dataset(split, tmp_path / "d")
+        _drop_caches(tmp_path / "d")
         loaded = load_dataset(tmp_path / "d")
         assert loaded.train == empty and loaded.validation == empty
         assert loaded.known_classes == ("a", "b")
@@ -289,6 +301,7 @@ class TestDatasetFiles:
     def test_validation_loader_matches_load_dataset(self, tmp_path, n_val):
         split = generate_dataset(SMALL)
         save_dataset(replace(split, validation=split.validation[:n_val]), tmp_path / "d")
+        _drop_caches(tmp_path / "d")
         full = load_dataset(tmp_path / "d")
         known_classes, rows = load_validation(tmp_path / "d")
         assert known_classes == full.known_classes
@@ -302,6 +315,7 @@ class TestDatasetFiles:
     def test_training_loader_matches_load_dataset(self, tmp_path, n_train):
         split = generate_dataset(SMALL)
         save_dataset(replace(split, train=split.train[:n_train]), tmp_path / "d")
+        _drop_caches(tmp_path / "d")
         full = load_dataset(tmp_path / "d")
         known_classes, rows = load_training(tmp_path / "d")
         assert known_classes == full.known_classes
@@ -324,6 +338,45 @@ class TestDatasetFiles:
         assert messages[0] == messages[1]
         assert messages[0] == f"{val}: line 1: train and validation headers disagree"
 
+
+class TestCaches:
+    """save_dataset writes a cache beside each split file, which the loaders
+    read in place of the records while its digest matches; the results are
+    those of the parse, and so is every error."""
+
+    @pytest.mark.parametrize("n, dim, prefix", [
+        (0, 3, "row"), (7, 1, "row"), (30, 4, "\u00e9t\u00e9-\u65e5\u672c\u00a0"),
+    ], ids=["no-rows", "one-feature", "non-ascii-ids"])
+    def test_loaders_return_the_parsed_rows(self, tmp_path, monkeypatch, n, dim, prefix):
+        rng = np.random.default_rng(n)
+        labels = np.zeros((n, 3), dtype=bool)
+        labels[:, :2] = rng.random((n, 2)) < 0.5
+        val_labels = labels.copy()
+        val_labels[::3, 2] = True
+        ids = tuple(f"{prefix}{i}" for i in range(n))
+        split = DatasetSplit(
+            SampleTable(ids, rng.standard_normal((n, dim)), labels, np.zeros(n, dtype=bool)),
+            SampleTable(ids[::-1], rng.standard_normal((n, dim)), val_labels,
+                        val_labels[:, 2].copy()),
+            ("a", "b"), ("u",), dim)
+        save_dataset(split, tmp_path)
+        loaders = (load_dataset, load_training, load_validation)
+
+        def no_parse(*args):
+            raise AssertionError("the records were parsed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "_parse_records", no_parse)
+            cached = [load(tmp_path) for load in loaders]
+        _drop_caches(tmp_path)
+        parsed = [load(tmp_path) for load in loaders]
+        assert cached == parsed and parsed[0] == split
+        tables = [cached[0].train, cached[0].validation, cached[1][1], cached[2][1]]
+        expected = [parsed[0].train, parsed[0].validation, parsed[1][1], parsed[2][1]]
+        for ours, theirs in zip(tables, expected):
+            for name in ("x", "labels", "unknown"):
+                a, b = getattr(ours, name), getattr(theirs, name)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
 def _random_split(n_train, n_val, dim, seed=0):
@@ -382,6 +435,8 @@ class TestBlockedFiles:
         save_dataset(split, tmp_path)
         for name, rows in ((TRAIN_FILENAME, split.train), (VAL_FILENAME, split.validation)):
             assert (tmp_path / name).read_bytes() == _one_join_bytes(rows, split)
+        assert load_dataset(tmp_path) == split
+        _drop_caches(tmp_path)
         assert load_dataset(tmp_path) == split
         # blocks that end mid-line and hold a few records each
         monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", 1000)

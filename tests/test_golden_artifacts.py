@@ -35,6 +35,9 @@ PLATFORM = {
 GOLDEN = {
     "data/train.edlset": "9155547fbae8a8c9207d4b5365cf53acd96ae9ff483826afc8ac3fea73c8abd0",
     "data/val.edlset": "89a9f686d58b3f35f6ee3dfc235071e8f5aa4591750aa0aa40bc4d3c57322930",
+    "data/train.edlset.cache":
+        "1b472f2eeb1478f4ca1dabe18c96be3480c2875c314c8ed307797b152cc24ee7",
+    "data/val.edlset.cache": "8f156553f6ae37c5e18aa91d82239b95dfcff87d6526143d2ef80b30d33f47fd",
     "data/ciw.tsv": "834db3f26c582f441079658b3f523b02f395a7a4ae56c7aa03336d578e36f5f6",
     "run/model.ckpt": "92f1bcb6357d79d22a5c9bee9bb948309b5cfda836e0bef1fcfedc65107fd099",
     "run/train_log.yaml": "477e584a6c300e4356371aa4f31ca2c0a8b27e93030ba2609944f14da246c0d4",

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from evidkit import fileio
 from evidkit.datasets import (
+    CACHE_SUFFIX,
     DATASET_MAGIC,
     DATASET_VERSION,
     TRAIN_FILENAME,
@@ -25,7 +26,6 @@ from evidkit.datasets import (
     DatasetSplit,
     GenConfig,
     SampleTable,
-    _draw_known_labels,
     _known_prototypes,
     _parse_header,
     _unknown_prototypes,
@@ -58,6 +58,16 @@ def _ref_ball_noise(rng, dim, scale):
     return (radius / norm) * direction
 
 
+def _ref_draw_known_labels(rng, cfg):
+    k = int(rng.integers(cfg.k_known))
+    if cfg.k_known > 1 and rng.random() < cfg.cooccurrence:
+        j = int(rng.integers(cfg.k_known - 1))
+        if j >= k:
+            j += 1
+        return tuple(sorted((k, j)))
+    return (k,)
+
+
 def _ref_make_sample(sample_id, labels, is_unknown, center, rng, cfg):
     features = center + _ref_ball_noise(rng, cfg.dim, cfg.noise)
     return _Row(sample_id, tuple(float(v) for v in features), labels, is_unknown)
@@ -74,7 +84,7 @@ def _ref_generate(cfg):
         if rng.random() < cfg.normal_rate:
             train.append(_ref_make_sample(f"tr-{i:05d}", (), False, origin, rng, cfg))
         else:
-            labels = _draw_known_labels(rng, cfg)
+            labels = _ref_draw_known_labels(rng, cfg)
             center = known_protos[list(labels)].mean(axis=0)
             train.append(_ref_make_sample(f"tr-{i:05d}", labels, False, center, rng, cfg))
     validation = []
@@ -87,7 +97,7 @@ def _ref_generate(cfg):
         elif rng.random() < cfg.normal_rate:
             validation.append(_ref_make_sample(sample_id, (), False, origin, rng, cfg))
         else:
-            labels = _draw_known_labels(rng, cfg)
+            labels = _ref_draw_known_labels(rng, cfg)
             center = known_protos[list(labels)].mean(axis=0)
             validation.append(_ref_make_sample(sample_id, labels, False, center, rng, cfg))
     classes = tuple(f"known_{i + 1:02d}" for i in range(cfg.k_known)) + tuple(
@@ -214,6 +224,10 @@ def test_generate_save_load_and_arrays_match_the_per_row_code(cfg):
         for name, ref_rows in ((TRAIN_FILENAME, ref_train), (VAL_FILENAME, ref_val)):
             written = (Path(tmp) / name).read_text(encoding="utf-8")
             assert written == _ref_file_text(ref_rows, cfg.dim, cfg.k_known, classes)
+        assert load_dataset(tmp) == split
+        # without the caches the records are parsed
+        for name in (TRAIN_FILENAME, VAL_FILENAME):
+            (Path(tmp) / (name + CACHE_SUFFIX)).unlink()
         loaded = load_dataset(tmp)
         assert loaded == split
         for name, rows in ((TRAIN_FILENAME, loaded.train), (VAL_FILENAME, loaded.validation)):

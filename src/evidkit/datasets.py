@@ -31,6 +31,25 @@ whole file's text: ``save_dataset`` formats and writes
 the blocks of lines that ``fileio.read_line_blocks`` yields (about 1 MiB
 of text each) as they arrive, growing the feature matrix in place.
 
+A save of at least ``_TWO_PROCESS_MIN_VALUES`` feature values, by a
+process that may use two CPUs and knows its interpreter
+(``sys.executable``), formats in two processes. The rows, train then
+validation, are cut at their midpoint. A second interpreter runs
+``records.py``, which imports neither numpy nor this package, and
+formats the second half into an unnamed temporary file in the target
+directory. It is sent the features as float64 bytes straight from the
+arrays and the ids and label fields a block at a time. Meanwhile this
+process formats the first half. Both run ``records.format_records``, so
+the bytes are those of a one-process save, and each process holds one
+block's strings at a time. This process alone writes the four files.
+It copies the second process's records into them 1 MiB at a time,
+hashing them as it goes. A second process that exits non-zero is an
+OSError that ends with its stderr. On any failure the second process is
+killed and reaped. ``EDL_NUM_THREADS`` sets BLAS threads only and does
+not govern this; ``taskset -c 0`` keeps a save on one CPU. Either way no
+file is replaced before all four are written, so a save that fails
+leaves the directory as it was.
+
 The record rules are stated once, in ``_Records._add``, which checks a
 whole block of records at a time. A block that breaks a rule is parsed
 again by the same code one line at a time, and the first bad line is
@@ -60,10 +79,13 @@ and index arrays give the rows they select.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import io
 import math
+import os
 import re
+import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain, combinations, compress, repeat
@@ -71,6 +93,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import records
 from .base_rates import CIWTable
 from .errors import ConfigError, DataFormatError
 from .fileio import atomic_open, read_first_line, read_line_blocks, read_lines, write_text
@@ -90,7 +113,12 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 # records formatted per block when saving; bounds the temporary strings
 _WRITE_BLOCK_ROWS = 4096
 
-# bytes hashed or read per block when a cache is checked and read
+# feature values a save must hold before a second process formats half of
+# its records; below it the process's start costs more than it saves
+_TWO_PROCESS_MIN_VALUES = 50_000
+
+# bytes hashed or read per block when a cache is checked and read, or
+# copied from the second process's records
 _CACHE_BLOCK_BYTES = 1 << 20
 
 # what a written id or name may not hold: the field tab and the str.splitlines
@@ -402,31 +430,142 @@ def _write_hashed(fh, digest, data) -> None:
     digest.update(data)
 
 
-def _write_split_file(path: Path, rows: SampleTable, split: DatasetSplit):
-    """Write the header line, then the records in blocks of _WRITE_BLOCK_ROWS
-    rows, with one tolist of the block's features and one write of its lines.
+def _tail_fields(rows: SampleTable, block: slice, tails: dict) -> list[str]:
+    """The label and flag fields of the rows in ``block``, each the
+    comma-separated label indices, a tab and the unknown flag. ``tails``
+    keeps them, formatted once per distinct (labels, flag) row; a row's key
+    is the bytes of its label row and flag as bools."""
+    flagged = np.column_stack((rows.labels[block], rows.unknown[block]))
+    keys = flagged.view(np.dtype((np.void, flagged.shape[1]))).ravel().tolist()
+    for key in dict.fromkeys(keys).keys() - tails.keys():
+        indices = np.flatnonzero(np.frombuffer(key[:-1], dtype=bool)).tolist()
+        tails[key] = f"{','.join(map(str, indices))}\t{key[-1]}"
+    return list(map(tails.__getitem__, keys))
+
+
+def _blocks(start: int, stop: int):
+    return (slice(i, min(i + _WRITE_BLOCK_ROWS, stop))
+            for i in range(start, stop, _WRITE_BLOCK_ROWS))
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without CPU affinity
+        return os.cpu_count() or 1
+
+
+def _in_two_processes(n_values: int) -> bool:
+    """Whether a save of ``n_values`` feature values starts a second process."""
+    return n_values >= _TWO_PROCESS_MIN_VALUES and bool(sys.executable) and _usable_cpus() >= 2
+
+
+class _RecordProcess:
+    """A second interpreter that formats the records of the rows it is sent
+    (``records.main``) into an unnamed temporary file in the target
+    directory. As a context manager it kills and reaps the process if it
+    is still running, and closes the file, which removes it."""
+
+    def __init__(self, directory: Path, dim: int):
+        # imported here, so that importing the package does not pay for them
+        import subprocess
+        import tempfile
+
+        # where the OS has no unnamed files, a "."-prefixed one, unlinked at once
+        self.out = tempfile.TemporaryFile(dir=directory, prefix=".", suffix=".tmp")
+        try:
+            self.proc = subprocess.Popen(
+                [sys.executable, "-I", "-S", records.__file__, str(dim)],
+                stdin=subprocess.PIPE, stdout=self.out, stderr=subprocess.PIPE)
+        except BaseException:
+            self.out.close()
+            raise
+        self.done = False
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        if self.proc.returncode is None:
+            self.proc.kill()
+            self.proc.wait()
+        for stream in (self.proc.stdin, self.proc.stderr, self.out):
+            with contextlib.suppress(OSError):
+                stream.close()
+
+    def send(self, shares, tails: dict) -> None:
+        """Send the rows of each (table, first row) of ``shares``, a block of
+        _WRITE_BLOCK_ROWS at a time: the features straight from the table's
+        memory, then the ids and the label and flag fields; then close the
+        process's input."""
+        write = self.proc.stdin.write
+        try:
+            for rows, start in shares:
+                x = np.ascontiguousarray(rows.x)
+                for block in _blocks(start, len(rows)):
+                    text = "\n".join(chain(rows.ids[block], _tail_fields(rows, block, tails)))
+                    text = text.encode("utf-8")
+                    write(records.BLOCK_HEADER.pack(block.stop - block.start, len(text)))
+                    write(memoryview(x[block]))
+                    write(text)
+            self.proc.stdin.close()
+        except BrokenPipeError:
+            self.wait()  # names the process's failure, when it failed
+            raise
+
+    def wait(self) -> None:
+        """Let the process read to the end of its input and format it; an
+        OSError with the end of its stderr when it exits non-zero."""
+        if self.done:
+            return
+        with contextlib.suppress(BrokenPipeError):
+            self.proc.stdin.close()
+        err = self.proc.stderr.read()
+        if self.proc.wait():
+            tail = err.decode("utf-8", "replace").strip()[-500:]
+            raise OSError(f"the record-formatting process exited with status "
+                          f"{self.proc.returncode}: {tail}")
+        self.out.seek(0)
+        self.done = True
+
+    def copy(self, fh, digest, lines: int) -> None:
+        """Write the next ``lines`` records the process wrote to ``fh`` and add
+        them to ``digest``, _CACHE_BLOCK_BYTES at a time."""
+        self.wait()
+        while lines:
+            data = self.out.read(_CACHE_BLOCK_BYTES)
+            if not data:
+                raise OSError("the record-formatting process wrote too few records")
+            n = data.count(b"\n")
+            if n >= lines:  # the rest belongs to the next split file
+                rest = data.split(b"\n", lines)[-1]
+                self.out.seek(-len(rest), os.SEEK_CUR)
+                data, n = data[:len(data) - len(rest)], lines
+            _write_hashed(fh, digest, data)
+            lines -= n
+
+    def check_end(self) -> None:
+        if self.out.read(1):
+            raise OSError("the record-formatting process wrote too many records")
+
+
+def _write_split_file(fh, rows: SampleTable, split: DatasetSplit, own: int, tails: dict,
+                      child: _RecordProcess | None):
+    """Write the header line, then the records of the first ``own`` rows in
+    blocks of _WRITE_BLOCK_ROWS rows, with one tolist of the block's features
+    and one write of its lines, then those ``child`` formatted for the rest.
     Returns the SHA-256 hash object of the bytes written."""
     header = (
         f"{DATASET_MAGIC} {DATASET_VERSION} D={split.dim} K={split.k_known} "
         f"classes={','.join(split.classes)}"
     )
     digest = hashlib.sha256()
-    # the label and flag fields, formatted once per distinct (labels, flag) row;
-    # a row's key is the bytes of its label row and flag as bools
-    tails = {}
-    with atomic_open(path, binary=True) as fh:
-        _write_hashed(fh, digest, f"{header}\n".encode("utf-8"))
-        for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
-            block = slice(start, start + _WRITE_BLOCK_ROWS)
-            flagged = np.column_stack((rows.labels[block], rows.unknown[block]))
-            keys = flagged.view(np.dtype((np.void, flagged.shape[1]))).ravel().tolist()
-            for key in dict.fromkeys(keys).keys() - tails.keys():
-                indices = np.flatnonzero(np.frombuffer(key[:-1], dtype=bool)).tolist()
-                tails[key] = f"{','.join(map(str, indices))}\t{key[-1]}"
-            _write_hashed(fh, digest, "".join([
-                f"{sample_id}\t{','.join(map(repr, features))}\t{tails[key]}\n"
-                for sample_id, features, key in zip(rows.ids[block], rows.x[block].tolist(), keys)
-            ]).encode("utf-8"))
+    _write_hashed(fh, digest, f"{header}\n".encode("utf-8"))
+    for block in _blocks(0, own):
+        _write_hashed(fh, digest, records.format_records(
+            rows.ids[block], rows.x[block].tolist(), _tail_fields(rows, block, tails)))
+    if own < len(rows):
+        child.copy(fh, digest, len(rows) - own)
     return digest
 
 
@@ -434,42 +573,66 @@ def _cache_path(path: Path) -> Path:
     return path.with_name(path.name + CACHE_SUFFIX)
 
 
-def _write_split_cache(path: Path, rows: SampleTable, digest) -> None:
-    """Write the cache of the split file at ``path``, whose bytes ``digest``
-    has hashed: the hex digest of those bytes and of the payload, on a line
-    of its own, then the payload. The payload is x, labels and unknown as
-    .npy blocks, then the ids joined by newlines, in UTF-8. Each part is
-    written from the table's own memory or one block of ids at a time."""
-    with atomic_open(_cache_path(path), binary=True) as fh:
-        fh.write(b"0" * 64 + b"\n")  # the hex digest's place, filled in last
-        for array in (rows.x, rows.labels, rows.unknown):
-            array = np.ascontiguousarray(array)
-            header = io.BytesIO()
-            np.lib.format.write_array_header_1_0(
-                header, np.lib.format.header_data_from_array_1_0(array))
-            _write_hashed(fh, digest, header.getvalue())
-            _write_hashed(fh, digest, memoryview(array))
-        for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
-            ids = "\n".join(rows.ids[start:start + _WRITE_BLOCK_ROWS])
-            _write_hashed(fh, digest, ("\n" + ids if start else ids).encode("utf-8"))
-        fh.seek(0)
-        fh.write(digest.hexdigest().encode("ascii"))
+def _write_split_cache(fh, rows: SampleTable, digest) -> None:
+    """Write to ``fh`` the cache of a split file whose bytes ``digest`` has
+    hashed: the hex digest of those bytes and of the payload, on a line of
+    its own, then the payload. The payload is x, labels and unknown as .npy
+    blocks, then the ids joined by newlines, in UTF-8. Each part is written
+    from the table's own memory or one block of ids at a time."""
+    fh.write(b"0" * 64 + b"\n")  # the hex digest's place, filled in last
+    for array in (rows.x, rows.labels, rows.unknown):
+        array = np.ascontiguousarray(array)
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, np.lib.format.header_data_from_array_1_0(array))
+        _write_hashed(fh, digest, header.getvalue())
+        _write_hashed(fh, digest, memoryview(array))
+    for start in range(0, len(rows), _WRITE_BLOCK_ROWS):
+        ids = "\n".join(rows.ids[start:start + _WRITE_BLOCK_ROWS])
+        _write_hashed(fh, digest, ("\n" + ids if start else ids).encode("utf-8"))
+    fh.seek(0)
+    fh.write(digest.hexdigest().encode("ascii"))
 
 
 def save_dataset(split: DatasetSplit, path) -> None:
     """Write a dataset directory containing train.edlset and val.edlset,
     each followed by its cache (train.edlset.cache, val.edlset.cache).
 
-    A sample id with a tab, a line break or a surrogate code point is a
-    ValueError, raised before anything is written.
+    No file is replaced before all four are written; then they replace
+    their targets in that order. With at least _TWO_PROCESS_MIN_VALUES
+    feature values, a known interpreter and two usable CPUs, the second
+    half of the rows (train, then validation) is formatted by a second
+    process (``records``); the bytes are the same. A sample id with a tab,
+    a line break or a surrogate code point is a ValueError, raised before
+    anything is written.
     """
     for rows in (split.train, split.validation):
         _check_writable(rows.ids, "sample id")
     directory = Path(path)
     directory.mkdir(parents=True, exist_ok=True)
-    for name, rows in ((TRAIN_FILENAME, split.train), (VAL_FILENAME, split.validation)):
-        digest = _write_split_file(directory / name, rows, split)
-        _write_split_cache(directory / name, rows, digest)
+    splits = ((directory / TRAIN_FILENAME, split.train),
+              (directory / VAL_FILENAME, split.validation))
+    n_rows = len(split.train) + len(split.validation)
+    tails = {}
+    with contextlib.ExitStack() as stack:
+        # the first ``own`` rows of train, then validation, are formatted here
+        own, child = n_rows, None
+        if _in_two_processes(n_rows * split.dim):
+            own -= n_rows // 2
+            child = stack.enter_context(_RecordProcess(directory, split.dim))
+            child.send([(split.train, min(own, len(split.train))),
+                        (split.validation, max(own - len(split.train), 0))], tails)
+        # entered last to first, so that they replace their targets first to last
+        paths = [p for path, _ in splits for p in (path, _cache_path(path))]
+        files = [stack.enter_context(atomic_open(p, binary=True)) for p in reversed(paths)]
+        files.reverse()
+        for (_, rows), fh, cache in zip(splits, files[0::2], files[1::2]):
+            mine = min(own, len(rows))
+            digest = _write_split_file(fh, rows, split, mine, tails, child)
+            _write_split_cache(cache, rows, digest)
+            own -= mine
+        if child is not None:
+            child.check_end()
 
 
 _HEADER_RE = re.compile(

@@ -1,7 +1,12 @@
 """Tests for synthetic dataset generation and the on-disk formats."""
 
 import gc
+import hashlib
+import os
 import re
+import signal
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -601,3 +606,176 @@ class TestArrays:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             samples_to_arrays(_table(("s",), [[1.0, 2.0]], [[0, 0]], [False]), 2, 3)
+
+
+# SHA-256 of the four files `generate --seed 3` writes at the CLI defaults,
+# recorded with the one-process writer: at 12000 + 6000 rows the second
+# process's half starts inside train, at 3000 + 9000 inside validation
+TWO_PROCESS_DIGESTS = {
+    (12000, 6000): {
+        TRAIN_FILENAME: "1011d745f1c45dd083bda94ccde3e3ce0440f9a5cfe6ab483517e699e3a9418a",
+        TRAIN_FILENAME + CACHE_SUFFIX:
+            "6ccc73cc4a2c2ea5d66d2eb8fefa1e99be9199902878501bcc0cd7b4c6c54126",
+        VAL_FILENAME: "63ba4231ece608844b78538b81902c5be128148379e2e0a655e73e593a17ac8a",
+        VAL_FILENAME + CACHE_SUFFIX:
+            "12f0f932d561ac408661cc66314043ef9f7362d1212654eb8d4ad37f0a2343b3",
+    },
+    (3000, 9000): {
+        TRAIN_FILENAME: "41975e6caf1b7a3ff6d8aa30c12426b52e419d8884ba68f10aec30116a93964d",
+        TRAIN_FILENAME + CACHE_SUFFIX:
+            "1109998fea4b4e2c5ff869e2456962c57ee577a7b3e3939d58928236b73d4f5f",
+        VAL_FILENAME: "bde38a2f35c357441052f5fe85d88ee837d95c7e6b9bb864628a2a00fd4e593c",
+        VAL_FILENAME + CACHE_SUFFIX:
+            "8f1f5e412c0186ab3742f0d938f707136fec401e88b85ce352ffdf665e0db080",
+    },
+}
+SIZES = list(TWO_PROCESS_DIGESTS)
+SIZE_IDS = [f"{n_train}+{n_val}" for n_train, n_val in SIZES]
+SPLIT_FILES = list(TWO_PROCESS_DIGESTS[SIZES[0]])
+
+
+@pytest.fixture(scope="module")
+def seed3_splits():
+    return {size: generate_dataset(GenConfig(n_train=size[0], n_val=size[1], seed=3))
+            for size in SIZES}
+
+
+def _digests(directory) -> dict:
+    return {name: hashlib.sha256((Path(directory) / name).read_bytes()).hexdigest()
+            for name in SPLIT_FILES}
+
+
+def _no_child_left() -> None:
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestTwoProcessSave:
+    """A large save formats the second half of its rows in a second
+    interpreter; the bytes are those of the one-process writer, and a
+    failure on either side leaves no process, no temporary file and no
+    changed target behind."""
+
+    @pytest.fixture
+    def spawned(self, monkeypatch):
+        """The processes a save starts; the host is taken to have two CPUs."""
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        procs, real = [], subprocess.Popen
+
+        def spy(*args, **kwargs):
+            procs.append(real(*args, **kwargs))
+            return procs[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", spy)
+        return procs
+
+    @pytest.fixture
+    def no_spawn(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a second process was started")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+
+    @staticmethod
+    def _replace_child(monkeypatch, tmp_path, code: str) -> list:
+        """Run the script ``code`` in place of records.py in the processes a
+        save starts, which are returned."""
+        script = tmp_path / "child.py"
+        script.write_text(code)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        procs, real = [], subprocess.Popen
+
+        def spy(args, **kwargs):
+            procs.append(real([*args[:3], str(script), *args[4:]], **kwargs))
+            return procs[-1]
+
+        monkeypatch.setattr(subprocess, "Popen", spy)
+        return procs
+
+    @pytest.mark.parametrize("size", SIZES, ids=SIZE_IDS)
+    def test_bytes_are_the_one_process_bytes(self, tmp_path, spawned, seed3_splits, size):
+        save_dataset(seed3_splits[size], tmp_path)
+        assert len(spawned) == 1 and spawned[0].args[1:3] == ["-I", "-S"]
+        assert spawned[0].returncode == 0
+        assert _digests(tmp_path) == TWO_PROCESS_DIGESTS[size]
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SPLIT_FILES)
+        _no_child_left()
+
+    @pytest.mark.parametrize("size", SIZES, ids=SIZE_IDS)
+    def test_copies_in_blocks_shorter_than_a_record(self, tmp_path, monkeypatch, spawned,
+                                                    seed3_splits, size):
+        # each read holds at most one record end, so the copy of a split's
+        # share ends mid-read, with the next split's first bytes after it
+        monkeypatch.setattr(datasets, "_CACHE_BLOCK_BYTES", 100)
+        save_dataset(seed3_splits[size], tmp_path)
+        assert len(spawned) == 1
+        assert _digests(tmp_path) == TWO_PROCESS_DIGESTS[size]
+
+    @pytest.mark.parametrize("when", ["after-reading", "at-start"])
+    @pytest.mark.parametrize("size", SIZES, ids=SIZE_IDS)
+    def test_a_failing_child_changes_no_file(self, tmp_path, capsys, monkeypatch,
+                                             seed3_splits, size, when):
+        from evidkit.cli import main
+
+        read = "sys.stdin.buffer.read()\n" if when == "after-reading" else ""
+        procs = self._replace_child(monkeypatch, tmp_path, f"import sys\n{read}"
+                                    "sys.stderr.write('x' * 600 + 'records: disk full\\n')\n"
+                                    "sys.exit(7)\n")
+        out = tmp_path / "data"
+        out.mkdir()
+        for name in SPLIT_FILES:
+            (out / name).write_bytes(b"previous " + name.encode())
+        capsys.readouterr()
+        assert main(["generate", "--seed", "3", "--train-samples", str(size[0]),
+                     "--val-samples", str(size[1]), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: the record-formatting process exited with status 7: ")
+        assert err.rstrip().endswith("x" * 100 + "records: disk full")
+        assert len(procs) == 1 and procs[0].returncode == 7
+        assert sorted(p.name for p in out.iterdir()) == sorted(SPLIT_FILES)
+        for name in SPLIT_FILES:
+            assert (out / name).read_bytes() == b"previous " + name.encode()
+        _no_child_left()
+
+    def test_a_failing_parent_kills_the_child(self, tmp_path, monkeypatch, seed3_splits):
+        procs = self._replace_child(monkeypatch, tmp_path,
+                                    "import sys, time\nsys.stdin.buffer.read()\ntime.sleep(60)\n")
+
+        def refuse(path, binary=False):
+            raise OSError(f"cannot write {path}")
+
+        monkeypatch.setattr(datasets, "atomic_open", refuse)
+        out = tmp_path / "data"
+        with pytest.raises(OSError, match="cannot write"):
+            save_dataset(seed3_splits[SIZES[0]], out)
+        assert len(procs) == 1 and procs[0].returncode == -signal.SIGKILL
+        assert list(out.iterdir()) == []
+        _no_child_left()
+
+    @pytest.mark.parametrize("host", ["one-cpu", "one-cpu-no-affinity", "no-executable"])
+    def test_no_child_without_a_second_cpu_or_an_interpreter(
+            self, tmp_path, monkeypatch, no_spawn, seed3_splits, host):
+        if host == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        elif host == "one-cpu-no-affinity":
+            monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        else:
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            monkeypatch.setattr(sys, "executable", "")
+        save_dataset(seed3_splits[SIZES[0]], tmp_path)
+        assert _digests(tmp_path) == TWO_PROCESS_DIGESTS[SIZES[0]]
+
+    def test_no_child_below_the_floor(self, tmp_path, monkeypatch):
+        # the CLI default, 2000 + 600 rows of 8 features, stays in one process
+        split = generate_dataset(GenConfig())
+        assert (len(split.train) + len(split.validation)) * split.dim < \
+            datasets._TWO_PROCESS_MIN_VALUES
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "_TWO_PROCESS_MIN_VALUES", 0)
+            save_dataset(split, tmp_path / "two")
+        with monkeypatch.context() as patch:
+            patch.setattr(subprocess, "Popen", lambda *a, **k: pytest.fail("a process started"))
+            save_dataset(split, tmp_path / "one")
+        assert _digests(tmp_path / "one") == _digests(tmp_path / "two")

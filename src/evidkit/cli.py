@@ -23,7 +23,7 @@ from .datasets import (
     GenConfig,
     generate_dataset,
     load_ciw_config,
-    load_dataset,  # unused here; perfbench patches this name (ROADMAP item 8)
+    load_dataset,  # unused here; perfbench patches this name (ROADMAP: built-in stage spans)
     load_training,
     load_validation,
     random_ciw_table,

@@ -29,7 +29,8 @@ Split files are written and read in blocks, so neither side holds a
 whole file's text: ``save_dataset`` formats and writes
 ``_WRITE_BLOCK_ROWS`` (4096) records at a time, and the loader parses
 the blocks of lines that ``fileio.read_line_blocks`` yields (about 1 MiB
-of text each) as they arrive, growing the feature matrix in place.
+of text each) as they arrive, adding each record's features to one
+growing float64 array.
 
 A save of at least ``_TWO_PROCESS_MIN_VALUES`` feature values, by a
 process that may use two CPUs and knows its interpreter
@@ -50,12 +51,12 @@ not govern this; ``taskset -c 0`` keeps a save on one CPU. Either way no
 file is replaced before all four are written, so a save that fails
 leaves the directory as it was.
 
-The record rules are stated once, in ``_Records._add``, which checks a
-whole block of records at a time. A block that breaks a rule is parsed
-again by the same code one line at a time, and the first bad line is
-named in the error. A file is read once on every path, a rejected one
-included: before that error is raised, the rest of the file is decoded,
-so a byte that is not UTF-8 anywhere in it is the error reported.
+The record rules are stated once, in ``_parse_records``, which checks
+each record on its own line, in the order its fields are read, and names
+the first line that breaks a rule in the error. A file is read once on
+every path, a rejected one included: before that error is raised, the
+rest of the file is decoded, so a byte that is not UTF-8 anywhere in it
+is the error reported.
 
 Beside each split file ``save_dataset`` writes its cache, named after it
 with ``CACHE_SUFFIX`` (``train.edlset.cache``). Its first line is the hex
@@ -86,9 +87,11 @@ import math
 import os
 import re
 import sys
+from array import array
+from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, compress, repeat
+from itertools import chain, combinations, compress
 from pathlib import Path
 
 import numpy as np
@@ -692,93 +695,6 @@ def _parse_labels(label_field: str, flag_field: str, k_known: int, k_total: int,
     return labels, is_unknown
 
 
-class _Records:
-    """The records of one split file, parsed a block of lines at a time.
-
-    ``_add`` is the one statement of the record rules. It checks a block in
-    the order a record is read: 4 tab-separated fields, a non-empty id,
-    float features, ``dim`` of them, all finite, and then the label rules,
-    once per (label field, flag field) pair not seen before. A block that
-    breaks a rule adds no row and raises a DataFormatError with no
-    location; for a block of one line, its message is that of the line's
-    first broken rule. The feature matrix and the pair codes grow in place
-    by each block's rows, so no field string outlives its block and no
-    second copy of the features is made.
-    """
-
-    def __init__(self, dim: int, k_known: int, k_total: int, forbid_unknown: bool):
-        self.dim, self.k_known, self.k_total = dim, k_known, k_total
-        self.forbid_unknown = forbid_unknown
-        self.ids = []
-        self.x = np.empty((0, dim))
-        self.codes = np.empty(0, dtype=np.intp)
-        self.pair_codes = {}  # (label field, flag field) -> code, by first use
-        self.pair_labels = []  # the (labels, is_unknown) of each code
-
-    def add(self, lines: list[str]) -> tuple[int, str] | None:
-        """Add the records of ``lines`` and return None, or return the index of
-        the first line that breaks a rule and the rule's message, with the
-        lines before it added. A block that breaks a rule is added again one
-        line at a time, by the same code, to find that line."""
-        try:
-            self._add(lines)
-            return None
-        except DataFormatError:
-            pass  # its traceback, which holds the block's fields, is let go here
-        for i, line in enumerate(lines):
-            try:
-                self._add([line])
-            except DataFormatError as exc:
-                return i, str(exc)
-        return None
-
-    def _add(self, lines: list[str]) -> None:
-        # a line with 3 tabs splits into the 4 fields of a record
-        tabs = set(map(str.count, lines, repeat("\t"))) - {3}
-        if tabs:
-            raise DataFormatError(f"expected 4 tab-separated fields, got {tabs.pop() + 1}")
-        fields = "\t".join(lines).split("\t")
-        ids = fields[0::4]
-        if not all(ids):
-            raise DataFormatError("empty sample id")
-        feat_fields = fields[1::4]
-        # split 1024 fields at a time, so the block's value strings are never all held
-        values_text = chain.from_iterable(",".join(feat_fields[i:i + 1024]).split(",")
-                                          for i in range(0, len(feat_fields), 1024))
-        try:
-            values = np.fromiter(map(float, values_text), dtype=np.float64)
-        except ValueError as exc:
-            raise DataFormatError(f"bad feature value: {exc}") from exc
-        # a field with dim - 1 commas holds dim features
-        commas = set(map(str.count, feat_fields, repeat(","))) - {self.dim - 1}
-        if commas:
-            raise DataFormatError(f"expected {self.dim} features, got {commas.pop() + 1}")
-        if not np.isfinite(values).all():
-            raise DataFormatError("non-finite feature")
-        pairs = list(zip(fields[2::4], fields[3::4]))
-        for pair in dict.fromkeys(pairs):
-            if pair not in self.pair_codes:
-                self.pair_labels.append(_parse_labels(*pair, self.k_known, self.k_total,
-                                                      self.forbid_unknown))
-                self.pair_codes[pair] = len(self.pair_codes)
-        n, m = len(self.ids), len(ids)
-        # resize reallocates, so the arrays grow without a copy held beside them
-        self.x.resize((n + m, self.dim), refcheck=False)
-        self.x[n:] = values.reshape(m, self.dim)
-        self.codes.resize(n + m, refcheck=False)
-        self.codes[n:] = np.fromiter(map(self.pair_codes.__getitem__, pairs),
-                                     dtype=np.intp, count=m)
-        self.ids += ids
-
-    def table(self) -> SampleTable:
-        code_labels = np.zeros((len(self.pair_labels), self.k_total), dtype=bool)
-        for code, (labels, _) in enumerate(self.pair_labels):
-            code_labels[code, list(labels)] = True
-        code_unknown = np.array([is_unknown for _, is_unknown in self.pair_labels], dtype=bool)
-        return SampleTable(tuple(self.ids), self.x, code_labels[self.codes],
-                           code_unknown[self.codes])
-
-
 def _read_split_header(path: Path):
     """D, K and the class list from the first line of a split file, read alone."""
     if not path.is_file():
@@ -802,13 +718,27 @@ def _read_ids(fh) -> list[str]:
     return ids
 
 
+def _read_npy(fh, end: int) -> np.ndarray:
+    """The .npy block at the position of ``fh``; a ValueError, before any
+    array is allocated, when its header declares more data than the
+    ``end - fh.tell()`` bytes left before byte ``end``."""
+    start = fh.tell()
+    np.lib.format.read_magic(fh)
+    shape, _, dtype = np.lib.format.read_array_header_1_0(fh)
+    if math.prod(shape) * dtype.itemsize > end - fh.tell():
+        raise ValueError("the .npy block declares more data than the cache holds")
+    fh.seek(start)
+    return np.lib.format.read_array(fh)
+
+
 def _read_cache(path: Path, dim: int, k_known: int, k_total: int,
                 forbid_unknown: bool) -> SampleTable | None:
     """The rows stored in the cache of the split file at ``path``, or None.
 
     None when the cache is missing or unreadable, when its first line is not
     the digest of the split file's bytes and its own payload, recomputed
-    here _CACHE_BLOCK_BYTES at a time, or when its arrays break a rule the
+    here _CACHE_BLOCK_BYTES at a time, when an array's header declares more
+    data than the cache holds, or when its arrays break a rule the
     parser enforces: D features and one label column per class, finite
     features, non-empty ids, unknown flags that match the labels, and no
     unknown row where ``forbid_unknown``.
@@ -825,8 +755,9 @@ def _read_cache(path: Path, dim: int, k_known: int, k_total: int,
                 digest.update(block)
             if stored != digest.hexdigest().encode("ascii") + b"\n":
                 return None
+            end = fh.tell()
             fh.seek(payload)
-            x, labels, unknown = (np.lib.format.read_array(fh) for _ in range(3))
+            x, labels, unknown = (_read_npy(fh, end) for _ in range(3))
             ids = _read_ids(fh)
     except (OSError, ValueError):  # ValueError covers a bad .npy block or id byte
         return None
@@ -845,17 +776,59 @@ def _read_cache(path: Path, dim: int, k_known: int, k_total: int,
 
 def _parse_records(path: Path, dim: int, k_known: int, k_total: int,
                    forbid_unknown: bool) -> SampleTable:
-    records = _Records(dim, k_known, k_total, forbid_unknown)
+    """The rows of the records of the split file at ``path``, checked one line
+    at a time in the order a record is read: 4 tab-separated fields, a
+    non-empty id, float features, ``dim`` of them, all finite, and then the
+    label rules, once per (label field, flag field) pair not seen before.
+
+    The first line that breaks a rule is named in a DataFormatError, raised
+    once the rest of the file is decoded. Each line's features go into one
+    growing float64 array as the line is read, so neither the file's text
+    nor its values are ever all held as Python objects.
+    """
+    ids, x, codes = [], array("d"), array("q")
+    pair_codes, pair_labels = {}, []  # (label field, flag field) -> code; its (labels, flag)
     blocks = read_line_blocks(path, skip=1)
     for lines in blocks:
-        lineno = len(records.ids) + 2
-        bad = records.add(lines)
+        try:
+            for line in lines:
+                fields = line.split("\t")
+                if len(fields) != 4:
+                    raise DataFormatError(f"expected 4 tab-separated fields, got {len(fields)}")
+                sample_id, feature_field, label_field, flag_field = fields
+                if not sample_id:
+                    raise DataFormatError("empty sample id")
+                try:
+                    values = list(map(float, feature_field.split(",")))
+                except ValueError as exc:
+                    raise DataFormatError(f"bad feature value: {exc}") from None
+                if len(values) != dim:
+                    raise DataFormatError(f"expected {dim} features, got {len(values)}")
+                if not all(map(math.isfinite, values)):
+                    raise DataFormatError("non-finite feature")
+                pair = label_field, flag_field
+                code = pair_codes.get(pair)
+                if code is None:
+                    pair_labels.append(_parse_labels(label_field, flag_field, k_known, k_total,
+                                                     forbid_unknown))
+                    code = pair_codes[pair] = len(pair_codes)
+                ids.append(sample_id)
+                x.extend(values)
+                codes.append(code)
+        except DataFormatError as exc:
+            del lines  # the block is let go before the rest of the file is read
+            # a byte that is not UTF-8, anywhere in the file, wins; each block is
+            # dropped as soon as it is decoded
+            deque(blocks, maxlen=0)
+            raise DataFormatError(str(exc), path=path, line=len(ids) + 2) from None
         del lines  # before the next block is read
-        if bad is not None:
-            for _ in blocks:  # a byte that is not UTF-8, anywhere in the file, wins
-                pass
-            raise DataFormatError(bad[1], path=path, line=lineno + bad[0])
-    return records.table()
+    code_labels = np.zeros((len(pair_labels), k_total), dtype=bool)
+    for code, (labels, _) in enumerate(pair_labels):
+        code_labels[code, list(labels)] = True
+    code_unknown = np.array([is_unknown for _, is_unknown in pair_labels], dtype=bool)
+    codes = np.frombuffer(codes, dtype=np.int64)
+    return SampleTable(tuple(ids), np.frombuffer(x).reshape(len(ids), dim),
+                       code_labels[codes], code_unknown[codes])
 
 
 def _load_split_file(path: Path, forbid_unknown: bool):

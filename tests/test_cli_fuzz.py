@@ -11,6 +11,7 @@ Sizes stay small: the point is the input space, not the workload.
 """
 
 import contextlib
+import hashlib
 import io
 import shutil
 import tempfile
@@ -194,6 +195,35 @@ def test_damaged_cache_changes_no_output(pristine, command, target, kind, positi
         assert _run(_args(root, command)) == 0
         assert sorted((root / "out").iterdir()) == written
         assert [path.read_bytes() for path in written] == pristine_bytes
+
+
+def test_oversized_cache_array_changes_no_output(pristine):
+    """A cache whose digest matches but whose x header declares 10**12 rows,
+    far more than the cache holds, is passed over before any array is
+    allocated: eval writes what it writes with no cache."""
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        shutil.copytree(pristine, root, dirs_exist_ok=True)
+        data = root / "data"
+        text = (data / VAL_FILENAME).read_bytes()
+        cache = data / (VAL_FILENAME + CACHE_SUFFIX)
+        payload = io.BytesIO(cache.read_bytes().split(b"\n", 1)[1])
+        np.lib.format.read_magic(payload)
+        dim = np.lib.format.read_array_header_1_0(payload)[0][1]
+        header = io.BytesIO()
+        np.lib.format.write_array_header_1_0(
+            header, {"descr": "<f8", "fortran_order": False, "shape": (10**12, dim)})
+        payload = header.getvalue() + payload.read()
+        digest = hashlib.sha256(text + payload).hexdigest()
+        cache.write_bytes(digest.encode("ascii") + b"\n" + payload)
+        outputs = []
+        for cached in (True, False):
+            if not cached:
+                _drop_caches(data)
+            assert _run(_args(root, "eval")) == 0
+            outputs.append({p.name: p.read_bytes() for p in (root / "out").iterdir()})
+            shutil.rmtree(root / "out")
+        assert outputs[0] == outputs[1]
 
 
 # past the square root (1e154) and higher roots of float64's max, and near it

@@ -447,17 +447,21 @@ class TestBlockedFiles:
         monkeypatch.setattr(fileio, "_READ_CHUNK_BYTES", 1000)
         assert load_dataset(tmp_path) == split
 
-    def test_memory_beyond_the_result_does_not_grow_with_rows(self, tmp_path):
+    @pytest.mark.parametrize("cached", [True, False], ids=["cache-kept", "caches-dropped"])
+    def test_memory_beyond_the_result_does_not_grow_with_rows(self, tmp_path, cached):
         # 60k more train rows are 5.6 MB more text, which a whole-file write or
         # read holds several times over (24 and 18 MB more at 80k). The blocked
         # ones hold one block's strings, about 1 MiB of text, at either size (a
         # 20k-row file is two blocks); what a load adds per row is its id list
         # and (labels, flag) codes, 16 bytes, or 1 MB over 60k rows. Four
-        # features a row keep the traced calls short.
+        # features a row keep the traced calls short. Without the caches the
+        # load parses the records.
         transient = {}
         for n in (20_000, 80_000):
             split = _random_split(n, 1, dim=4)
             save = _transient_peak(lambda: save_dataset(split, tmp_path / str(n)))[0]
+            if not cached:
+                _drop_caches(tmp_path / str(n))
             load, loaded = _transient_peak(lambda: load_dataset(tmp_path / str(n)))
             assert loaded == split
             transient[n] = np.array([save, load])
@@ -751,6 +755,18 @@ class TestTwoProcessSave:
         assert len(procs) == 1 and procs[0].returncode == -signal.SIGKILL
         assert list(out.iterdir()) == []
         _no_child_left()
+
+    def test_the_second_process_loads_only_the_standard_library(self):
+        # records.py run as a module, so that main() does not wait on stdin
+        code = ("import runpy, sys\n"
+                "names = runpy.run_path(sys.argv[1], run_name='records_check')\n"
+                "assert callable(names['format_records'])\n"
+                "print(sorted(m for m in sys.modules if m.split('.')[0] in "
+                "('numpy', 'evidkit')))\n")
+        script = Path(datasets.__file__).with_name("records.py")
+        done = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(script)],
+                              capture_output=True, text=True, timeout=60)
+        assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
 
     @pytest.mark.parametrize("host", ["one-cpu", "one-cpu-no-affinity", "no-executable"])
     def test_no_child_without_a_second_cpu_or_an_interpreter(

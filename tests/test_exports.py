@@ -21,7 +21,8 @@ PACKAGE = ROOT / "src" / "evidkit"
 
 DOCUMENTED = {
     "baseline_ood_scores": "the README's Evaluation bullet (MaxLogit and JointEnergy "
-                           "baselines); ROADMAP item 3 gives it a CLI caller or deletes it",
+                           "baselines); the ROADMAP item that makes 'present' mean evidence "
+                           "and 'unknown' mean far gives it a CLI caller or deletes it",
     "opinion_from_evidence": "the README's Opinions bullet: the scalar oracle of the "
                              "belief masses",
     "probability_from_opinion": "the README's Opinions bullet: the scalar oracle of the "

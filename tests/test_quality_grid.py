@@ -27,13 +27,14 @@ def test_two_run_grid_summarizes_every_metric():
     data_seed, train_seed = grid.CANONICAL
     summary = grid.run_grid([data_seed], [train_seed, train_seed + 1])
     assert set(summary) == {"runs", *grid.METRICS, "runs_f1_normal_below_0.9",
-                            "runs_auroc_below_0.5", "canonical"}
+                            "runs_auroc_below_0.5", "canonical", "acceptance"}
     assert summary["runs"] == 2
     assert 0 <= summary["runs_f1_normal_below_0.9"] <= 2
     assert 0 <= summary["runs_auroc_below_0.5"] <= 2
-    assert set(summary["canonical"]) == set(grid.METRICS)
+    assert set(summary["canonical"]) == set(summary["acceptance"]) == set(grid.METRICS)
     for name in grid.METRICS:
         stats = summary[name]
         assert set(stats) == {"median", "q1", "min"}
         assert 0.0 <= stats["min"] <= stats["q1"] <= stats["median"] <= 1.0
         assert 0.0 <= summary["canonical"][name] <= 1.0
+        assert 0.0 <= summary["acceptance"][name] <= 1.0

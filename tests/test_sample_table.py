@@ -7,6 +7,7 @@ Their rows are plain `_Row` tuples.
 """
 
 import math
+import re
 import tempfile
 from pathlib import Path
 from typing import NamedTuple
@@ -293,6 +294,34 @@ def test_first_of_two_bad_lines_is_named(tmp_path, monkeypatch, first, second, c
         with pytest.raises(DataFormatError) as ref_err:
             _ref_load_split_file(path)
         assert str(err.value) == str(ref_err.value)
+
+
+# the rules of the id and feature fields, read before the label fields
+FIELD_KINDS = ["id", "feature", "count", "nan"]
+LABEL_KINDS = ["label", "duplicate", "range", "flag", "mismatch"]
+
+
+def _load_error(d) -> str:
+    with pytest.raises(DataFormatError) as err:
+        load_dataset(d)
+    return str(err.value)
+
+
+@pytest.mark.parametrize("early,late", [(e, l) for e in FIELD_KINDS for l in LABEL_KINDS])
+def test_a_line_breaking_two_rules_names_the_earlier(tmp_path, early, late):
+    d = _saved(tmp_path)
+    path = d / VAL_FILENAME
+    fields = path.read_text().splitlines()[3].split("\t")
+    errors = {}
+    for name, line in (("late", BAD_RECORDS[late](fields)),
+                       ("early", BAD_RECORDS[early](fields)),
+                       ("both", BAD_RECORDS[early](BAD_RECORDS[late](fields).split("\t")))):
+        _replace_lines(path, {4: line})
+        errors[name] = _load_error(d)
+    assert errors["early"] != errors["late"]
+    assert errors["both"] == errors["early"]
+    assert re.search(r"line 4: (empty sample id|bad feature value|expected 4 features|"
+                     "non-finite feature)", errors["both"])
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])

@@ -339,11 +339,14 @@ def generate_dataset(cfg: GenConfig) -> DatasetSplit:
     """Deterministic synthetic dataset; same config -> identical samples.
 
     Draws are made row by row in a fixed order (label draws, then the noise
-    direction, then its radius), and the features are assembled afterwards
-    as centre + factor * direction in one array operation. A geometry too
-    large for float64 (noise, separation and unknown_scale multiply) is a
-    ConfigError, raised before anything is written; so is a size that
-    cannot be allocated.
+    direction, then its radius). One (n_train + n_val, dim) float64 array is
+    allocated before the first row is drawn, and each row's direction is
+    copied into it; the features are then assembled in place, scaled by
+    each row's factor and shifted by its centre, the same bits as
+    centre + factor * direction. A geometry too large for float64 (noise,
+    separation and unknown_scale multiply) is a ConfigError, raised before
+    anything is written; so is a size that cannot be allocated, found
+    before any row is drawn.
     """
     try:
         return _generate_split(cfg)
@@ -366,7 +369,14 @@ def _generate_split(cfg: GenConfig) -> DatasetSplit:
     normal_rate, unknown_rate, cooccurrence = cfg.normal_rate, cfg.unknown_rate, cfg.cooccurrence
     max_radius, root = NOISE_RADIUS * cfg.noise, 1.0 / dim
     codes = {}  # label tuple -> row of the centre and label tables, by first use
-    row_codes, directions, factors = [], [], []
+    row_codes, factors = [], []
+    # the features of every row, allocated before the first is drawn: each
+    # row's noise direction is copied in as it is drawn, and x becomes the
+    # features in place once all are
+    try:
+        x = np.empty((n_train + cfg.n_val, dim))
+    except ValueError:  # more bytes than an address can count
+        raise MemoryError from None
     for i in range(n_train + cfg.n_val):
         # a validation row is unknown with probability unknown_rate; any other
         # row is label-free with probability normal_rate, else carries one
@@ -391,7 +401,7 @@ def _generate_split(cfg: GenConfig) -> DatasetSplit:
         while norm == 0.0:
             direction = standard_normal(dim)
             norm = math.sqrt(direction.dot(direction))
-        directions.append(direction)
+        x[i] = direction
         factors.append(max_radius * random() ** root / norm)
 
     k_total = cfg.k_known + cfg.k_unknown
@@ -404,7 +414,10 @@ def _generate_split(cfg: GenConfig) -> DatasetSplit:
         elif labels:
             centres[code] = known_protos[list(labels)].mean(axis=0)
     row_codes = np.array(row_codes, dtype=np.intp)
-    x = centres[row_codes] + np.array(factors)[:, None] * np.array(directions)
+    # direction * factor + centre, the same bits as centre + factor * direction
+    x *= np.array(factors)[:, None]
+    del factors  # 32 bytes a row, let go before the centres are gathered
+    x += centres[row_codes]
     if not np.isfinite(x).all():
         raise ConfigError("generated features overflow float64; "
                           "lower noise, separation or unknown_scale")
@@ -939,8 +952,9 @@ def save_ciw_config(table: CIWTable, path) -> None:
 
 def random_ciw_table(class_names, seed: int) -> CIWTable:
     """Seeded uniform weights in [0.1, 1.0], one per class name."""
+    class_names = tuple(class_names)  # read twice below; an iterator is read once
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.1, 1.0, size=len(tuple(class_names)))
+    weights = rng.uniform(0.1, 1.0, size=len(class_names))
     return CIWTable.from_pairs(zip(class_names, (float(w) for w in weights)))
 
 

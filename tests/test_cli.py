@@ -115,6 +115,20 @@ class TestGenerate:
         assert "dim 100000000000" in err and "train" in err and "validation rows" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("size", [
+        # 8 EB of features, past a 57-bit address space as well as a 48-bit one
+        pytest.param(["--train-samples", "1000000000000000", "--dim", "1000"], id="rows"),
+        # a byte count past what a signed 64-bit size can hold
+        pytest.param(["--train-samples", "1000000000000000000"], id="bytes"),
+    ])
+    def test_unallocatable_row_count_exits_2_before_drawing(self, tmp_path, capsys, size):
+        # the features of every row are allocated before the first row is drawn
+        out = tmp_path / "d"
+        assert main(["generate", "--out", str(out), *size]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "does not fit in memory" in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, tmp_path):

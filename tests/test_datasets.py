@@ -183,6 +183,23 @@ class TestGeneration:
                 proj_b = arrays[b] @ direction
                 assert proj_a.min() > proj_b.max()
 
+    def test_peak_memory_per_row_is_about_what_the_split_keeps(self):
+        # the split keeps about 120 bytes a row (8 features, the labels, the
+        # id); drawing into one preallocated feature array and assembling it in
+        # place adds the centres gathered for each row and the rows' codes,
+        # about 135 in all. A list of per-row direction arrays and the
+        # temporaries of centre + factor * direction came to about 405.
+        peak = {}
+        for n in (10_000, 40_000):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                generate_dataset(GenConfig(n_train=n, n_val=1))
+                peak[n] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peak[40_000] - peak[10_000]) / 30_000 < 250, peak
+
     def test_cooccurring_samples_exist_and_sit_between_prototypes(self):
         split = generate_dataset(GenConfig())
         assert (split.train.labels.sum(axis=1) == 2).any()  # default co-occurrence rate is 0.2
@@ -468,24 +485,35 @@ class TestBlockedFiles:
         growth = transient[80_000] - transient[20_000]
         assert (growth < 1.5 * 2**20).all(), (transient, growth)
 
+    @staticmethod
+    def _rejected_load_peak(directory, n):
+        """The transient peak of loading ``n`` train rows of 4 features whose
+        line 2 breaks the last rule checked, the unknown flag."""
+        save_dataset(_random_split(n, 1, dim=4), directory)
+        path = directory / TRAIN_FILENAME
+        lines = path.read_text().splitlines()
+        lines[1] = lines[1][:-1] + "2"
+        path.write_text("\n".join(lines) + "\n")
+
+        def reject():
+            with pytest.raises(DataFormatError, match="line 2: unknown flag must be"):
+                load_dataset(directory)
+
+        return _transient_peak(reject)[0]
+
     def test_rejecting_a_bad_second_line_does_not_grow_with_rows(self, tmp_path):
         # the rest of the file is decoded before the error is raised, one block
         # at a time; a second, whole-file read to name the line would hold every
         # line's string, about 7 MB more at 80k rows than at 20k
-        peak = {}
-        for n in (20_000, 80_000):
-            save_dataset(_random_split(n, 1, dim=4), tmp_path / str(n))
-            path = tmp_path / str(n) / TRAIN_FILENAME
-            lines = path.read_text().splitlines()
-            lines[1] = lines[1][:-1] + "2"  # the unknown flag, the last rule checked
-            path.write_text("\n".join(lines) + "\n")
-
-            def reject():
-                with pytest.raises(DataFormatError, match="line 2: unknown flag must be"):
-                    load_dataset(tmp_path / str(n))
-
-            peak[n] = _transient_peak(reject)[0]
+        peak = {n: self._rejected_load_peak(tmp_path / str(n), n) for n in (20_000, 80_000)}
         assert peak[80_000] - peak[20_000] < 2**20, peak
+
+    def test_rejecting_a_bad_second_line_holds_one_block(self, tmp_path):
+        # reading a block holds its bytes, its text and its line strings, about
+        # 3.6 times the block's bytes; keeping the failing block's lines while
+        # the rest of the 80k-row file is drained adds about 1.6 more
+        peak = self._rejected_load_peak(tmp_path, 80_000)
+        assert peak < 4.5 * fileio._READ_CHUNK_BYTES, peak
 
     def test_a_bad_byte_in_a_later_block_wins_over_a_bad_record(self, tmp_path, monkeypatch):
         save_dataset(generate_dataset(SMALL), tmp_path)
@@ -588,6 +616,11 @@ class TestCiwFiles:
         t2 = random_ciw_table(names, seed=4)
         assert t1 == t2
         assert all(0.1 <= w <= 1.0 for w in t1.weights)
+
+    def test_random_table_reads_an_iterator_once(self):
+        expected = random_ciw_table(("a", "b"), seed=4)
+        assert random_ciw_table(iter(["a", "b"]), seed=4) == expected
+        assert len(expected.entries) == 2
 
 
 class TestArrays:

@@ -241,6 +241,36 @@ def test_generate_save_load_and_arrays_match_the_per_row_code(cfg):
         _assert_same_arrays(samples_to_arrays(list(rows), cfg.k_known, cfg.dim), expected)
 
 
+def test_a_zero_direction_is_redrawn_as_the_per_row_code_redraws_it(monkeypatch):
+    """A Gaussian draw of all zeros has no direction. Seeded generators whose
+    first row direction comes back all zeros (the draw is still made) send
+    the generator and the per-row reference through their redraws."""
+    default_rng, rngs = np.random.default_rng, []
+
+    class FirstDirectionZero:
+        def __init__(self, seed):
+            self._rng, self.directions = default_rng(seed), 0
+            rngs.append(self)
+
+        def __getattr__(self, name):
+            return getattr(self._rng, name)
+
+        def standard_normal(self, size):
+            draw = self._rng.standard_normal(size)
+            if isinstance(size, int):  # a row's direction, not the prototypes' matrix
+                if self.directions == 0:
+                    draw[:] = 0.0
+                self.directions += 1
+            return draw
+
+    monkeypatch.setattr(np.random, "default_rng", FirstDirectionZero)
+    ref_train, ref_val, classes = _ref_generate(SMALL)
+    split = generate_dataset(SMALL)
+    assert [r.directions for r in rngs] == [SMALL.n_train + SMALL.n_val + 1] * 2
+    assert split.train == _ref_table(ref_train, len(classes), SMALL.dim)
+    assert split.validation == _ref_table(ref_val, len(classes), SMALL.dim)
+
+
 def _saved(tmp_path):
     save_dataset(generate_dataset(SMALL), tmp_path / "d")
     return tmp_path / "d"

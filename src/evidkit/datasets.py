@@ -62,12 +62,19 @@ Beside each split file ``save_dataset`` writes its cache, named after it
 with ``CACHE_SUFFIX`` (``train.edlset.cache``). Its first line is the hex
 SHA-256 of the split file's bytes followed by the cache's payload; the
 payload is x, labels and unknown as .npy blocks (``np.lib.format``), then
-the ids joined by newlines, in UTF-8. The loaders still read and check a
-split file's header line. They take the rows from the cache only when the
-digest, recomputed _CACHE_BLOCK_BYTES (1 MiB) at a time, matches and the
-arrays fit the header and the record rules; in every other case they
-parse the records. So errors come from the text alone, and a missing,
-stale or damaged cache changes no result. No loader writes a file.
+the ids joined by newlines, in UTF-8. The rows come from the cache only
+when the digest, recomputed _CACHE_BLOCK_BYTES (1 MiB) at a time, matches
+and the arrays fit the header and the record rules; in every other case
+the records are parsed. So errors come from the text alone, and a
+missing, stale or damaged cache changes no result. No loader writes a file.
+
+One loop reads a dataset directory, for ``load_dataset`` and for the
+one-split loaders ``load_training`` and ``load_validation`` alike. It reads
+train.edlset, then val.edlset: of each, the header line, then, when that
+split's rows are wanted, the rows, from the cache before the parse. That
+the two headers agree is checked last. A loader reports the first of
+these that fails: train header, train rows (when read), val header, val
+rows (when read), agreement.
 
 In memory a split is a SampleTable: one frozen row table of arrays, not a
 tuple of per-row objects. It holds `ids` (a tuple of N str), `x` (an
@@ -234,7 +241,8 @@ class DatasetSplit:
     """A full dataset: train and validation rows plus the class lists.
 
     train and validation are SampleTables with `dim` feature columns and
-    one label column per class, known first.
+    one label column per class, known first. There is at least one known
+    class, as the file header requires.
     """
 
     train: SampleTable
@@ -246,6 +254,8 @@ class DatasetSplit:
     def __post_init__(self):
         if self.dim < 1:
             raise ValueError("dim must be >= 1")
+        if not self.known_classes:
+            raise ValueError("known_classes must hold at least one class")
         for name in self.classes:
             if not _NAME_RE.match(name):
                 raise ValueError(f"class name {name!r} is not file-format safe")
@@ -340,13 +350,13 @@ def generate_dataset(cfg: GenConfig) -> DatasetSplit:
 
     Draws are made row by row in a fixed order (label draws, then the noise
     direction, then its radius). One (n_train + n_val, dim) float64 array is
-    allocated before the first row is drawn, and each row's direction is
+    allocated before anything is drawn, and each row's direction is
     copied into it; the features are then assembled in place, scaled by
     each row's factor and shifted by its centre, the same bits as
     centre + factor * direction. A geometry too large for float64 (noise,
     separation and unknown_scale multiply) is a ConfigError, raised before
-    anything is written; so is a size that cannot be allocated, found
-    before any row is drawn.
+    anything is written; so is a size that cannot be allocated, or that
+    numpy cannot address, found before anything is drawn.
     """
     try:
         return _generate_split(cfg)
@@ -358,6 +368,13 @@ def generate_dataset(cfg: GenConfig) -> DatasetSplit:
 
 
 def _generate_split(cfg: GenConfig) -> DatasetSplit:
+    # the features of every row, allocated before anything is drawn: each
+    # row's noise direction is copied in as it is drawn, and x becomes the
+    # features in place once all are
+    try:
+        x = np.empty((cfg.n_train + cfg.n_val, cfg.dim))
+    except ValueError:  # more bytes than an address can count
+        raise MemoryError from None
     rng = np.random.default_rng(cfg.seed)
     known_protos = _known_prototypes(rng, cfg)
     unknown_protos = _unknown_prototypes(rng, cfg, known_protos)
@@ -370,13 +387,6 @@ def _generate_split(cfg: GenConfig) -> DatasetSplit:
     max_radius, root = NOISE_RADIUS * cfg.noise, 1.0 / dim
     codes = {}  # label tuple -> row of the centre and label tables, by first use
     row_codes, factors = [], []
-    # the features of every row, allocated before the first is drawn: each
-    # row's noise direction is copied in as it is drawn, and x becomes the
-    # features in place once all are
-    try:
-        x = np.empty((n_train + cfg.n_val, dim))
-    except ValueError:  # more bytes than an address can count
-        raise MemoryError from None
     for i in range(n_train + cfg.n_val):
         # a validation row is unknown with probability unknown_rate; any other
         # row is label-free with probability normal_rate, else carries one
@@ -446,14 +456,15 @@ def _write_hashed(fh, digest, data) -> None:
     digest.update(data)
 
 
-def _tail_fields(rows: SampleTable, block: slice, tails: dict) -> list[str]:
+def _tail_fields(rows: SampleTable, block: slice) -> list[str]:
     """The label and flag fields of the rows in ``block``, each the
-    comma-separated label indices, a tab and the unknown flag. ``tails``
-    keeps them, formatted once per distinct (labels, flag) row; a row's key
-    is the bytes of its label row and flag as bools."""
-    flagged = np.column_stack((rows.labels[block], rows.unknown[block]))
+    comma-separated label indices, a tab and the unknown flag, formatted
+    once per distinct (labels, flag) row of the block; a row's key is the
+    bytes of its label row and flag as bools, which needs each row contiguous."""
+    flagged = np.ascontiguousarray(np.column_stack((rows.labels[block], rows.unknown[block])))
     keys = flagged.view(np.dtype((np.void, flagged.shape[1]))).ravel().tolist()
-    for key in dict.fromkeys(keys).keys() - tails.keys():
+    tails = {}
+    for key in set(keys):
         indices = np.flatnonzero(np.frombuffer(key[:-1], dtype=bool)).tolist()
         tails[key] = f"{','.join(map(str, indices))}\t{key[-1]}"
     return list(map(tails.__getitem__, keys))
@@ -509,7 +520,7 @@ class _RecordProcess:
             with contextlib.suppress(OSError):
                 stream.close()
 
-    def send(self, shares, tails: dict) -> None:
+    def send(self, shares) -> None:
         """Send the rows of each (table, first row) of ``shares``, a block of
         _WRITE_BLOCK_ROWS at a time: the features straight from the table's
         memory, then the ids and the label and flag fields; then close the
@@ -519,7 +530,7 @@ class _RecordProcess:
             for rows, start in shares:
                 x = np.ascontiguousarray(rows.x)
                 for block in _blocks(start, len(rows)):
-                    text = "\n".join(chain(rows.ids[block], _tail_fields(rows, block, tails)))
+                    text = "\n".join(chain(rows.ids[block], _tail_fields(rows, block)))
                     text = text.encode("utf-8")
                     write(records.BLOCK_HEADER.pack(block.stop - block.start, len(text)))
                     write(memoryview(x[block]))
@@ -565,7 +576,7 @@ class _RecordProcess:
             raise OSError("the record-formatting process wrote too many records")
 
 
-def _write_split_file(fh, rows: SampleTable, split: DatasetSplit, own: int, tails: dict,
+def _write_split_file(fh, rows: SampleTable, split: DatasetSplit, own: int,
                       child: _RecordProcess | None):
     """Write the header line, then the records of the first ``own`` rows in
     blocks of _WRITE_BLOCK_ROWS rows, with one tolist of the block's features
@@ -579,7 +590,7 @@ def _write_split_file(fh, rows: SampleTable, split: DatasetSplit, own: int, tail
     _write_hashed(fh, digest, f"{header}\n".encode("utf-8"))
     for block in _blocks(0, own):
         _write_hashed(fh, digest, records.format_records(
-            rows.ids[block], rows.x[block].tolist(), _tail_fields(rows, block, tails)))
+            rows.ids[block], rows.x[block].tolist(), _tail_fields(rows, block)))
     if own < len(rows):
         child.copy(fh, digest, len(rows) - own)
     return digest
@@ -629,7 +640,6 @@ def save_dataset(split: DatasetSplit, path) -> None:
     splits = ((directory / TRAIN_FILENAME, split.train),
               (directory / VAL_FILENAME, split.validation))
     n_rows = len(split.train) + len(split.validation)
-    tails = {}
     with contextlib.ExitStack() as stack:
         # the first ``own`` rows of train, then validation, are formatted here
         own, child = n_rows, None
@@ -637,14 +647,14 @@ def save_dataset(split: DatasetSplit, path) -> None:
             own -= n_rows // 2
             child = stack.enter_context(_RecordProcess(directory, split.dim))
             child.send([(split.train, min(own, len(split.train))),
-                        (split.validation, max(own - len(split.train), 0))], tails)
+                        (split.validation, max(own - len(split.train), 0))])
         # entered last to first, so that they replace their targets first to last
         paths = [p for path, _ in splits for p in (path, _cache_path(path))]
         files = [stack.enter_context(atomic_open(p, binary=True)) for p in reversed(paths)]
         files.reverse()
         for (_, rows), fh, cache in zip(splits, files[0::2], files[1::2]):
             mine = min(own, len(rows))
-            digest = _write_split_file(fh, rows, split, mine, tails, child)
+            digest = _write_split_file(fh, rows, split, mine, child)
             _write_split_cache(cache, rows, digest)
             own -= mine
         if child is not None:
@@ -757,15 +767,13 @@ def _read_cache(path: Path, dim: int, k_known: int, k_total: int,
     unknown row where ``forbid_unknown``.
     """
     try:
-        with open(_cache_path(path), "rb") as fh:
-            stored = fh.readline(_CACHE_BLOCK_BYTES)
-            digest = hashlib.sha256()
-            with open(path, "rb") as text:
-                while block := text.read(_CACHE_BLOCK_BYTES):
-                    digest.update(block)
+        with open(_cache_path(path), "rb") as fh, open(path, "rb") as text:
+            stored = fh.readline(65)  # the hex digest and its newline
             payload = fh.tell()
-            while block := fh.read(_CACHE_BLOCK_BYTES):
-                digest.update(block)
+            digest = hashlib.sha256()
+            for source in (text, fh):  # the split file's bytes, then the payload
+                while block := source.read(_CACHE_BLOCK_BYTES):
+                    digest.update(block)
             if stored != digest.hexdigest().encode("ascii") + b"\n":
                 return None
             end = fh.tell()
@@ -844,54 +852,38 @@ def _parse_records(path: Path, dim: int, k_known: int, k_total: int,
                        code_labels[codes], code_unknown[codes])
 
 
-def _load_split_file(path: Path, forbid_unknown: bool):
-    """D, K, the class list and the rows of a split file: the rows of its
-    cache when that holds them, else those its records parse to."""
-    dim, k_known, classes = _read_split_header(path)
-    rows = _read_cache(path, dim, k_known, len(classes), forbid_unknown)
-    if rows is None:
-        rows = _parse_records(path, dim, k_known, len(classes), forbid_unknown)
-    return dim, k_known, classes, rows
-
-
-def _check_headers_agree(train_header, val_header, directory: Path) -> None:
-    if train_header != val_header:
+def _load(path, wanted: str | None = None):
+    """D, K and the class list of a dataset directory, and the list of the
+    rows of the split file named ``wanted``, or of both when it is None,
+    train first; the module docstring gives the order of reads and errors."""
+    directory = Path(path)
+    headers, tables = [], []
+    for name, forbid_unknown in ((TRAIN_FILENAME, True), (VAL_FILENAME, False)):
+        file = directory / name
+        headers.append(_read_split_header(file))
+        if wanted in (None, name):
+            dim, k_known, classes = headers[-1]
+            rows = _read_cache(file, dim, k_known, len(classes), forbid_unknown)
+            if rows is None:
+                rows = _parse_records(file, dim, k_known, len(classes), forbid_unknown)
+            tables.append(rows)
+    if headers[0] != headers[1]:
         raise DataFormatError(
             "train and validation headers disagree", path=directory / VAL_FILENAME, line=1
         )
+    return headers[0], tables
 
 
 def load_dataset(path) -> DatasetSplit:
     """Read a dataset directory written by save_dataset."""
-    directory = Path(path)
-    train_meta = _load_split_file(directory / TRAIN_FILENAME, forbid_unknown=True)
-    val_meta = _load_split_file(directory / VAL_FILENAME, forbid_unknown=False)
-    _check_headers_agree(train_meta[:3], val_meta[:3], directory)
-    dim, k_known, classes = train_meta[:3]
+    (dim, k_known, classes), (train, validation) = _load(path)
     return DatasetSplit(
-        train=train_meta[3],
-        validation=val_meta[3],
+        train=train,
+        validation=validation,
         known_classes=classes[:k_known],
         unknown_classes=classes[k_known:],
         dim=dim,
     )
-
-
-def _load_one_split(path, records_file: str) -> tuple[tuple[str, ...], SampleTable]:
-    """The known classes and the rows of the split file ``records_file``; of
-    the other split file only the header line is read, which must agree.
-    train.edlset is read first, records or header."""
-    directory = Path(path)
-    headers, rows = [], None
-    for name, forbid_unknown in ((TRAIN_FILENAME, True), (VAL_FILENAME, False)):
-        if name == records_file:
-            *header, rows = _load_split_file(directory / name, forbid_unknown)
-        else:
-            header = _read_split_header(directory / name)
-        headers.append(tuple(header))
-    _check_headers_agree(*headers, directory)
-    _, k_known, classes = headers[0]
-    return classes[:k_known], rows
 
 
 def load_training(path) -> tuple[tuple[str, ...], SampleTable]:
@@ -902,7 +894,8 @@ def load_training(path) -> tuple[tuple[str, ...], SampleTable]:
     the validation records are neither read nor checked. The rows are
     those of ``load_dataset(path).train``, with D feature columns.
     """
-    return _load_one_split(path, TRAIN_FILENAME)
+    (_, k_known, classes), (rows,) = _load(path, TRAIN_FILENAME)
+    return classes[:k_known], rows
 
 
 def load_validation(path) -> tuple[tuple[str, ...], SampleTable]:
@@ -913,7 +906,8 @@ def load_validation(path) -> tuple[tuple[str, ...], SampleTable]:
     list; the train records are neither read nor checked. The rows are
     those of ``load_dataset(path).validation``, with D feature columns.
     """
-    return _load_one_split(path, VAL_FILENAME)
+    (_, k_known, classes), (rows,) = _load(path, VAL_FILENAME)
+    return classes[:k_known], rows
 
 
 def load_ciw_config(path) -> CIWTable:

@@ -120,9 +120,14 @@ class TestGenerate:
         pytest.param(["--train-samples", "1000000000000000", "--dim", "1000"], id="rows"),
         # a byte count past what a signed 64-bit size can hold
         pytest.param(["--train-samples", "1000000000000000000"], id="bytes"),
+        # a dim whose byte count at the default row counts passes it too; numpy
+        # refused it in the prototype draw, before the features were allocated
+        pytest.param(["--dim", "1000000000000000000"], id="dim-bytes"),
+        # a dim past the largest dimension numpy takes
+        pytest.param(["--dim", "10000000000000000000"], id="dim-past-numpy"),
     ])
     def test_unallocatable_row_count_exits_2_before_drawing(self, tmp_path, capsys, size):
-        # the features of every row are allocated before the first row is drawn
+        # the features of every row are allocated before anything is drawn
         out = tmp_path / "d"
         assert main(["generate", "--out", str(out), *size]) == 2
         err = capsys.readouterr().err

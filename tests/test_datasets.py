@@ -102,6 +102,13 @@ class TestSplitValidation:
         with pytest.raises(ValueError):
             self._mk(train=_table(("t0",), [[0.0, 0.0]], [[0, 0, 1]], [True]))
 
+    def test_no_known_class_rejected(self):
+        # save_dataset would write K=0, which the loader rejects
+        with pytest.raises(ValueError, match="known_classes must hold at least one class"):
+            self._mk(train=_table(("t0",), [[0.0, 0.0]], [[0]], [False]),
+                     validation=_table(("v0",), [[0.0, 0.0]], [[1]], [True]),
+                     known_classes=(), unknown_classes=("u1",))
+
 
 class TestGenConfig:
     def test_defaults_build(self):
@@ -232,6 +239,16 @@ class TestDatasetFiles:
         loaded = load_dataset(tmp_path / "d")
         assert loaded.train == empty and loaded.validation == empty
         assert loaded.known_classes == ("a", "b")
+
+    def test_fortran_ordered_labels_round_trip(self, tmp_path):
+        # a column-major label matrix, as a fancy index and an & can make it
+        split = generate_dataset(SMALL)
+        train = split.train
+        labels = train.labels[:, [0, 1, 2, 3]] & [True, True, True, True]
+        assert not labels.flags.c_contiguous
+        split = replace(split, train=SampleTable(train.ids, train.x, labels, train.unknown))
+        save_dataset(split, tmp_path / "d")
+        assert load_dataset(tmp_path / "d") == split
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(DataFormatError, match="missing"):
@@ -399,6 +416,34 @@ class TestCaches:
             for name in ("x", "labels", "unknown"):
                 a, b = getattr(ours, name), getattr(theirs, name)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+    def test_a_cache_read_in_blocks_of_a_few_bytes_gives_the_parsed_rows(self, tmp_path,
+                                                                      monkeypatch):
+        # 7-byte blocks: the digest line, the hash of both files and the ids
+        # all take many reads, and some block edges fall inside a UTF-8 character
+        ids = tuple(f"\u00e9t\u00e9-\u65e5\u672c\u00a0{i}" for i in range(40))
+        assert any(0x80 <= b < 0xC0 for b in "\n".join(ids).encode("utf-8")[::7])
+        train_labels = np.zeros((40, 3), dtype=bool)
+        train_labels[::2, 0] = train_labels[1::3, 1] = True
+        val_labels = train_labels.copy()
+        val_labels[::5, 2] = True
+        x = np.random.default_rng(1).standard_normal((40, 2))
+        split = DatasetSplit(
+            SampleTable(ids, x, train_labels, np.zeros(40, dtype=bool)),
+            SampleTable(ids[::-1], -x, val_labels, val_labels[:, 2].copy()),
+            ("a", "b"), ("u",), 2)
+        save_dataset(split, tmp_path)
+
+        def no_parse(*args):
+            raise AssertionError("the records were parsed")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(datasets, "_CACHE_BLOCK_BYTES", 7)
+            patch.setattr(datasets, "_parse_records", no_parse)
+            cached = load_dataset(tmp_path)
+        _drop_caches(tmp_path)
+        assert cached == load_dataset(tmp_path) == split
 
 
 def _random_split(n_train, n_val, dim, seed=0):

@@ -7,6 +7,10 @@ too), or be mentioned as a whole word in ``README.md``. A mention in a
 docstring or a comment is not a use, and tests do not count as callers.
 A name kept for a use stated elsewhere is listed in ``DOCUMENTED`` with
 the reason.
+
+A private top-level name (one leading ``_``, not a dunder) must be
+referenced by the code of the package itself, by the same rules; no
+helper is left behind when its last caller goes.
 """
 
 import ast
@@ -32,8 +36,8 @@ DOCUMENTED = {
 }
 
 
-def _public_names(source: str) -> list[str]:
-    """Top-level functions, classes and assigned names of a module, without a leading _."""
+def _top_level_names(source: str) -> list[str]:
+    """Top-level functions, classes and assigned names of a module."""
     names = []
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -42,7 +46,18 @@ def _public_names(source: str) -> list[str]:
             names += [t.id for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.append(node.target.id)
-    return [n for n in names if not n.startswith("_")]
+    return names
+
+
+def _public_names(source: str) -> list[str]:
+    """The top-level names of a module without a leading _."""
+    return [n for n in _top_level_names(source) if not n.startswith("_")]
+
+
+def _private_names(source: str) -> list[str]:
+    """The top-level names of a module with a leading _, dunders aside."""
+    return [n for n in _top_level_names(source)
+            if n.startswith("_") and not (n.startswith("__") and n.endswith("__"))]
 
 
 def _references(source: str) -> Counter:
@@ -105,3 +120,27 @@ def test_a_planted_export_is_caught():
     assert names == ["LIMIT", "Spare", "spare_helper", "spare_doc"]
     refs = _code_references() + _references(planted)
     assert _unused(names, refs) == ["Spare", "spare_helper", "spare_doc"]
+
+
+def _package_references() -> Counter:
+    return sum((_references(m.read_text(encoding="utf-8")) for m in MODULES), Counter())
+
+
+@pytest.mark.parametrize("module", MODULES, ids=[m.stem for m in MODULES])
+def test_every_private_name_has_a_caller(module):
+    refs = _package_references()
+    unused = [n for n in _private_names(module.read_text(encoding="utf-8")) if not refs[n]]
+    assert not unused, f"{module.name}: {unused} have no caller in src/evidkit; delete them"
+
+
+def test_a_planted_private_helper_is_caught():
+    # _LIMIT is read by _helper, which is read nowhere; _spare only in a docstring
+    planted = (
+        '__version__ = "1"\n_LIMIT = 3\n\n\nclass _Spare:\n    pass\n\n\n'
+        'def _helper():\n    """The limit, as _spare gives it."""\n    return _LIMIT\n\n\n'
+        'def _spare():\n    pass\n'
+    )
+    names = _private_names(planted)
+    assert names == ["_LIMIT", "_Spare", "_helper", "_spare"]
+    refs = _package_references() + _references(planted)
+    assert [n for n in names if not refs[n]] == ["_Spare", "_helper", "_spare"]

@@ -21,7 +21,8 @@ import numpy as np
 from .base_rates import CIWTable, base_rate_arrays
 from .datasets import (
     GenConfig,
-    generate_dataset,
+    generate_and_save_dataset,
+    generate_dataset,  # unused here; perfbench patches this name (ROADMAP: built-in stage spans)
     load_ciw_config,
     load_dataset,  # unused here; perfbench patches this name (ROADMAP: built-in stage spans)
     load_training,
@@ -29,7 +30,7 @@ from .datasets import (
     random_ciw_table,
     samples_to_arrays,
     save_ciw_config,
-    save_dataset,
+    save_dataset,  # unused here; perfbench patches this name (ROADMAP: built-in stage spans)
 )
 from .errors import ConfigError, DataFormatError, NonFiniteOutput, TrainingDiverged
 from .evaluation import (
@@ -116,9 +117,8 @@ def _naming_sample(ids, checkpoint):
 
 def cmd_generate(args) -> int:
     cfg = GenConfig(**_config_values(GenConfig, args))
-    split = generate_dataset(cfg)
     out = Path(args.out)
-    save_dataset(split, out)
+    split = generate_and_save_dataset(cfg, out)
     ciw = random_ciw_table(split.known_classes, seed=cfg.seed)
     save_ciw_config(ciw, out / CIW_FILENAME)
     n_unknown = int(split.validation.unknown.sum())

@@ -26,30 +26,36 @@ comma-separated features (repr precision, so round trips are bit-exact),
 comma-separated label indices (empty allowed), unknown flag 0/1.
 
 Split files are written and read in blocks, so neither side holds a
-whole file's text: ``save_dataset`` formats and writes
-``_WRITE_BLOCK_ROWS`` (4096) records at a time, and the loader parses
-the blocks of lines that ``fileio.read_line_blocks`` yields (about 1 MiB
-of text each) as they arrive, adding each record's features to one
-growing float64 array.
+whole file's text: a save formats ``_WRITE_BLOCK_ROWS`` (4096) records at
+a time, and the loader parses the blocks of lines that
+``fileio.read_line_blocks`` yields (about 1 MiB of text each) as they
+arrive, adding each record's features to one growing float64 array.
 
-A save of at least ``_TWO_PROCESS_MIN_VALUES`` feature values, by a
+One loop writes every dataset directory. It takes the rows a block at a
+time, train's then validation's: from a finished split for
+``save_dataset``, and for ``generate_and_save_dataset`` as each block is
+drawn, so the records are formatted while later rows are still drawn. A
+save of at least ``_TWO_PROCESS_MIN_VALUES`` feature values, by a
 process that may use two CPUs and knows its interpreter
-(``sys.executable``), formats in two processes. The rows, train then
-validation, are cut at their midpoint. A second interpreter runs
-``records.py``, which imports neither numpy nor this package, and
-formats the second half into an unnamed temporary file in the target
-directory. It is sent the features as float64 bytes straight from the
-arrays and the ids and label fields a block at a time. Meanwhile this
-process formats the first half. Both run ``records.format_records``, so
-the bytes are those of a one-process save, and each process holds one
-block's strings at a time. This process alone writes the four files.
-It copies the second process's records into them 1 MiB at a time,
-hashing them as it goes. A second process that exits non-zero is an
-OSError that ends with its stderr. On any failure the second process is
-killed and reaped. ``EDL_NUM_THREADS`` sets BLAS threads only and does
-not govern this; ``taskset -c 0`` keeps a save on one CPU. Either way no
-file is replaced before all four are written, so a save that fails
-leaves the directory as it was.
+(``sys.executable``), starts a second interpreter that runs
+``records.py``, which imports neither numpy nor this package. A block
+goes to that process while it has at most one block it has not
+acknowledged (it writes one byte on a pipe for each block it has
+formatted), so the shares follow the two processes' progress; any other
+block is formatted here. Each process formats into an unnamed temporary
+file of its own in the target directory. The second one is sent the
+features as float64 bytes straight from the arrays and the ids and label
+fields. Both run ``records.format_records``, so the bytes are those of a
+one-process save, and each process holds one block's strings at a time.
+Once every block is formatted, this process alone writes the four files:
+each split file in block order, copied from the two temporary files
+1 MiB at a time and hashed as it goes, then its cache. A second process
+that exits non-zero is an OSError that ends with its stderr. On any
+failure the second process is killed and reaped. ``EDL_NUM_THREADS``
+sets BLAS threads only and does not govern this; ``taskset -c 0`` keeps
+a save, ``generate``'s too, on one CPU. Either way no file is replaced
+before all four are written, so a save that fails leaves the directory
+as it was.
 
 The record rules are stated once, in ``_parse_records``, which checks
 each record on its own line, in the order its fields are read, and names
@@ -94,11 +100,12 @@ import math
 import os
 import re
 import sys
+import tempfile
 from array import array
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain, combinations, compress
+from itertools import chain, compress, islice
 from pathlib import Path
 
 import numpy as np
@@ -123,9 +130,13 @@ _NAME_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 # records formatted per block when saving; bounds the temporary strings
 _WRITE_BLOCK_ROWS = 4096
 
-# feature values a save must hold before a second process formats half of
-# its records; below it the process's start costs more than it saves
+# feature values a save must hold before a second process formats a share
+# of its records; below it the process's start costs more than it saves
 _TWO_PROCESS_MIN_VALUES = 50_000
+
+# the size asked for the second process's input pipe, the most an
+# unprivileged Linux process may set by default
+_PIPE_BYTES = 1 << 20
 
 # bytes hashed or read per block when a cache is checked and read, or
 # copied from the second process's records
@@ -334,119 +345,150 @@ def _known_prototypes(rng: np.random.Generator, cfg: GenConfig) -> np.ndarray:
     return (cfg.separation * cfg.noise) * q.T
 
 
+def _pair(k: int, index: int) -> tuple[int, int]:
+    """The pair at ``index`` of ``list(combinations(range(k), 2))``, found
+    without the list."""
+    # the pairs whose first element is above a number t(t+1)/2, with
+    # t = k - 2 - a; the first element of the pair at ``index`` is set by the
+    # largest t whose count does not pass the number of pairs after it
+    after = k * (k - 1) // 2 - 1 - index
+    t = (math.isqrt(8 * after + 1) - 1) // 2
+    return k - 2 - t, k - 1 - (after - t * (t + 1) // 2)
+
+
 def _unknown_prototypes(rng, cfg, known_protos):
-    pairs = list(combinations(range(cfg.k_known), 2))
-    picked = rng.choice(len(pairs), size=cfg.k_unknown, replace=False)
+    k = cfg.k_known
+    picked = rng.choice(k * (k - 1) // 2, size=cfg.k_unknown, replace=False)
     protos = []
     for p in picked:
-        a, b = pairs[int(p)]
+        a, b = _pair(k, int(p))
         protos.append(cfg.unknown_scale * 0.5 * (known_protos[a] + known_protos[b]))
     return np.array(protos) if protos else np.zeros((0, cfg.dim))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def generate_dataset(cfg: GenConfig) -> DatasetSplit:
     """Deterministic synthetic dataset; same config -> identical samples.
 
     Draws are made row by row in a fixed order (label draws, then the noise
-    direction, then its radius). One (n_train + n_val, dim) float64 array is
-    allocated before anything is drawn, and each row's direction is
-    copied into it; the features are then assembled in place, scaled by
+    direction, then its radius), in blocks of _WRITE_BLOCK_ROWS rows, train's
+    then validation's. One (n_train + n_val, dim) float64 array is allocated
+    before anything is drawn, and each row's direction is copied into it;
+    once a block is drawn its features are assembled in place, scaled by
     each row's factor and shifted by its centre, the same bits as
     centre + factor * direction. A geometry too large for float64 (noise,
-    separation and unknown_scale multiply) is a ConfigError, raised before
-    anything is written; so is a size that cannot be allocated, or that
+    separation and unknown_scale multiply) is a ConfigError, raised at the
+    first block it reaches; so is a size that cannot be allocated, or that
     numpy cannot address, found before anything is drawn.
     """
+    blocks = _generate_split(cfg)
+    while True:
+        try:
+            next(blocks)
+        except StopIteration as end:
+            return end.value
+
+
+def _generate_split(cfg: GenConfig):
+    """Draw the rows of ``cfg`` a block of _WRITE_BLOCK_ROWS at a time, train's
+    then validation's, no block across both. Yield (0 for train or 1 for
+    validation, the block's rows) as soon as each block is drawn, and return
+    the DatasetSplit of them all."""
+    n_train, n_rows = cfg.n_train, cfg.n_train + cfg.n_val
+    k_known, k_unknown, dim = cfg.k_known, cfg.k_unknown, cfg.dim
+    # label sets that can be drawn: none, one or two known, one unknown
+    n_sets = min(n_rows, 1 + k_known + k_known * (k_known - 1) // 2 + k_unknown)
     try:
-        return _generate_split(cfg)
+        # the features of every row, allocated before anything is drawn: each
+        # row's noise direction is copied in as it is drawn, and a block's rows
+        # become their features in place once all of them are
+        try:
+            x = np.empty((n_rows, dim))
+        except ValueError:  # more bytes than an address can count
+            raise MemoryError from None
+        labels = np.empty((n_rows, k_known + k_unknown), dtype=bool)
+        unknown = np.empty(n_rows, dtype=bool)
+        # the centre and label row of each label set, by first use
+        centres = np.zeros((n_sets, dim))
+        code_labels = np.zeros((n_sets, k_known + k_unknown), dtype=bool)
+        rng = np.random.default_rng(cfg.seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            known_protos = _known_prototypes(rng, cfg)
+            unknown_protos = _unknown_prototypes(rng, cfg, known_protos)
     except MemoryError:
         raise ConfigError(
             f"a dataset of dim {cfg.dim} with {cfg.n_train} train and {cfg.n_val} "
             "validation rows does not fit in memory; lower dim, n_train or n_val"
         ) from None
 
-
-def _generate_split(cfg: GenConfig) -> DatasetSplit:
-    # the features of every row, allocated before anything is drawn: each
-    # row's noise direction is copied in as it is drawn, and x becomes the
-    # features in place once all are
-    try:
-        x = np.empty((cfg.n_train + cfg.n_val, cfg.dim))
-    except ValueError:  # more bytes than an address can count
-        raise MemoryError from None
-    rng = np.random.default_rng(cfg.seed)
-    known_protos = _known_prototypes(rng, cfg)
-    unknown_protos = _unknown_prototypes(rng, cfg, known_protos)
-
     # the loop runs once per row, so it calls the generator's bound methods
     # directly and makes no call of its own
     random, integers, standard_normal = rng.random, rng.integers, rng.standard_normal
-    k_known, k_unknown, dim, n_train = cfg.k_known, cfg.k_unknown, cfg.dim, cfg.n_train
     normal_rate, unknown_rate, cooccurrence = cfg.normal_rate, cfg.unknown_rate, cfg.cooccurrence
     max_radius, root = NOISE_RADIUS * cfg.noise, 1.0 / dim
     codes = {}  # label tuple -> row of the centre and label tables, by first use
-    row_codes, factors = [], []
-    for i in range(n_train + cfg.n_val):
-        # a validation row is unknown with probability unknown_rate; any other
-        # row is label-free with probability normal_rate, else carries one
-        # known label, or with probability cooccurrence a second one
-        if i >= n_train and k_unknown > 0 and random() < unknown_rate:
-            labels = (k_known + int(integers(k_unknown)),)
-        elif random() < normal_rate:
-            labels = ()
-        else:
-            k = int(integers(k_known))
-            if k_known > 1 and random() < cooccurrence:
-                j = int(integers(k_known - 1))
-                labels = (k, j + 1) if j >= k else (j, k)
-            else:
-                labels = (k,)
-        row_codes.append(codes.setdefault(labels, len(codes)))
-        # noise uniform in the ball of radius NOISE_RADIUS * noise: a Gaussian
-        # direction, redrawn while zero, scaled to a radius drawn after it;
-        # math.sqrt(d.dot(d)) is the Euclidean norm as np.linalg.norm computes it
-        direction = standard_normal(dim)
-        norm = math.sqrt(direction.dot(direction))
-        while norm == 0.0:
-            direction = standard_normal(dim)
-            norm = math.sqrt(direction.dot(direction))
-        x[i] = direction
-        factors.append(max_radius * random() ** root / norm)
+    ids = ([], [])
+    for which, (start, stop, prefix) in enumerate(((0, n_train, "tr"), (n_train, n_rows, "va"))):
+        unknowns = which == 1 and k_unknown > 0
+        for block in _blocks(start, stop):
+            n_codes, row_codes, factors = len(codes), [], []
+            for i in range(block.start, block.stop):
+                # a validation row is unknown with probability unknown_rate; any
+                # other row is label-free with probability normal_rate, else
+                # carries one known label, or with probability cooccurrence a
+                # second one
+                if unknowns and random() < unknown_rate:
+                    row_labels = (k_known + int(integers(k_unknown)),)
+                elif random() < normal_rate:
+                    row_labels = ()
+                else:
+                    k = int(integers(k_known))
+                    if k_known > 1 and random() < cooccurrence:
+                        j = int(integers(k_known - 1))
+                        row_labels = (k, j + 1) if j >= k else (j, k)
+                    else:
+                        row_labels = (k,)
+                row_codes.append(codes.setdefault(row_labels, len(codes)))
+                # noise uniform in the ball of radius NOISE_RADIUS * noise: a
+                # Gaussian direction, redrawn while zero, scaled to a radius drawn
+                # after it; math.sqrt(d.dot(d)) is the Euclidean norm as
+                # np.linalg.norm computes it
+                direction = standard_normal(dim)
+                norm = math.sqrt(direction.dot(direction))
+                while norm == 0.0:
+                    direction = standard_normal(dim)
+                    norm = math.sqrt(direction.dot(direction))
+                x[i] = direction
+                factors.append(max_radius * random() ** root / norm)
 
-    k_total = cfg.k_known + cfg.k_unknown
-    centres = np.zeros((len(codes), cfg.dim))
-    code_labels = np.zeros((len(codes), k_total), dtype=bool)
-    for labels, code in codes.items():
-        code_labels[code, list(labels)] = True
-        if labels and labels[0] >= cfg.k_known:
-            centres[code] = unknown_protos[labels[0] - cfg.k_known]
-        elif labels:
-            centres[code] = known_protos[list(labels)].mean(axis=0)
-    row_codes = np.array(row_codes, dtype=np.intp)
-    # direction * factor + centre, the same bits as centre + factor * direction
-    x *= np.array(factors)[:, None]
-    del factors  # 32 bytes a row, let go before the centres are gathered
-    x += centres[row_codes]
-    if not np.isfinite(x).all():
-        raise ConfigError("generated features overflow float64; "
-                          "lower noise, separation or unknown_scale")
-    labels = code_labels[row_codes]
-    unknown = labels[:, cfg.k_known:].any(axis=1)
+            row_codes = np.array(row_codes, dtype=np.intp)
+            features = x[block]
+            with np.errstate(over="ignore", invalid="ignore"):
+                for code, row_labels in enumerate(islice(codes, n_codes, None), n_codes):
+                    code_labels[code, list(row_labels)] = True
+                    if row_labels and row_labels[0] >= k_known:
+                        centres[code] = unknown_protos[row_labels[0] - k_known]
+                    elif row_labels:
+                        centres[code] = known_protos[list(row_labels)].mean(axis=0)
+                # direction * factor + centre, the same bits as centre + factor * direction
+                features *= np.array(factors)[:, None]
+                features += centres[row_codes]
+            if not np.isfinite(features).all():
+                raise ConfigError("generated features overflow float64; "
+                                  "lower noise, separation or unknown_scale")
+            labels[block] = code_labels[row_codes]
+            unknown[block] = labels[block, k_known:].any(axis=1)
+            block_ids = tuple(f"{prefix}-{i - start:05d}" for i in range(block.start, block.stop))
+            ids[which].extend(block_ids)
+            yield which, SampleTable(block_ids, features, labels[block], unknown[block])
 
-    n = cfg.n_train
-    train = SampleTable(tuple(f"tr-{i:05d}" for i in range(n)), x[:n], labels[:n], unknown[:n])
-    validation = SampleTable(tuple(f"va-{i:05d}" for i in range(cfg.n_val)),
-                             x[n:], labels[n:], unknown[n:])
-
-    known_names = tuple(f"known_{i + 1:02d}" for i in range(cfg.k_known))
-    unknown_names = tuple(f"unknown_{i + 1:02d}" for i in range(cfg.k_unknown))
+    train = SampleTable(tuple(ids[0]), x[:n_train], labels[:n_train], unknown[:n_train])
+    validation = SampleTable(tuple(ids[1]), x[n_train:], labels[n_train:], unknown[n_train:])
     return DatasetSplit(
         train=train,
         validation=validation,
-        known_classes=known_names,
-        unknown_classes=unknown_names,
-        dim=cfg.dim,
+        known_classes=tuple(f"known_{i + 1:02d}" for i in range(k_known)),
+        unknown_classes=tuple(f"unknown_{i + 1:02d}" for i in range(k_unknown)),
+        dim=dim,
     )
 
 
@@ -456,12 +498,12 @@ def _write_hashed(fh, digest, data) -> None:
     digest.update(data)
 
 
-def _tail_fields(rows: SampleTable, block: slice) -> list[str]:
-    """The label and flag fields of the rows in ``block``, each the
-    comma-separated label indices, a tab and the unknown flag, formatted
-    once per distinct (labels, flag) row of the block; a row's key is the
-    bytes of its label row and flag as bools, which needs each row contiguous."""
-    flagged = np.ascontiguousarray(np.column_stack((rows.labels[block], rows.unknown[block])))
+def _tail_fields(rows: SampleTable) -> list[str]:
+    """The label and flag fields of ``rows``, each the comma-separated label
+    indices, a tab and the unknown flag, formatted once per distinct
+    (labels, flag) row; a row's key is the bytes of its label row and flag
+    as bools, which needs each row contiguous."""
+    flagged = np.ascontiguousarray(np.column_stack((rows.labels, rows.unknown)))
     keys = flagged.view(np.dtype((np.void, flagged.shape[1]))).ravel().tolist()
     tails = {}
     for key in set(keys):
@@ -487,27 +529,48 @@ def _in_two_processes(n_values: int) -> bool:
     return n_values >= _TWO_PROCESS_MIN_VALUES and bool(sys.executable) and _usable_cpus() >= 2
 
 
+def _unnamed_file(directory: Path):
+    """A temporary file in ``directory`` to write and read bytes, with no
+    name; where the OS has no unnamed files, a "."-prefixed one, unlinked at
+    once. Closing it removes it."""
+    return tempfile.TemporaryFile(dir=directory, prefix=".", suffix=".tmp")
+
+
 class _RecordProcess:
-    """A second interpreter that formats the records of the rows it is sent
+    """A second interpreter that formats the records of the blocks it is sent
     (``records.main``) into an unnamed temporary file in the target
-    directory. As a context manager it kills and reaps the process if it
-    is still running, and closes the file, which removes it."""
+    directory, and acknowledges each block it has formatted with one byte on
+    a pipe. As a context manager it kills and reaps the process if it is
+    still running, and closes the file, which removes it, and the pipes."""
 
     def __init__(self, directory: Path, dim: int):
-        # imported here, so that importing the package does not pay for them
+        # imported here, so that importing the package does not pay for it
         import subprocess
-        import tempfile
 
-        # where the OS has no unnamed files, a "."-prefixed one, unlinked at once
-        self.out = tempfile.TemporaryFile(dir=directory, prefix=".", suffix=".tmp")
+        self.out = _unnamed_file(directory)
+        ack_read, ack_write = os.pipe()
         try:
             self.proc = subprocess.Popen(
-                [sys.executable, "-I", "-S", records.__file__, str(dim)],
-                stdin=subprocess.PIPE, stdout=self.out, stderr=subprocess.PIPE)
+                [sys.executable, "-I", "-S", records.__file__, str(dim), str(ack_write)],
+                stdin=subprocess.PIPE, stdout=self.out, stderr=subprocess.PIPE,
+                pass_fds=(ack_write,))
         except BaseException:
+            os.close(ack_read)
             self.out.close()
             raise
-        self.done = False
+        finally:
+            # the process holds the only write end left, so its exit ends the pipe
+            os.close(ack_write)
+        self.acks = os.fdopen(ack_read, "rb", buffering=0)
+        # a pipe that holds a whole block of 8 features takes it in one write;
+        # through a 64 KiB pipe each refill waits until the process's reading
+        # thread gets the interpreter lock, up to 5 ms. Linux only
+        with contextlib.suppress(ImportError, AttributeError, OSError):
+            import fcntl
+
+            fcntl.fcntl(self.proc.stdin, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        os.set_blocking(ack_read, False)
+        self.sent = self.acked = 0
 
     def __enter__(self):
         return self
@@ -516,35 +579,35 @@ class _RecordProcess:
         if self.proc.returncode is None:
             self.proc.kill()
             self.proc.wait()
-        for stream in (self.proc.stdin, self.proc.stderr, self.out):
+        for stream in (self.proc.stdin, self.proc.stderr, self.acks, self.out):
             with contextlib.suppress(OSError):
                 stream.close()
 
-    def send(self, shares) -> None:
-        """Send the rows of each (table, first row) of ``shares``, a block of
-        _WRITE_BLOCK_ROWS at a time: the features straight from the table's
-        memory, then the ids and the label and flag fields; then close the
-        process's input."""
-        write = self.proc.stdin.write
+    def ready(self) -> bool:
+        """Whether the process has at most one block it has not acknowledged;
+        the acknowledgements that have arrived are read without waiting."""
+        while self.sent - self.acked > 1 and (acks := self.acks.read(self.sent - self.acked)):
+            self.acked += len(acks)
+        return self.sent - self.acked <= 1
+
+    def send(self, rows: SampleTable, tails) -> None:
+        """Send the block ``rows``: its features straight from the table's
+        memory, then its ids and its label and flag fields ``tails``."""
+        text = "\n".join(chain(rows.ids, tails)).encode("utf-8")
+        stdin = self.proc.stdin
         try:
-            for rows, start in shares:
-                x = np.ascontiguousarray(rows.x)
-                for block in _blocks(start, len(rows)):
-                    text = "\n".join(chain(rows.ids[block], _tail_fields(rows, block)))
-                    text = text.encode("utf-8")
-                    write(records.BLOCK_HEADER.pack(block.stop - block.start, len(text)))
-                    write(memoryview(x[block]))
-                    write(text)
-            self.proc.stdin.close()
+            stdin.write(records.BLOCK_HEADER.pack(len(rows), len(text)))
+            stdin.write(memoryview(np.ascontiguousarray(rows.x)))
+            stdin.write(text)
+            stdin.flush()
         except BrokenPipeError:
             self.wait()  # names the process's failure, when it failed
             raise
+        self.sent += 1
 
     def wait(self) -> None:
-        """Let the process read to the end of its input and format it; an
+        """Close the process's input and let it format what it was sent; an
         OSError with the end of its stderr when it exits non-zero."""
-        if self.done:
-            return
         with contextlib.suppress(BrokenPipeError):
             self.proc.stdin.close()
         err = self.proc.stderr.read()
@@ -553,46 +616,40 @@ class _RecordProcess:
             raise OSError(f"the record-formatting process exited with status "
                           f"{self.proc.returncode}: {tail}")
         self.out.seek(0)
-        self.done = True
-
-    def copy(self, fh, digest, lines: int) -> None:
-        """Write the next ``lines`` records the process wrote to ``fh`` and add
-        them to ``digest``, _CACHE_BLOCK_BYTES at a time."""
-        self.wait()
-        while lines:
-            data = self.out.read(_CACHE_BLOCK_BYTES)
-            if not data:
-                raise OSError("the record-formatting process wrote too few records")
-            n = data.count(b"\n")
-            if n >= lines:  # the rest belongs to the next split file
-                rest = data.split(b"\n", lines)[-1]
-                self.out.seek(-len(rest), os.SEEK_CUR)
-                data, n = data[:len(data) - len(rest)], lines
-            _write_hashed(fh, digest, data)
-            lines -= n
 
     def check_end(self) -> None:
         if self.out.read(1):
             raise OSError("the record-formatting process wrote too many records")
 
 
-def _write_split_file(fh, rows: SampleTable, split: DatasetSplit, own: int,
-                      child: _RecordProcess | None):
-    """Write the header line, then the records of the first ``own`` rows in
-    blocks of _WRITE_BLOCK_ROWS rows, with one tolist of the block's features
-    and one write of its lines, then those ``child`` formatted for the rest.
-    Returns the SHA-256 hash object of the bytes written."""
+def _copy_records(source, fh, digest, lines: int) -> None:
+    """Write the next ``lines`` records of the file ``source`` to ``fh`` and
+    add them to ``digest``, _CACHE_BLOCK_BYTES at a time."""
+    while lines:
+        data = source.read(_CACHE_BLOCK_BYTES)
+        if not data:
+            raise OSError("the record-formatting process wrote too few records")
+        n = data.count(b"\n")
+        if n >= lines:  # the rest belongs to a later run of records
+            rest = data.split(b"\n", lines)[-1]
+            source.seek(-len(rest), os.SEEK_CUR)
+            data, n = data[:len(data) - len(rest)], lines
+        _write_hashed(fh, digest, data)
+        lines -= n
+
+
+def _write_split_file(fh, split: DatasetSplit, runs):
+    """Write the header line, then the records of each (file, row count) of
+    ``runs`` in turn, copied from that file. Returns the SHA-256 hash object
+    of the bytes written."""
     header = (
         f"{DATASET_MAGIC} {DATASET_VERSION} D={split.dim} K={split.k_known} "
         f"classes={','.join(split.classes)}"
     )
     digest = hashlib.sha256()
     _write_hashed(fh, digest, f"{header}\n".encode("utf-8"))
-    for block in _blocks(0, own):
-        _write_hashed(fh, digest, records.format_records(
-            rows.ids[block], rows.x[block].tolist(), _tail_fields(rows, block)))
-    if own < len(rows):
-        child.copy(fh, digest, len(rows) - own)
+    for source, lines in runs:
+        _copy_records(source, fh, digest, lines)
     return digest
 
 
@@ -621,44 +678,102 @@ def _write_split_cache(fh, rows: SampleTable, digest) -> None:
     fh.write(digest.hexdigest().encode("ascii"))
 
 
+def _save_blocks(directory: Path, dim: int, n_rows: int, blocks) -> DatasetSplit:
+    """Write a dataset directory from the generator ``blocks``, and return
+    the DatasetSplit it returns.
+
+    ``blocks`` yields (0 for train or 1 for validation, rows) for each block
+    of at most _WRITE_BLOCK_ROWS rows, train's first, in order, and returns
+    the DatasetSplit of the ``n_rows`` rows of ``dim`` features they make
+    up. Each block is formatted as it is taken: by the second process, when
+    the save starts one and that process has at most one block it has not
+    acknowledged, else here, into an unnamed temporary file. Then each split
+    file is written in block order from the two, and its cache after it.
+    """
+    directory.mkdir(parents=True, exist_ok=True)
+    with contextlib.ExitStack() as stack:
+        own = stack.enter_context(_unnamed_file(directory))
+        child = None
+        if _in_two_processes(n_rows * dim):
+            child = stack.enter_context(_RecordProcess(directory, dim))
+        runs = []  # [split, file, rows] of each run of blocks formatted into one file
+        while True:
+            try:
+                which, rows = next(blocks)
+            except StopIteration as end:
+                split = end.value
+                break
+            tails = _tail_fields(rows)
+            if child is not None and child.ready():
+                child.send(rows, tails)
+                out = child.out
+            else:
+                own.write(records.format_records(rows.ids, rows.x.tolist(), tails))
+                out = own
+            if runs and runs[-1][:2] == [which, out]:
+                runs[-1][2] += len(rows)
+            else:
+                runs.append([which, out, len(rows)])
+        # entered last to first, so that they replace their targets first to last
+        paths = [p for name in (TRAIN_FILENAME, VAL_FILENAME)
+                 for p in (directory / name, _cache_path(directory / name))]
+        files = [stack.enter_context(atomic_open(p, binary=True)) for p in reversed(paths)]
+        files.reverse()
+        if child is not None:
+            child.wait()
+        own.seek(0)
+        for which, rows in enumerate((split.train, split.validation)):
+            digest = _write_split_file(files[2 * which], split,
+                                       [(out, n) for w, out, n in runs if w == which])
+            _write_split_cache(files[2 * which + 1], rows, digest)
+        if child is not None:
+            child.check_end()
+    return split
+
+
 def save_dataset(split: DatasetSplit, path) -> None:
     """Write a dataset directory containing train.edlset and val.edlset,
     each followed by its cache (train.edlset.cache, val.edlset.cache).
 
     No file is replaced before all four are written; then they replace
     their targets in that order. With at least _TWO_PROCESS_MIN_VALUES
-    feature values, a known interpreter and two usable CPUs, the second
-    half of the rows (train, then validation) is formatted by a second
-    process (``records``); the bytes are the same. A sample id with a tab,
-    a line break or a surrogate code point is a ValueError, raised before
-    anything is written.
+    feature values, a known interpreter and two usable CPUs, a second
+    process (``records``) formats the blocks of rows it is handed while
+    this one formats the others; the bytes are the same. A sample id with a
+    tab, a line break or a surrogate code point is a ValueError, raised
+    before anything is written.
     """
     for rows in (split.train, split.validation):
         _check_writable(rows.ids, "sample id")
+    _save_blocks(Path(path), split.dim, len(split.train) + len(split.validation),
+                 _split_blocks(split))
+
+
+def _split_blocks(split: DatasetSplit):
+    """Yield (0 for train or 1 for validation, rows) for each block of
+    _WRITE_BLOCK_ROWS rows of ``split``, train's first; return ``split``."""
+    for which, rows in enumerate((split.train, split.validation)):
+        for block in _blocks(0, len(rows)):
+            yield which, rows[block]
+    return split
+
+
+def generate_and_save_dataset(cfg: GenConfig, path) -> DatasetSplit:
+    """``generate_dataset(cfg)``, saved to ``path`` in the files of
+    ``save_dataset(generate_dataset(cfg), path)``; each block of rows is
+    formatted as soon as it is drawn, so a second process formats while
+    this one draws. A ConfigError of the draw leaves no directory that this
+    call made, and no file replaced.
+    """
     directory = Path(path)
-    directory.mkdir(parents=True, exist_ok=True)
-    splits = ((directory / TRAIN_FILENAME, split.train),
-              (directory / VAL_FILENAME, split.validation))
-    n_rows = len(split.train) + len(split.validation)
-    with contextlib.ExitStack() as stack:
-        # the first ``own`` rows of train, then validation, are formatted here
-        own, child = n_rows, None
-        if _in_two_processes(n_rows * split.dim):
-            own -= n_rows // 2
-            child = stack.enter_context(_RecordProcess(directory, split.dim))
-            child.send([(split.train, min(own, len(split.train))),
-                        (split.validation, max(own - len(split.train), 0))])
-        # entered last to first, so that they replace their targets first to last
-        paths = [p for path, _ in splits for p in (path, _cache_path(path))]
-        files = [stack.enter_context(atomic_open(p, binary=True)) for p in reversed(paths)]
-        files.reverse()
-        for (_, rows), fh, cache in zip(splits, files[0::2], files[1::2]):
-            mine = min(own, len(rows))
-            digest = _write_split_file(fh, rows, split, mine, child)
-            _write_split_cache(cache, rows, digest)
-            own -= mine
-        if child is not None:
-            child.check_end()
+    made = [p for p in (directory, *directory.parents) if not p.exists()]
+    try:
+        return _save_blocks(directory, cfg.dim, cfg.n_train + cfg.n_val, _generate_split(cfg))
+    except ConfigError:
+        for p in made:  # deepest first; one that is not empty stays
+            with contextlib.suppress(OSError):
+                p.rmdir()
+        raise
 
 
 _HEADER_RE = re.compile(

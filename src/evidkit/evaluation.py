@@ -400,4 +400,5 @@ def write_scores_csv(path, ids, uncertainties, flags) -> None:
     with atomic_open(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["sample_id", "uncertainty", "is_unknown"])
-        writer.writerows(zip(ids, map(repr, u.tolist()), f.astype(int).tolist()))
+        # csv formats a float with repr, so the scores round-trip exactly
+        writer.writerows(zip(ids, u.tolist(), f.astype(int).tolist()))

@@ -1,5 +1,8 @@
 """End-to-end tests of the command-line pipeline, run in process."""
 
+import os
+import subprocess
+
 import numpy as np
 import pytest
 import yaml
@@ -93,13 +96,26 @@ class TestGenerate:
         assert "error:" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", ["--noise", "--unknown-scale"])
-    def test_overflowing_geometry_exits_2_before_writing(self, tmp_path, capsys, flag):
-        out = tmp_path / "d"
-        assert main(["generate", "--out", str(out), *TINY_GEN, flag, "1e308"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "overflow float64" in err
-        assert "Warning" not in err
-        assert not out.exists()
+    def test_overflowing_geometry_exits_2_before_writing(self, tmp_path, capsys, monkeypatch,
+                                                        flag):
+        spawned, real = [], subprocess.Popen
+        monkeypatch.setattr(subprocess, "Popen",
+                            lambda *a, **k: spawned.append(real(*a, **k)) or spawned[-1])
+        for processes in (1, 2):
+            if processes == 2:
+                # blocks of 16 rows, handed to a second process as they are
+                # drawn: the noise overflows in the first block, the unknown
+                # prototypes in the first validation block, after 5 train blocks
+                monkeypatch.setattr(datasets, "_TWO_PROCESS_MIN_VALUES", 0)
+                monkeypatch.setattr(datasets, "_WRITE_BLOCK_ROWS", 16)
+                monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+            out = tmp_path / "a" / "d"
+            assert main(["generate", "--out", str(out), *TINY_GEN, flag, "1e308"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and "overflow float64" in err
+            assert "Warning" not in err
+            assert list(tmp_path.iterdir()) == []
+            assert len(spawned) == processes - 1
 
     def test_unallocatable_size_exits_2_before_writing(self, tmp_path, capsys, monkeypatch):
         # stands in for the multi-TiB prototype draw of a huge --dim

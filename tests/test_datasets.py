@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tracemalloc
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,7 @@ from evidkit.datasets import (
     DatasetSplit,
     GenConfig,
     SampleTable,
+    generate_and_save_dataset,
     generate_dataset,
     load_ciw_config,
     load_dataset,
@@ -210,6 +212,59 @@ class TestGeneration:
     def test_cooccurring_samples_exist_and_sit_between_prototypes(self):
         split = generate_dataset(GenConfig())
         assert (split.train.labels.sum(axis=1) == 2).any()  # default co-occurrence rate is 0.2
+
+    def test_rows_are_drawn_in_blocks_of_one_split_with_the_same_bits(self, monkeypatch):
+        # 60 train and 30 validation rows in blocks of 7: 9 train blocks, the
+        # last of 4 rows, then 5 validation blocks, the last of 2
+        split = generate_dataset(SMALL)
+        monkeypatch.setattr(datasets, "_WRITE_BLOCK_ROWS", 7)
+        blocks = []
+        drawn = datasets._generate_split(SMALL)
+        with pytest.raises(StopIteration) as end:
+            while True:
+                blocks.append(next(drawn))
+        assert end.value.value == split
+        assert [(which, len(rows)) for which, rows in blocks] == \
+            [(0, 7)] * 8 + [(0, 4)] + [(1, 7)] * 4 + [(1, 2)]
+        for which, table in enumerate((split.train, split.validation)):
+            rows = [rows for w, rows in blocks if w == which]
+            assert [i for r in rows for i in r.ids] == list(table.ids)
+            np.testing.assert_array_equal(np.concatenate([r.x for r in rows]), table.x)
+            np.testing.assert_array_equal(np.concatenate([r.labels for r in rows]), table.labels)
+            np.testing.assert_array_equal(np.concatenate([r.unknown for r in rows]),
+                                          table.unknown)
+
+    def test_unknown_pairs_are_those_of_the_list_of_pairs(self):
+        # every pair index, drawn in the generator's order when k_unknown is
+        # the number of pairs, gives the prototype the list of pairs gave
+        for k_known in range(2, 80):
+            n_pairs = k_known * (k_known - 1) // 2
+            pairs = list(combinations(range(k_known), 2))
+            assert [datasets._pair(k_known, i) for i in range(n_pairs)] == pairs
+            protos = np.random.default_rng(k_known).standard_normal((k_known, k_known))
+            for k_unknown in sorted({0, 1, min(5, n_pairs), n_pairs}):
+                cfg = GenConfig(k_known=k_known, k_unknown=k_unknown, dim=k_known)
+                rng = np.random.default_rng(k_known)
+                picked = rng.choice(len(pairs), size=k_unknown, replace=False)
+                expected = [cfg.unknown_scale * 0.5 * (protos[a] + protos[b])
+                            for a, b in (pairs[int(p)] for p in picked)]
+                got = datasets._unknown_prototypes(np.random.default_rng(k_known), cfg, protos)
+                np.testing.assert_array_equal(
+                    got, np.array(expected) if expected else np.zeros((0, k_known)))
+
+    def test_unknown_prototypes_hold_no_list_of_pairs(self):
+        # the list of the 1,124,250 pairs of 1500 known classes took 69 MiB;
+        # numpy's draw of two of them takes under 1 MiB
+        cfg = GenConfig(k_known=1500, k_unknown=2, dim=1500)
+        protos = np.zeros((1500, 1500))
+        gc.collect()
+        tracemalloc.start()
+        try:
+            datasets._unknown_prototypes(np.random.default_rng(0), cfg, protos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
 
 
 class TestDatasetFiles:
@@ -691,8 +746,8 @@ class TestArrays:
 
 
 # SHA-256 of the four files `generate --seed 3` writes at the CLI defaults,
-# recorded with the one-process writer: at 12000 + 6000 rows the second
-# process's half starts inside train, at 3000 + 9000 inside validation
+# recorded with the one-process writer, at a size mostly train and one
+# mostly validation
 TWO_PROCESS_DIGESTS = {
     (12000, 6000): {
         TRAIN_FILENAME: "1011d745f1c45dd083bda94ccde3e3ce0440f9a5cfe6ab483517e699e3a9418a",
@@ -727,16 +782,12 @@ def _digests(directory) -> dict:
             for name in SPLIT_FILES}
 
 
-def _no_child_left() -> None:
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
 class TestTwoProcessSave:
-    """A large save formats the second half of its rows in a second
-    interpreter; the bytes are those of the one-process writer, and a
-    failure on either side leaves no process, no temporary file and no
-    changed target behind."""
+    """A large save hands blocks of its rows to a second interpreter while
+    that process has at most one it has not acknowledged, and formats the
+    others itself; the bytes are those of the one-process writer, and a
+    failure on either side leaves no process (checked after every test in
+    conftest.py), no temporary file and no changed target behind."""
 
     @pytest.fixture
     def spawned(self, monkeypatch):
@@ -781,7 +832,35 @@ class TestTwoProcessSave:
         assert spawned[0].returncode == 0
         assert _digests(tmp_path) == TWO_PROCESS_DIGESTS[size]
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SPLIT_FILES)
-        _no_child_left()
+
+    @pytest.mark.parametrize("size", SIZES, ids=SIZE_IDS)
+    def test_generate_and_save_writes_the_bytes_of_a_save(self, tmp_path, spawned,
+                                                           seed3_splits, size):
+        cfg = GenConfig(n_train=size[0], n_val=size[1], seed=3)
+        assert generate_and_save_dataset(cfg, tmp_path / "data") == seed3_splits[size]
+        assert len(spawned) == 1 and spawned[0].returncode == 0
+        assert _digests(tmp_path / "data") == TWO_PROCESS_DIGESTS[size]
+        assert sorted(p.name for p in (tmp_path / "data").iterdir()) == sorted(SPLIT_FILES)
+
+    def test_a_formatter_that_never_acknowledges_is_sent_two_blocks(
+            self, tmp_path, monkeypatch, seed3_splits):
+        # records.py itself, with its acknowledgements written to nowhere
+        script = Path(datasets.__file__).with_name("records.py")
+        procs = self._replace_child(monkeypatch, tmp_path,
+                                    "import os, runpy, sys\n"
+                                    "sys.argv[2] = str(os.open(os.devnull, os.O_WRONLY))\n"
+                                    f"runpy.run_path({str(script)!r}, run_name='__main__')\n")
+        sent, send = [], datasets._RecordProcess.send
+
+        def counted(process, rows, tails):
+            sent.append(len(rows))
+            send(process, rows, tails)
+
+        monkeypatch.setattr(datasets._RecordProcess, "send", counted)
+        save_dataset(seed3_splits[SIZES[0]], tmp_path / "data")
+        assert len(procs) == 1 and procs[0].returncode == 0
+        assert sent == [datasets._WRITE_BLOCK_ROWS] * 2
+        assert _digests(tmp_path / "data") == TWO_PROCESS_DIGESTS[SIZES[0]]
 
     @pytest.mark.parametrize("size", SIZES, ids=SIZE_IDS)
     def test_copies_in_blocks_shorter_than_a_record(self, tmp_path, monkeypatch, spawned,
@@ -793,14 +872,19 @@ class TestTwoProcessSave:
         assert len(spawned) == 1
         assert _digests(tmp_path) == TWO_PROCESS_DIGESTS[size]
 
-    @pytest.mark.parametrize("when", ["after-reading", "at-start"])
+    @pytest.mark.parametrize("when", ["after-reading", "after-one-block", "at-start"])
     @pytest.mark.parametrize("size", SIZES, ids=SIZE_IDS)
     def test_a_failing_child_changes_no_file(self, tmp_path, capsys, monkeypatch,
                                              seed3_splits, size, when):
         from evidkit.cli import main
 
-        read = "sys.stdin.buffer.read()\n" if when == "after-reading" else ""
-        procs = self._replace_child(monkeypatch, tmp_path, f"import sys\n{read}"
+        # generate sends each block as it is drawn, so one that fails after
+        # the first block fails while rows are still being drawn
+        read = {"after-reading": "sys.stdin.buffer.read()\n",
+                "after-one-block": "rows, size = struct.unpack('=QQ', sys.stdin.buffer.read(16))\n"
+                                   "sys.stdin.buffer.read(rows * int(sys.argv[1]) * 8 + size)\n",
+                "at-start": ""}[when]
+        procs = self._replace_child(monkeypatch, tmp_path, f"import struct, sys\n{read}"
                                     "sys.stderr.write('x' * 600 + 'records: disk full\\n')\n"
                                     "sys.exit(7)\n")
         out = tmp_path / "data"
@@ -817,7 +901,6 @@ class TestTwoProcessSave:
         assert sorted(p.name for p in out.iterdir()) == sorted(SPLIT_FILES)
         for name in SPLIT_FILES:
             assert (out / name).read_bytes() == b"previous " + name.encode()
-        _no_child_left()
 
     def test_a_failing_parent_kills_the_child(self, tmp_path, monkeypatch, seed3_splits):
         procs = self._replace_child(monkeypatch, tmp_path,
@@ -832,7 +915,6 @@ class TestTwoProcessSave:
             save_dataset(seed3_splits[SIZES[0]], out)
         assert len(procs) == 1 and procs[0].returncode == -signal.SIGKILL
         assert list(out.iterdir()) == []
-        _no_child_left()
 
     def test_the_second_process_loads_only_the_standard_library(self):
         # records.py run as a module, so that main() does not wait on stdin

@@ -762,13 +762,14 @@ class TestReports:
 class TestScoresCsv:
     def test_contents_round_trip(self, tmp_path):
         path = tmp_path / "scores.csv"
-        write_scores_csv(path, ["a", "b"], [0.125, 1.0 / 3.0], [False, True])
+        scores = [0.125, 1.0 / 3.0, 5e-324, 0.1 + 0.2, 1.0]
+        write_scores_csv(path, list("abcde"), scores, [False, True, False, True, False])
         lines = path.read_text().splitlines()
         assert lines[0] == "sample_id,uncertainty,is_unknown"
-        assert lines[1] == "a,0.125,0"
-        sid, unc, flag = lines[2].split(",")
-        assert sid == "b" and flag == "1"
-        assert float(unc) == 1.0 / 3.0  # repr round-trips exactly
+        assert lines[1:] == ["a,0.125,0", "b,0.3333333333333333,1", "c,5e-324,0",
+                             "d,0.30000000000000004,1", "e,1.0,0"]
+        # repr round-trips exactly
+        assert [float(line.split(",")[1]) for line in lines[1:]] == scores
 
     def test_length_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError):
